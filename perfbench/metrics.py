@@ -1,26 +1,20 @@
-"""The benchmark's metrics: names, units, directions, and for each layer
-metric the end-to-end metric and workload it should move.
+"""The benchmark's metrics.
 
-``BENCHMARK.json`` lists the same metrics; ``selftest.py`` checks that the
-two agree.
+Names, units, directions and bounds are read from ``BENCHMARK.json``; this
+module holds how each metric is computed and, for each layer metric, the
+end-to-end metric and workload it should move.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import statistics
+from pathlib import Path
 
 SIEVE, MULT, SUMSET, CLI = "sieve-soundness", "multiplicative", "sumset-search", "cli-cold"
 # ops per half of a traced run (untraced, then traced, same seed)
 TRACE_OPS = {SIEVE: 400, MULT: 100, SUMSET: 600, CLI: 30}
-
-# name, unit, better, bound (share of the parent's median it may worsen by)
-END_TO_END = [
-    ("throughput_ops_s", "ops/s", "higher", 0.25),
-    ("latency_p50_ms", "ms", "lower", 0.25),
-    ("latency_p90_ms", "ms", "lower", 0.25),
-    ("setup_s", "s", "lower", 0.25),
-    ("peak_rss_mb", "MB", "lower", 0.15),
-]
 
 CLI_SUBCOMMANDS = (
     "primes", "sieve-bound", "inverse-sieve", "smooth-count", "dickman", "tuple-count",
@@ -28,59 +22,54 @@ CLI_SUBCOMMANDS = (
     "verify-all",
 )
 
-
-def _self(name, moves, on):
-    return (f"{name}.self_s", "s", moves, on)
-
-
-# name, unit, end-to-end metric it should move, workloads
-PER_LAYER = [
-    _self("sieves.sift_count", "throughput_ops_s, latency_p90_ms", SIEVE),
-    ("sieves.sift_count.pairs", "count", "throughput_ops_s, latency_p90_ms", SIEVE),
-    _self("primes.divisibility_hits", "throughput_ops_s", SIEVE),
-    ("primes.divisibility_hits.values", "count", "throughput_ops_s", SIEVE),
-    _self("irreducibility.build_context", "latency_p50_ms", SIEVE),
-    _self("primes.density_ratio_c", "latency_p50_ms", SIEVE),
-    ("primes.subset_sums.calls", "count", "latency_p50_ms", SIEVE),
-    _self("primes.subset_sums", "latency_p50_ms", SIEVE),
-    *[_self(f"sieves.{fn}", "throughput_ops_s", SIEVE) for fn in (
+# layer metrics, the end-to-end metric each should move, and on which workload
+MOVES = [
+    (("sieves.sift_count.self_s", "sieves.sift_count.pairs"),
+     "throughput_ops_s, latency_p90_ms", SIEVE),
+    (("primes.divisibility_hits.self_s", "primes.divisibility_hits.values"),
+     "throughput_ops_s", SIEVE),
+    (("irreducibility.build_context.self_s", "primes.density_ratio_c.self_s",
+      "primes.subset_sums.calls", "primes.subset_sums.self_s"), "latency_p50_ms", SIEVE),
+    (tuple(f"sieves.{fn}.self_s" for fn in (
         "larger_sieve_bound", "large_sieve_bound", "selberg_bound", "prop_smallkscs_bound",
-        "prop_smallkbv_bound", "middlek_bound", "occupancy")],
-    ("sieves.verified_ratio", "ratio", "throughput_ops_s", SIEVE),
-    ("sieves.verified_count", "count", "throughput_ops_s", SIEVE),
-    ("sieves.attempted_count", "count", "throughput_ops_s", SIEVE),
-    _self("primes.PrimeTable", "setup_s, peak_rss_mb", f"{SIEVE}; throughput_ops_s on {MULT}"),
-    ("primes.table_bytes", "bytes", "setup_s, peak_rss_mb", f"{SIEVE}; throughput_ops_s on {MULT}"),
-    _self("semigroup.enumerate_q", "setup_s, peak_rss_mb", f"{SIEVE}; throughput_ops_s on {MULT}"),
-    ("semigroup.enumerate_q.elements", "count", "setup_s, peak_rss_mb",
+        "prop_smallkbv_bound", "middlek_bound", "occupancy"))
+     + ("sieves.verified_ratio", "sieves.verified_count", "sieves.attempted_count"),
+     "throughput_ops_s", SIEVE),
+    (("primes.PrimeTable.self_s", "primes.table_bytes", "semigroup.enumerate_q.self_s",
+      "semigroup.enumerate_q.elements"), "setup_s, peak_rss_mb",
      f"{SIEVE}; throughput_ops_s on {MULT}"),
-    _self("smooth.dickman_rho", f"throughput_ops_s on {MULT}; latency_p90_ms on {CLI}", f"{MULT}, {CLI}"),
-    ("smooth.dickman_rho.max_call_ms", "ms", f"throughput_ops_s on {MULT}; latency_p90_ms on {CLI}",
-     f"{MULT}, {CLI}"),
-    *[_self(f"smooth.{fn}", "latency_p50_ms, throughput_ops_s", MULT) for fn in (
-        "psi", "enumerate_smooth", "bv_discrepancy_sum", "smooth_tuple_count")],
-    ("smooth.psi.calls", "count", "latency_p50_ms, throughput_ops_s", MULT),
-    ("smooth.enumerate_smooth.elements", "count", "latency_p50_ms, throughput_ops_s", MULT),
-    ("smooth.bv_discrepancy_sum.moduli", "count", "latency_p50_ms, throughput_ops_s", MULT),
-    ("smooth.capacity_errors", "count", "latency_p50_ms, throughput_ops_s", MULT),
-    *[_self(name, "throughput_ops_s", MULT) for name in (
-        "semigroup.estimate_tau", "semigroup.verify_hypotheses_wirsing",
-        "arith.check_comparison_inequality", "arith.restricted_multiplicative_sum")],
-    *[_self(f"sumset.{fn}", "throughput_ops_s, latency_p90_ms", SUMSET) for fn in (
-        "sumset", "ruzsa_check", "decompose_binary", "decompose_binary_relative")],
-    ("sumset.decompose_binary.nodes", "count", "throughput_ops_s, latency_p90_ms", SUMSET),
-    ("sumset.decompose_binary_relative.nodes", "count", "throughput_ops_s, latency_p90_ms", SUMSET),
-    ("cli.import_s", "s", "latency_p50_ms, setup_s", CLI),
-    *[(f"cli.{sub}.process_s", "s", "latency_p50_ms, setup_s", CLI) for sub in CLI_SUBCOMMANDS],
-    *[(f"cli.{sub}.report_ms", "ms", "latency_p50_ms, setup_s", CLI) for sub in CLI_SUBCOMMANDS],
-    _self("checks.run_all", "latency_p90_ms", CLI),
-    ("trace.overhead_ratio", "ratio", "none: the cost of tracing", "all"),
-    ("trace.traced_ops_s", "ops/s", "none: the base of trace.overhead_ratio", "all"),
-    ("trace.untraced_ops_s", "ops/s", "none: the base of trace.overhead_ratio", "all"),
+    (("smooth.dickman_rho.self_s", "smooth.dickman_rho.max_call_ms"),
+     f"throughput_ops_s on {MULT}; latency_p90_ms on {CLI}", f"{MULT}, {CLI}"),
+    (tuple(f"smooth.{fn}.self_s" for fn in (
+        "psi", "enumerate_smooth", "bv_discrepancy_sum", "smooth_tuple_count"))
+     + ("smooth.psi.calls", "smooth.enumerate_smooth.elements",
+        "smooth.bv_discrepancy_sum.moduli", "smooth.capacity_errors"),
+     "latency_p50_ms, throughput_ops_s", MULT),
+    (("semigroup.estimate_tau.self_s", "semigroup.verify_hypotheses_wirsing.self_s",
+      "arith.check_comparison_inequality.self_s", "arith.restricted_multiplicative_sum.self_s"),
+     "throughput_ops_s", MULT),
+    (tuple(f"sumset.{fn}.self_s" for fn in (
+        "sumset", "ruzsa_check", "decompose_binary", "decompose_binary_relative"))
+     + ("sumset.decompose_binary.nodes", "sumset.decompose_binary_relative.nodes"),
+     "throughput_ops_s, latency_p90_ms", SUMSET),
+    (("cli.import_s",) + tuple(f"cli.{sub}.{stat}" for sub in CLI_SUBCOMMANDS
+                               for stat in ("process_s", "report_ms")),
+     "latency_p50_ms, setup_s", CLI),
+    (("checks.run_all.self_s",), "latency_p90_ms", CLI),
+    (("trace.overhead_ratio", "trace.traced_ops_s", "trace.untraced_ops_s"),
+     "none: the cost of tracing", "all"),
 ]
-# per-layer metrics where a larger value is the better one
-HIGHER_IS_BETTER = {"sieves.verified_ratio", "sieves.verified_count", "trace.overhead_ratio",
-                    "trace.traced_ops_s", "trace.untraced_ops_s"}
+
+
+@functools.lru_cache(maxsize=None)
+def spec() -> dict:
+    """``BENCHMARK.json``: every metric's name, unit, direction and bound."""
+    path = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def units() -> dict:
+    return {m["name"]: m["unit"] for m in spec()["end_to_end"] + spec()["per_layer"]}
 
 
 def quantile(values, q: float) -> float:
@@ -106,7 +95,7 @@ def per_layer(traced: dict, untraced: dict) -> dict:
     summary = _merge([traced["trace"]] + traced["extra"].get("child_traces", []))
     self_s, calls, counters, max_s = (summary[k] for k in ("self_s", "calls", "counters", "max_s"))
     out = {}
-    for name, unit, _, _ in PER_LAYER:
+    for name in (m["name"] for m in spec()["per_layer"]):
         base, _, stat = name.rpartition(".")
         if stat == "self_s":
             out[name] = self_s.get(base, 0.0)
@@ -136,7 +125,7 @@ def per_layer(traced: dict, untraced: dict) -> dict:
     out["trace.traced_ops_s"] = traced_rate
     out["trace.untraced_ops_s"] = plain_rate
     out["trace.overhead_ratio"] = traced_rate / plain_rate
-    for name, _, _, _ in PER_LAYER:
+    for name in (m["name"] for m in spec()["per_layer"]):
         out.setdefault(name, 0)
     return out
 

@@ -8,8 +8,9 @@ fresh single-threaded worker process (``worker.py``) with ``PYTHONPATH=src``
 and BLAS/OpenMP pinned to one thread.
 
 ``--trace 0`` measures the end-to-end metrics with no wrappers installed:
-set-up is timed in ``SETUP_ONLY_RUNS`` set-up-only processes plus the
-measuring process and reported as their median; the measuring process runs
+set-up is timed in ``SETUP_ONLY_RUNS`` set-up-only processes before the
+measuring process and as many after it, plus the measuring process itself,
+and reported as their median; the measuring process runs
 the closed loop for ``--seconds``, then to the end of the current cycle of
 ops, and on until at least ``MIN_OPS`` ops ran, so the 90th percentile has
 ten samples beyond it.  ``--trace 1`` runs a fixed number of
@@ -47,8 +48,10 @@ WORKLOADS = ("sieve-soundness", "multiplicative", "sumset-search", "cli-cold")
 MIN_OPS = 100
 # every worker of one workload's run must have ended by then
 RUN_DEADLINE_S = 170
-# set-up-only processes besides the measuring one; setup_s is the median
-SETUP_ONLY_RUNS = 6
+# set-up-only processes before the measuring one, and again after it;
+# setup_s is the median of these and the measuring process, so that the
+# samples span the run rather than a few seconds before it
+SETUP_ONLY_RUNS = 4
 
 
 class BenchError(RuntimeError):
@@ -94,13 +97,16 @@ def run_worker(args: list[str], deadline: float) -> tuple[dict, float]:
 
 def measure(workload: str, seed: int, seconds: float, deadline: float) -> dict:
     base = ["--workload", workload, "--seed", str(seed)]
-    setups = []
-    for _ in range(SETUP_ONLY_RUNS):
+
+    def setup_only() -> float:
         record, spawned = run_worker(base + ["--setup-only"], deadline)
-        setups.append(record["ready"] - spawned)
+        return record["ready"] - spawned
+
+    setups = [setup_only() for _ in range(SETUP_ONLY_RUNS)]
     result, spawned = run_worker(base + ["--seconds", str(seconds), "--min-ops", str(MIN_OPS)],
                                  deadline)
     setups.append(result["first_op"] - spawned)
+    setups += [setup_only() for _ in range(SETUP_ONLY_RUNS)]
     values = metrics.end_to_end(result, setups)
     return {"metrics": values, "setup_samples": setups, "results": [result]}
 
@@ -152,8 +158,6 @@ def summarise(workload: str, seed: int, trace: int, run: dict) -> dict:
     failures = [f for r in results for f in r["failures"]]
     attempted = sum(len(r["latencies"]) for r in results)
     unexpected = [f for f in failures if not f["known_defect"]]
-    units = {name: unit for name, unit, _, _ in metrics.END_TO_END}
-    units.update({name: unit for name, unit, _, _ in metrics.PER_LAYER})
     record = {
         "workload": workload,
         "seed": seed,
@@ -171,8 +175,11 @@ def summarise(workload: str, seed: int, trace: int, run: dict) -> dict:
         "setup_samples": run.get("setup_samples"),
         "spans_file": run.get("spans_file"),
         "metrics": {name: {"value": run["metrics"][name], "unit": unit}
-                    for name, unit in units.items() if name in run["metrics"]},
+                    for name, unit in metrics.units().items() if name in run["metrics"]},
     }
+    if trace:
+        record["moves"] = {name: {"moves": moves, "on": on}
+                           for names, moves, on in metrics.MOVES for name in names}
     return record
 
 

@@ -2,11 +2,9 @@
 
     python3 perfbench/selftest.py [--workloads a,b]
 
-1. ``BENCHMARK.json`` lists exactly the workloads and metrics the code
-   produces.
-2. The traced run's wrappers bind every copy of each wrapped function and
+1. The traced run's wrappers bind every copy of each wrapped function and
    ``uninstall`` restores the originals.
-3. Determinism: two traced runs of a fixed op count with the same seed give
+2. Determinism: two traced runs of a fixed op count with the same seed give
    identical work counters and an identical digest of exact outputs (counts,
    verdicts, exit codes); a different seed gives different inputs.
 """
@@ -14,7 +12,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -27,24 +24,6 @@ import run as bench  # noqa: E402
 
 SELFTEST_OPS = {"sieve-soundness": 60, "multiplicative": 60, "sumset-search": 200, "cli-cold": 12}
 COUNTER_KEYS = ("pairs", "values", "elements", "moduli", "nodes", "table_bytes", "capacity_errors")
-
-
-def check_benchmark_json() -> list[str]:
-    problems = []
-    spec = json.loads((bench.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if set(spec) != {"command", "paths", "run_seconds", "workloads", "end_to_end", "per_layer"}:
-        problems.append(f"BENCHMARK.json keys {sorted(spec)}")
-    if [w["name"] for w in spec["workloads"]] != list(bench.WORKLOADS):
-        problems.append("workload names differ from run.WORKLOADS")
-    e2e = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
-    if e2e != list(metrics.END_TO_END):
-        problems.append("end_to_end differs from metrics.END_TO_END")
-    layer = [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]]
-    expect = [(name, unit, "higher" if name in metrics.HIGHER_IS_BETTER else "lower")
-              for name, unit, _, _ in metrics.PER_LAYER]
-    if layer != expect:
-        problems.append("per_layer differs from metrics.PER_LAYER")
-    return problems
 
 
 def check_bindings() -> list[str]:
@@ -119,7 +98,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workloads", default=",".join(bench.WORKLOADS))
     args = parser.parse_args(argv)
-    problems = check_benchmark_json() + check_bindings()
+    problems = check_bindings()
     for workload in args.workloads.split(","):
         found = check_determinism(workload)
         print(f"determinism {workload}: {'ok' if not found else 'FAILED'}", flush=True)

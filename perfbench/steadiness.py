@@ -50,7 +50,8 @@ def host_loop_s() -> float:
 
 def spread_table(values: dict) -> dict:
     table = {}
-    for name, unit, better, bound in metrics.END_TO_END:
+    for metric in metrics.spec()["end_to_end"]:
+        name, unit, better, bound = (metric[k] for k in ("name", "unit", "better", "bound"))
         series = values[name]
         q1, median, q3 = statistics.quantiles(series, n=4)
         spread = (q3 - q1) / statistics.median(series)
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     report = {"seconds": args.seconds, "seeds": seeds, "host": bench.host_metadata(),
               "workloads": {}}
     for workload in args.workloads.split(","):
-        values = {name: [] for name, _, _, _ in metrics.END_TO_END}
+        values = {metric["name"]: [] for metric in metrics.spec()["end_to_end"]}
         runs = []
         for seed in seeds:
             probe = host_loop_s()

@@ -28,9 +28,13 @@ NAME = "multiplicative"
 WEIGHTS = {
     "psi": 5, "psi-1e7": 1, "enumerate-smooth": 3, "progressions": 2, "psi-coprime": 2,
     "bv-sum": 2, "bv-capacity": 1, "tuple-count": 2, "dickman-low": 3, "dickman": 6,
-    "dickman-growth": 1, "dickman-anchor": 1, "enumerate-q": 3, "estimate-tau": 2,
-    "wirsing": 2, "comparison": 4, "big": 1,
+    "dickman-growth": 1, "enumerate-q": 3, "estimate-tau": 2, "wirsing": 2, "comparison": 4,
+    "big": 1,
 }
+# the Dickman u = 20 anchor is a known defect at the seed commit; it runs in
+# the first cycle only, so the number of failed ops does not grow with the
+# number of cycles a run completes
+FIRST_CYCLE_WEIGHTS = {**WEIGHTS, "dickman-anchor": 1}
 # one op per cycle at x = 10^7 with fixed parameters, in rotation, so the
 # costliest ops are the same in every run whatever the seed
 BIG_ROTATION = (
@@ -103,7 +107,7 @@ class Workload(BaseWorkload):
             makers["dickman"] = lambda r, hi=below: self._dickman(20.0 + (hi - 20.0) * r.random())
             big_kind, params = BIG_ROTATION[cycle % len(BIG_ROTATION)]
             makers["big"] = lambda r, k=big_kind, p=params: self._big(k, p)
-            yield weighted_cycle(rng, WEIGHTS, makers)
+            yield weighted_cycle(rng, FIRST_CYCLE_WEIGHTS if cycle == 0 else WEIGHTS, makers)
             cycle += 1
 
     def _big(self, kind, params) -> Op:
@@ -294,7 +298,7 @@ class Workload(BaseWorkload):
             size, digest = out
             expect_size, expect_digest = _marking_reference(x, desc)
             if size != expect_size or digest != expect_digest:
-                return f"enumerate_q differs from the marking filter ({size} vs {expect.size})"
+                return f"enumerate_q differs from the marking filter ({size} vs {expect_size})"
             return None
 
         return Op(kind, (x, desc), lambda: ss.enumerate_q(ss.PrimeSubset(table, selector), x).elements,

@@ -17,11 +17,14 @@ import oracles
 from common import BaseWorkload, Op, weighted_cycle
 
 NAME = "sieve-soundness"
-# ops of each kind per cycle: the three lemma evaluators take about 1-3 ms,
-# the three proposition machines 10-70 ms; with 15 of 21 ops light, the p50
-# rank falls inside the light band and the p90 rank inside the heavy band
-# rather than on the boundary between them
-WEIGHTS = {"larger": 5, "large": 4, "selberg": 6, "smallkscs": 2, "smallkbv": 2, "middlek": 2}
+# attempted instances per evaluator in the acceptance suite's criterion-1
+# batches at their own seeds (1000 accepted instances each): every larger,
+# large, selberg and smallkscs attempt is accepted, smallkbv needs 2767
+# attempts and middlek 1011
+CRITERION_1_ATTEMPTS = {"larger": 1000, "large": 1000, "selberg": 1000, "smallkscs": 1000,
+                        "smallkbv": 2767, "middlek": 1011}
+# ops of each kind per cycle, in those proportions: 4, 4, 4, 4, 11 and 4
+WEIGHTS = {kind: round(4 * n / 1000) for kind, n in CRITERION_1_ATTEMPTS.items()}
 RESIDUE_CLASSES = ((4, 1), (4, 3), (3, 1), (3, 2))
 # the sifted count is recomputed independently for the first SAMPLE ops of
 # each kind; a fixed number, so the inputs kept for the oracle take the same
