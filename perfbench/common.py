@@ -16,8 +16,8 @@ class Op:
     right and a short reason otherwise.  ``exact`` maps the output to the
     exact values (counts, verdicts, exit codes) that enter the determinism
     digest.  ``expect`` names the exception type that is the documented
-    outcome of the op, if any.  ``known_defect`` marks an op that fails at the
-    seed commit for a documented reason; it still counts as failed.
+    outcome of the op, if any.  ``run`` may be called again: a timed run
+    replays its ops in passes.
     """
 
     kind: str
@@ -26,7 +26,6 @@ class Op:
     check: Callable[[Any], Optional[str]]
     exact: Callable[[Any], Any] = lambda out: None
     expect: Optional[str] = None
-    known_defect: bool = False
     compact: Optional[Callable[[Any], Any]] = None
 
 
@@ -50,10 +49,47 @@ def weighted_cycle(rng, weights: dict, makers: dict):
     return [makers[kind](rng) for kind in kinds]
 
 
+class Strata:
+    """Stratified uniform draws in [0, 1).
+
+    Each key's draws go, in a seeded order, through ``size`` equal slices of
+    [0, 1), one draw per slice before any slice gets a second.  With
+    ``size`` set to the number of ops of a kind in an op set, the set covers
+    the range of each stratified input evenly, so its quantiles do not move
+    with which draws a seed happened to make; each single draw is still
+    uniform.
+    """
+
+    def __init__(self):
+        self.orders: dict = {}
+        self.counts: dict = {}
+
+    def uniform(self, rng, key, size: int) -> float:
+        if key not in self.orders:
+            order = list(range(size))
+            rng.shuffle(order)
+            self.orders[key] = order
+        order = self.orders[key]
+        n = self.counts.get(key, 0)
+        self.counts[key] = n + 1
+        return (order[n % len(order)] + rng.random()) / len(order)
+
+    def randrange(self, rng, key, size: int, lo: int, hi: int) -> int:
+        """Like ``rng.randrange(lo, hi)``, stratified."""
+        return lo + int(self.uniform(rng, key, size) * (hi - lo))
+
+    def choice(self, rng, key, size: int, seq):
+        """Like ``rng.choice(seq)``, stratified."""
+        return seq[int(self.uniform(rng, key, size) * len(seq))]
+
+
 class BaseWorkload:
-    """Set-up, op cycles and extra per-layer numbers of one workload."""
+    """Set-up, op cycles, known-defect probes and extra per-layer numbers
+    of one workload."""
 
     name = ""
+    # cycles of ops in the op set a timed run replays
+    opset_cycles = 1
     # True when the ops run in child processes (peak memory is theirs)
     in_children = False
 
@@ -66,6 +102,12 @@ class BaseWorkload:
 
     def cycles(self, rng):
         raise NotImplementedError
+
+    def probes(self) -> list:
+        """Ops that reproduce documented defects of the program.  They run
+        once per timed run, apart from the ops, and are reported without
+        counting as attempted or failed ops."""
+        return []
 
     def extra_metrics(self, records) -> dict:
         """Per-layer numbers computed from the op outputs."""

@@ -68,6 +68,11 @@ def spec() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def benchmarked() -> tuple:
+    """The workloads ``BENCHMARK.json`` lists, in its order."""
+    return tuple(w["name"] for w in spec()["workloads"])
+
+
 def units() -> dict:
     return {m["name"]: m["unit"] for m in spec()["end_to_end"] + spec()["per_layer"]}
 

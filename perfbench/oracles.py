@@ -138,6 +138,9 @@ def bv_total(smooth_values: np.ndarray, support: list[int], q_limit: int, k: int
 # --------------------------------------------------------------------------
 # Dickman rho by its exact power series on unit intervals
 
+# log rho(20) = log(2.4618e-29), the published value the u = 20 anchor must
+# meet to within 1e-4 relative
+LOG_RHO_20 = -65.874
 DICKMAN_MAX_U = 21
 
 

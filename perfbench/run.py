@@ -10,19 +10,18 @@ and BLAS/OpenMP pinned to one thread.
 ``--trace 0`` measures the end-to-end metrics with no wrappers installed:
 set-up is timed in ``SETUP_ONLY_RUNS`` set-up-only processes before the
 measuring process and as many after it, plus the measuring process itself,
-and reported as their median; the measuring process runs
-the closed loop for ``--seconds``, then to the end of the current cycle of
-ops, and on until at least ``MIN_OPS`` ops ran, so the 90th percentile has
-ten samples beyond it.  ``--trace 1`` runs a fixed number of
-ops of the same seed untraced and then traced (``metrics.TRACE_OPS``), so its
-counters repeat exactly, and reports the per-layer metrics and the tracing
-overhead.
+and reported as their median.  The measuring process replays the seed's op
+set in whole passes for up to ``--seconds`` and takes each op's fastest pass
+as its latency (see ``worker.py``).  ``--trace 1`` runs a fixed number of
+ops of the same seed once untraced and once traced (``metrics.TRACE_OPS``),
+so its counters repeat exactly, and reports the per-layer metrics and the
+tracing overhead.
 
 Human-readable lines come first; the last line of stdout is one JSON record
-with the keys correct, attempted, failed and metrics.  Known defects of the
-program count as failed ops; ``correct`` is false only when some other op
-fails its oracle.  A full record with host metadata is written to
-``perfbench/.work/results/``.
+with the keys correct, attempted, failed and metrics.  ``attempted`` counts
+op executions over all passes.  The documented defects of the program run
+as probes once per timed run; they are printed, and are not ops.  A full
+record with host metadata is written to ``perfbench/.work/results/``.
 """
 
 from __future__ import annotations
@@ -44,8 +43,9 @@ import metrics  # noqa: E402
 
 ROOT = HERE.parent
 WORK = "perfbench/.work"
+# every workload this directory can run; ``all`` and the driver run the
+# ones BENCHMARK.json lists
 WORKLOADS = ("sieve-soundness", "multiplicative", "sumset-search", "cli-cold")
-MIN_OPS = 100
 # every worker of one workload's run must have ended by then
 RUN_DEADLINE_S = 170
 # set-up-only processes before the measuring one, and again after it;
@@ -103,9 +103,8 @@ def measure(workload: str, seed: int, seconds: float, deadline: float) -> dict:
         return record["ready"] - spawned
 
     setups = [setup_only() for _ in range(SETUP_ONLY_RUNS)]
-    result, spawned = run_worker(base + ["--seconds", str(seconds), "--min-ops", str(MIN_OPS)],
-                                 deadline)
-    setups.append(result["first_op"] - spawned)
+    result, spawned = run_worker(base + ["--seconds", str(seconds)], deadline)
+    setups.append(result["ready"] - spawned)
     setups += [setup_only() for _ in range(SETUP_ONLY_RUNS)]
     values = metrics.end_to_end(result, setups)
     return {"metrics": values, "setup_samples": setups, "results": [result]}
@@ -156,17 +155,16 @@ def host_metadata() -> dict:
 def summarise(workload: str, seed: int, trace: int, run: dict) -> dict:
     results = run["results"]
     failures = [f for r in results for f in r["failures"]]
-    attempted = sum(len(r["latencies"]) for r in results)
-    unexpected = [f for f in failures if not f["known_defect"]]
     record = {
         "workload": workload,
         "seed": seed,
         "trace": trace,
         "host": host_metadata(),
         "ops_by_kind": [r["ops_by_kind"] for r in results],
-        "attempted": attempted,
+        "passes": [r["passes"] for r in results],
+        "attempted": sum(r["executions"] for r in results),
         "failed": len(failures),
-        "known_defect_failures": len(failures) - len(unexpected),
+        "known_defects": [d for r in results for d in r["known_defects"]],
         "failures": failures[:50],
         "exact_digest": [r["exact_digest"] for r in results],
         "input_digest": [r["input_digest"] for r in results],
@@ -185,8 +183,8 @@ def summarise(workload: str, seed: int, trace: int, run: dict) -> dict:
 
 def print_human(record: dict):
     print(f"# {record['workload']} seed={record['seed']} trace={record['trace']} "
-          f"ops={record['attempted']} failed/attempted={record['failed']}/{record['attempted']} "
-          f"(known defects {record['known_defect_failures']})")
+          f"ops={record['samples']} passes={record['passes']} "
+          f"failed/attempted={record['failed']}/{record['attempted']}")
     for name, metric in record["metrics"].items():
         value = metric["value"]
         shown = f"{value:.6g}" if isinstance(value, float) else str(value)
@@ -196,8 +194,11 @@ def print_human(record: dict):
         print(f"  {'failed_ratio':42s} {ratio:14.6g} {'failed/attempted':8s} "
               f"n={record['attempted']}")
     for failure in record["failures"][:10]:
-        tag = "known defect" if failure["known_defect"] else "FAILED"
-        print(f"  [{tag}] {failure['kind']}: {failure['reason'][:160]}")
+        print(f"  [FAILED] {failure['kind']}: {failure['reason'][:160]}")
+    for defect in record["known_defects"]:
+        state = "still reproduces" if defect["reproduces"] else "no longer reproduces"
+        print(f"  [known defect {state}] {defect['kind']} {defect['inputs'][:80]}: "
+              f"{(defect['reason'] or '')[:120]}")
 
 
 def run_one(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     os.makedirs(ROOT / WORK, exist_ok=True)
-    names = WORKLOADS if args.workload == "all" else (args.workload,)
+    names = metrics.benchmarked() if args.workload == "all" else (args.workload,)
     try:
         records = [run_one(name, args.seed, args.seconds, args.trace) for name in names]
     except BenchError as exc:
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
         out_metrics = {f"{r['workload']}.{name}": dict(m)
                        for r in records for name, m in r["metrics"].items()}
     summary = {
-        "correct": all(not any(not f["known_defect"] for f in r["failures"]) for r in records),
+        "correct": not any(r["failures"] for r in records),
         "attempted": sum(r["attempted"] for r in records),
         "failed": sum(r["failed"] for r in records),
         "metrics": out_metrics,

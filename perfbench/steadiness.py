@@ -2,7 +2,7 @@
 and end-to-end metric, the median, the quartiles and the spread (distance
 between the quartiles as a share of the median) against the metric's bound.
 
-    python3 perfbench/steadiness.py --seeds 1-10 --seconds 20 \
+    python3 perfbench/steadiness.py --seeds 1-10 --seconds 60 \
         [--workloads a,b] [--out perfbench/baseline/steadiness.json]
 
 A spread at or above a third of the bound is flagged; the committed file is
@@ -67,8 +67,8 @@ def spread_table(values: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workloads", default=",".join(bench.WORKLOADS))
+    parser.add_argument("--seconds", type=float, default=60)
+    parser.add_argument("--workloads", default=",".join(metrics.benchmarked()))
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     seeds = seed_list(args.seeds)

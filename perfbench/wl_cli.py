@@ -1,6 +1,7 @@
 """cli-cold: every README CLI line, ``verify-all`` with a budget it never
-reaches, the documented defect probes and a few seeded commands, each run as
-a fresh ``python -m sumsieve.cli`` process.
+reaches and a few seeded commands, each run as a fresh
+``python -m sumsieve.cli`` process; the documented defect probes run once per
+timed run, apart from the ops.
 
 This is the only workload where interpreter start, the package import,
 per-process table builds (the Dickman mesh, prime tables) and the error path
@@ -58,9 +59,7 @@ def readme_lines(work: str) -> list[list[str]]:
     ]
 
 
-# documented defects at the seed commit: each fails its oracle until fixed.
-# They run in the first cycle only, so the number of failed ops does not
-# grow with the number of cycles a run completes.
+# documented defects of the program: each fails its oracle until fixed.
 # Malformed input: the process must exit 1 with the documented error object
 # (at the seed it ends in a traceback).
 ERROR_PROBES = [
@@ -68,6 +67,8 @@ ERROR_PROBES = [
     ["sumset", "--a", "@perfbench/.work/missing", "--b", "0,1"],
     ["dickman", "--u", "nan"],
 ]
+# the Dickman u = 20 anchor: log rho(20) must meet the published value
+ANCHOR_PROBES = [["dickman", "--u", "20"]]
 # a larger-sieve bound marked valid that lies below |A| = 361
 BOUND_PROBES = [
     ["sieve-bound", "--kind", "larger", "--set", "2..362", "--n-limit", "11", "--selector",
@@ -78,6 +79,10 @@ BOUND_PROBES = [
 class Workload(BaseWorkload):
     name = NAME
     in_children = True
+    # 19 README lines and 6 seeded commands per cycle: the op set is the 100
+    # ops that put ten samples beyond the 90th percentile; a pass takes 40-55 s,
+    # so a 60-second run times it once
+    opset_cycles = 4
 
     def setup(self, seed: int):
         import sumsieve  # noqa: F401 - set-up time includes the package import
@@ -93,19 +98,18 @@ class Workload(BaseWorkload):
         self.trace_file = os.path.join(self.work_dir, f"cli-trace-{os.getpid()}.json")
 
     def cycles(self, rng):
-        # 19 README lines and 5 seeded commands per cycle, and the 4 probes
-        # in the first: a run of 4 whole cycles is the 100 ops that put ten
-        # samples beyond the 90th percentile
         cycle_index = 0
         while True:
             argvs = [("readme", argv) for argv in self.readme]
-            if cycle_index == 0:
-                argvs += [("error-probe", argv) for argv in ERROR_PROBES]
-                argvs += [("bound-probe", argv) for argv in BOUND_PROBES]
             argvs += self._seeded(rng, cycle_index)
             rng.shuffle(argvs)
             yield [self._op(kind, argv) for kind, argv in argvs]
             cycle_index += 1
+
+    def probes(self) -> list:
+        return ([self._op("error-probe", argv) for argv in ERROR_PROBES]
+                + [self._op("anchor-probe", argv) for argv in ANCHOR_PROBES]
+                + [self._op("bound-probe", argv) for argv in BOUND_PROBES])
 
     def _seeded(self, rng, cycle_index):
         # u stratified over [20, 100] across cycles so every run sees the
@@ -120,6 +124,7 @@ class Workload(BaseWorkload):
             ("seeded", ["primes", "--limit", str(rng.randrange(1000, 10**5)),
                         "--selector", f"ap:{residue},{modulus}"]),
             ("seeded", ["dickman", "--u", repr(round(u, 6))]),
+            ("seeded", ["dickman", "--u", repr(round(20.0 * rng.random(), 6))]),
             ("seeded", ["smooth-count", "--x", str(x), "--y", str(y)]),
             ("seeded", ["decompose", "--set", ",".join(map(str, elems))]),
             ("seeded", ["sumset", "--a", ",".join(map(str, a)), "--b", ",".join(map(str, b))]),
@@ -147,11 +152,17 @@ class Workload(BaseWorkload):
             return {"code": code, "stdout": stdout, "stderr": stderr, "child_trace": child}
 
         def check(out):
-            return check_cli(argv, command, out, self.three_smooth, kind == "error-probe")
+            reason = check_cli(argv, command, out, self.three_smooth, kind == "error-probe")
+            if reason is None and kind == "anchor-probe":
+                log_rho = json.loads(out["stdout"])["result"]["log_rho"]
+                rel = abs(log_rho - oracles.LOG_RHO_20) / abs(oracles.LOG_RHO_20)
+                if rel > 1e-4:
+                    reason = (f"log_rho(20) = {log_rho:.6g}, published {oracles.LOG_RHO_20} "
+                              f"(relative error {rel:.3g})")
+            return reason
 
         return Op(f"cli.{command}", argv, run, check,
-                  lambda out: [out["code"], _result_digest(out["stdout"])],
-                  known_defect=kind.endswith("-probe"), compact=compact)
+                  lambda out: [out["code"], _result_digest(out["stdout"])], compact=compact)
 
     def extra_metrics(self, records) -> dict:
         """Per-subcommand process and report times, and the merged traces

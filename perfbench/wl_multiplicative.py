@@ -5,12 +5,18 @@ Exact ``psi`` on the criterion-5 grid (and at x = 10^7), progression
 families and ``psi_coprime``, ``enumerate_smooth``, ``bv_discrepancy_sum``
 (one op per cycle must raise ``CapacityError`` with ``partial_sum`` set, the
 documented outcome) and ``smooth_tuple_count`` up to 10^7; ``dickman_rho``
-over [0, 500] in seeded order, so that the mesh growth every CLI process pays
-lands in ops (one per cycle, 15 units of u each); ``enumerate_q``,
-``estimate_tau`` and ``verify_hypotheses_wirsing`` up to 10^7; criterion-3
-comparison pairs.  The ops at x = 10^7 that cost a large share of a cycle
-come one per cycle from a fixed rotation, so that the seed moves the mix of
-small ops and not the cost of the largest ones.
+over [0, 100] in seeded order; ``enumerate_q``, ``estimate_tau`` and
+``verify_hypotheses_wirsing`` up to 10^7; criterion-3 comparison pairs.  The
+op set is six cycles; the ops at x = 10^7 that cost a large share of it come
+one per cycle in the first three, with fixed parameters, so that the seed
+moves the mix of small ops and not the cost of the largest ones.
+
+The Dickman mesh grows only on the first pass over the op set; growing it
+to u = 500 costs about 11 s, more than half a run, so the queries stop at
+u = 100 (about 2 s of growth).  ``cli-cold`` pays mesh growth in every
+process, and the traced run records it as ``smooth.dickman_rho.max_call_ms``.
+The u = 20 anchor, a known defect, is a probe: it runs once per timed run
+and is reported apart from the ops.
 """
 
 from __future__ import annotations
@@ -22,49 +28,35 @@ from functools import lru_cache
 import numpy as np
 
 import oracles
-from common import BaseWorkload, Op, array_digest, weighted_cycle
+from common import BaseWorkload, Op, Strata, array_digest, weighted_cycle
 
 NAME = "multiplicative"
 WEIGHTS = {
-    "psi": 5, "psi-1e7": 1, "enumerate-smooth": 3, "progressions": 2, "psi-coprime": 2,
-    "bv-sum": 2, "bv-capacity": 1, "tuple-count": 2, "dickman-low": 3, "dickman": 6,
-    "dickman-growth": 1, "enumerate-q": 3, "estimate-tau": 2, "wirsing": 2, "comparison": 4,
-    "big": 1,
+    "psi": 8, "psi-1e7": 1, "enumerate-smooth": 3, "progressions": 2, "psi-coprime": 2,
+    "bv-sum": 2, "bv-capacity": 1, "tuple-count": 2, "dickman-low": 3, "dickman": 7,
+    "enumerate-q": 3, "estimate-tau": 2, "wirsing": 2, "comparison": 4, "big": 1,
 }
-# the Dickman u = 20 anchor is a known defect at the seed commit; it runs in
-# the first cycle only, so the number of failed ops does not grow with the
-# number of cycles a run completes
-FIRST_CYCLE_WEIGHTS = {**WEIGHTS, "dickman-anchor": 1}
-# one op per cycle at x = 10^7 with fixed parameters, in rotation, so the
-# costliest ops are the same in every run whatever the seed
+# the op set holds one of each of these x = 10^7 ops, with fixed parameters
 BIG_ROTATION = (
     ("tuple-count-1e7", (10, (0, 1))),
     ("enumerate-q-large", (1, 8)),
     ("enumerate-smooth-1e7", 30),
-    ("tuple-count-1e7", (30, (0, 2))),
-    ("enumerate-q-large", (5, 8)),
-    ("enumerate-smooth-1e7", 10),
 )
-# the Dickman mesh grows by this much per cycle (one growth op each), so it
-# reaches RHO_TOP only after 33 cycles, about what a 20 s run completes on a
-# fast host: every cycle of a run pays the same growth, so the op mix, and
-# with it throughput, does not change with how many cycles the host gets
-# through (growing in fewer, larger steps made a host 1.5 times slower show
-# half the throughput)
-RHO_STEP_PER_CYCLE = 15.0
+LIGHT_WEIGHTS = {kind: n for kind, n in WEIGHTS.items() if kind != "big"}
 GRID_X = (10**3, 10**4, 10**5, 10**6)
 GRID_Y = (2, 3, 5, 10, 30, 100)
+# the op set's 48 psi ops are the whole criterion-5 grid twice, in seeded order
+GRID = tuple((x, y) for x in GRID_X for y in GRID_Y)
 # smooth-number oracles slice one mask per y, built up to the smaller of
 # these limits that covers x plus the largest tuple shift
 SMOOTH_LIMITS = (10**6 + 64, 10**7 + 64)
-RHO_TOP = 500.0
-# log rho(20) = log(2.4618e-29), the published value the anchor op must meet
-LOG_RHO_20 = -65.874
+RHO_TOP = 100.0
 RESIDUE_SELECTORS = ((1, 4), (3, 4), (1, 3), (2, 3), (1, 8), (3, 8), (5, 8), (1, 5))
 
 
 class Workload(BaseWorkload):
     name = NAME
+    opset_cycles = 2 * len(BIG_ROTATION)
 
     def setup(self, seed: int):
         import sumsieve as ss
@@ -75,40 +67,55 @@ class Workload(BaseWorkload):
         self.rho_seen: list[tuple[float, float]] = []
         self.comparisons = 0
         self.bv_ops = 0
+        self.strata = Strata()
+
+    def _pick(self, rng, kind: str, name: str, seq):
+        """A stratified choice over the ops of ``kind`` in the op set."""
+        return self.strata.choice(rng, (kind, name), WEIGHTS[kind] * self.opset_cycles, seq)
+
+    def _range(self, rng, kind: str, name: str, lo: int, hi: int) -> int:
+        """A stratified ``randrange`` over the ops of ``kind`` in the op set."""
+        return self.strata.randrange(rng, (kind, name), WEIGHTS[kind] * self.opset_cycles, lo, hi)
 
     def cycles(self, rng):
         makers = {
-            "psi": lambda r: self._psi(r.choice(GRID_X), r.choice(GRID_Y), "psi"),
-            "psi-1e7": lambda r: self._psi(10**7, r.choice((10, 100)), "psi-1e7"),
+            "psi": lambda r: self._psi(*self._pick(r, "psi", "grid", GRID), "psi"),
+            "psi-1e7": lambda r: self._psi(10**7, self._pick(r, "psi-1e7", "y", (10, 100)),
+                                           "psi-1e7"),
             "enumerate-smooth": lambda r: self._enumerate(
-                r.choice(GRID_X), r.choice(GRID_Y), "enumerate-smooth"),
+                self._pick(r, "enumerate-smooth", "x", GRID_X),
+                self._pick(r, "enumerate-smooth", "y", GRID_Y), "enumerate-smooth"),
             "progressions": self._progressions,
             "psi-coprime": self._coprime,
             "bv-sum": self._bv,
             "bv-capacity": self._bv_capacity,
             "tuple-count": lambda r: self._tuple(
-                r.randrange(10**4, 10**6), r.choice((10, 30)),
-                sorted(r.sample(range(0, 50), r.randrange(1, 4))), "tuple-count"),
+                self._range(r, "tuple-count", "x", 10**4, 10**6),
+                self._pick(r, "tuple-count", "y", (10, 30)),
+                sorted(r.sample(range(0, 50), self._range(r, "tuple-count", "k", 1, 4))),
+                "tuple-count"),
             "enumerate-q": lambda r: self._enumerate_q(
-                r.randrange(10**4, 10**5), *self._selector(r), "enumerate-q"),
+                self._range(r, "enumerate-q", "x", 10**4, 10**5), *self._selector(r),
+                "enumerate-q"),
             "estimate-tau": self._tau,
             "wirsing": self._wirsing,
             "comparison": self._comparison,
-            "dickman-anchor": lambda r: self._dickman(20.0, anchor=True),
             "dickman-low": lambda r: self._dickman(20.0 * r.random()),
+            "dickman": lambda r: self._dickman(20.0 + (RHO_TOP - 20.0) * r.random()),
         }
         cycle = 0
         while True:
-            # Dickman queries over (0, 500] in seeded order: one op grows the
-            # mesh to this cycle's top, the others stay below last cycle's
-            top = min(RHO_TOP, RHO_STEP_PER_CYCLE * (cycle + 1))
-            below = max(top - RHO_STEP_PER_CYCLE, 20.0)
-            makers["dickman-growth"] = lambda r, u=top: self._dickman(u)
-            makers["dickman"] = lambda r, hi=below: self._dickman(20.0 + (hi - 20.0) * r.random())
-            big_kind, params = BIG_ROTATION[cycle % len(BIG_ROTATION)]
-            makers["big"] = lambda r, k=big_kind, p=params: self._big(k, p)
-            yield weighted_cycle(rng, FIRST_CYCLE_WEIGHTS if cycle == 0 else WEIGHTS, makers)
+            # the x = 10^7 ops come one per cycle in the first cycles only
+            weights = LIGHT_WEIGHTS
+            if cycle < len(BIG_ROTATION):
+                big_kind, params = BIG_ROTATION[cycle]
+                makers["big"] = lambda r, k=big_kind, p=params: self._big(k, p)
+                weights = WEIGHTS
+            yield weighted_cycle(rng, weights, makers)
             cycle += 1
+
+    def probes(self) -> list:
+        return [self._dickman(20.0, anchor=True)]
 
     def _big(self, kind, params) -> Op:
         if kind == "tuple-count-1e7":
@@ -145,9 +152,9 @@ class Workload(BaseWorkload):
 
     def _progressions(self, rng) -> Op:
         ss = self.ss
-        x = rng.randrange(100, 2 * 10**4)
-        y = rng.randrange(2, 40)
-        d = rng.randrange(2, 40)
+        x = self._range(rng, "progressions", "x", 100, 2 * 10**4)
+        y = self._range(rng, "progressions", "y", 2, 40)
+        d = self._range(rng, "progressions", "d", 2, 40)
 
         def run():
             parts = [ss.psi(ss.SmoothQuery(x, y, d, a)) for a in range(d)]
@@ -165,9 +172,9 @@ class Workload(BaseWorkload):
 
     def _coprime(self, rng) -> Op:
         ss = self.ss
-        x = rng.choice(GRID_X[1:])
-        y = rng.choice(GRID_Y)
-        d = rng.randrange(2, 2000)
+        x = self._pick(rng, "psi-coprime", "x", GRID_X[1:])
+        y = self._pick(rng, "psi-coprime", "y", GRID_Y)
+        d = self._range(rng, "psi-coprime", "d", 2, 2000)
 
         def check(out):
             values = oracles.smooth_values(x, y, _limit(x))
@@ -257,9 +264,10 @@ class Workload(BaseWorkload):
             if not (math.isfinite(rho) and math.isfinite(log_rho) and 0.0 <= rho <= 1.0):
                 return f"rho({u}) = {rho!r} not a finite value in [0, 1]"
             if anchor:
-                rel = abs(log_rho - LOG_RHO_20) / abs(LOG_RHO_20)
+                rel = abs(log_rho - oracles.LOG_RHO_20) / abs(oracles.LOG_RHO_20)
                 if rel > 1e-4:
-                    return f"log_rho(20) = {log_rho:.6g}, published {LOG_RHO_20} (relative error {rel:.3g})"
+                    return (f"log_rho(20) = {log_rho:.6g}, published {oracles.LOG_RHO_20} "
+                            f"(relative error {rel:.3g})")
             if u <= 20.0:
                 err = abs(rho - float(oracles.dickman_rho(u)))
                 if err > 1e-9:
@@ -274,12 +282,12 @@ class Workload(BaseWorkload):
             return None
 
         return Op("dickman-anchor" if anchor else "dickman", (u,), lambda: ss.dickman_rho(u),
-                  check, lambda out: None, known_defect=anchor, compact=compact)
+                  check, lambda out: None, compact=compact)
 
     # -- semigroups -------------------------------------------------------------
     def _selector(self, rng):
         ss = self.ss
-        kind = rng.randrange(3)
+        kind = self._range(rng, "enumerate-q", "selector", 0, 3)
         if kind == 0:
             residue, modulus = rng.choice(RESIDUE_SELECTORS)
             return ss.ResidueClass(residue, modulus), ("ap", residue, modulus)
@@ -304,13 +312,13 @@ class Workload(BaseWorkload):
         return Op(kind, (x, desc), lambda: ss.enumerate_q(ss.PrimeSubset(table, selector), x).elements,
                   check, lambda out: out[0], compact=lambda el: (len(el), array_digest(el)))
 
-    def _tau_inputs(self, rng):
+    def _tau_inputs(self, rng, kind):
         residue, modulus = rng.choice(RESIDUE_SELECTORS)
-        return residue, modulus, rng.randrange(10**5, 10**7)
+        return residue, modulus, self._range(rng, kind, "x", 10**5, 10**7)
 
     def _tau(self, rng) -> Op:
         ss = self.ss
-        residue, modulus, x = self._tau_inputs(rng)
+        residue, modulus, x = self._tau_inputs(rng, "estimate-tau")
         table = self.table_deep
 
         def run():
@@ -329,7 +337,7 @@ class Workload(BaseWorkload):
 
     def _wirsing(self, rng) -> Op:
         ss = self.ss
-        residue, modulus, x = self._tau_inputs(rng)
+        residue, modulus, x = self._tau_inputs(rng, "wirsing")
         table = self.table_deep
 
         def run():
@@ -355,10 +363,10 @@ class Workload(BaseWorkload):
     def _comparison(self, rng) -> Op:
         ss = self.ss
         primes = [p for p in oracles.prime_list(100).tolist()]
-        support = rng.sample(primes, rng.randrange(1, 9))
+        support = rng.sample(primes, self._range(rng, "comparison", "support", 1, 9))
         g_vals = {p: rng.uniform(0.0, min(p - 1e-6, 12.0)) for p in support}
         f_vals = {p: rng.uniform(0.0, g_vals[p]) for p in support}
-        bound = rng.randrange(50, 10**4 + 1)
+        bound = self._range(rng, "comparison", "bound", 50, 10**4 + 1)
         sampled = self.comparisons < 3 or self.comparisons % 4 == 0
         self.comparisons += 1
         table = self.table_small

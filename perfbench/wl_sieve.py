@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 import oracles
-from common import BaseWorkload, Op, weighted_cycle
+from common import BaseWorkload, Op, Strata, weighted_cycle
 
 NAME = "sieve-soundness"
 # attempted instances per evaluator in the acceptance suite's criterion-1
@@ -34,6 +34,7 @@ SAMPLE = 6
 
 class Workload(BaseWorkload):
     name = NAME
+    opset_cycles = 8
 
     def setup(self, seed: int):
         import sumsieve as ss
@@ -49,6 +50,10 @@ class Workload(BaseWorkload):
                 carrier = ss.enumerate_q(ss.PrimeSubset(self.table_main, ss.Excluding(banned)), x)
                 self.carriers[(residue, modulus, x)] = carrier.elements
         self.seen = {kind: 0 for kind in WEIGHTS}
+        # the inputs that set the cost of the heavy kinds are stratified over
+        # the ops of each kind in the op set
+        self.strata = Strata()
+        self.per_set = {kind: n * self.opset_cycles for kind, n in WEIGHTS.items()}
 
     def cycles(self, rng):
         makers = {
@@ -149,16 +154,17 @@ class Workload(BaseWorkload):
 
     def _small_k(self, rng, kind: str) -> Op:
         ss = self.ss
+        strata, per_set = self.strata, self.per_set[kind]
         if kind == "smallkscs":
-            k = rng.randrange(2, 7)
-            x_choices = (10**4, 2 * 10**4)
+            k = strata.randrange(rng, (kind, "k"), per_set, 2, 7)
+            x = strata.choice(rng, (kind, "x"), per_set, (10**4, 2 * 10**4))
         else:
-            k = rng.randrange(2, 6)
-            x_choices = (10**4,)
+            k = strata.randrange(rng, (kind, "k"), per_set, 2, 6)
+            x = 10**4
         modulus, residue = rng.choice([(4, 1), (4, 3), (3, 1), (3, 2)])
-        x = rng.choice(x_choices)
         carrier = self.carriers[(residue, modulus, x)]
-        elems = rng.sample(carrier, min(rng.randrange(800, 2200), len(carrier)))
+        size = strata.randrange(rng, (kind, "size"), per_set, 800, 2200)
+        elems = rng.sample(carrier, min(size, len(carrier)))
         k_target = rng.uniform(max(4 * k + 6, 25), 70)
         star_min = rng.uniform(4 * k + 1, min(58.0, k_target * 1.9))
         shifts = sorted(rng.sample(range(0, x), k))
@@ -206,7 +212,8 @@ class Workload(BaseWorkload):
     def _middlek(self, rng) -> Op:
         ss = self.ss
         x = 10**12
-        if rng.random() < 0.6:
+        per_set = self.per_set["middlek"]
+        if self.strata.uniform(rng, ("middlek", "branch"), per_set) < 0.6:
             k = 2 if rng.random() < 0.7 else 3
             w_coeff = 0.5
         else:
@@ -214,7 +221,8 @@ class Workload(BaseWorkload):
             w_coeff = rng.uniform(2.0, 3.5)
         y1 = rng.uniform(360, 500) if k != 3 else rng.uniform(430, 500)
         y2 = rng.uniform(2.2 * y1, 0.95 * math.sqrt(x) / y1)
-        elems = sorted(rng.sample(range(1, x), rng.randrange(4000, 12000)))
+        size = self.strata.randrange(rng, ("middlek", "size"), per_set, 4000, 12000)
+        elems = sorted(rng.sample(range(1, x), size))
         shifts = sorted(rng.sample(range(0, x), k))
         sampled = self._sampled("middlek")
         kept = elems if sampled else None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import oracles
-from common import BaseWorkload, Op, array_digest, weighted_cycle
+from common import BaseWorkload, Op, Strata, array_digest, weighted_cycle
 
 NAME = "sumset-search"
 # ops of each kind per cycle.  The Ruzsa triples (0.2-40 ms) hold both the
@@ -34,12 +34,18 @@ UNVERIFIED = object()
 
 class Workload(BaseWorkload):
     name = NAME
+    opset_cycles = 3
 
     def setup(self, seed: int):
         import sumsieve as ss
 
         self.ss = ss
         self.covered = 0
+        self.strata = Strata()
+
+    def _range(self, rng, kind: str, name: str, lo: int, hi: int) -> int:
+        """A stratified ``randrange`` over the ops of ``kind`` in the op set."""
+        return self.strata.randrange(rng, (kind, name), WEIGHTS[kind] * self.opset_cycles, lo, hi)
 
     def cycles(self, rng):
         makers = {
@@ -56,7 +62,8 @@ class Workload(BaseWorkload):
 
     def _ruzsa(self, rng) -> Op:
         ss = self.ss
-        sets = [sorted(rng.sample(range(0, 10**4 + 1), rng.randrange(1, 65))) for _ in range(3)]
+        sets = [sorted(rng.sample(range(0, 10**4 + 1), self._range(rng, "ruzsa", i, 1, 65)))
+                for i in range(3)]
 
         def run():
             res = ss.ruzsa_check(*sets)
@@ -137,8 +144,10 @@ class Workload(BaseWorkload):
         # at most 20 extra elements and s0 at least 30% of A + B: with a
         # one-element s0 and 40 extra elements one search took 43 s, which
         # would swamp every other op of the workload
-        s = sorted(set(ab) | set(rng.sample(range(0, 200), rng.randrange(0, 21))))
-        s0 = sorted(rng.sample(ab, max(1, int(len(ab) * rng.uniform(0.3, 1.0)))))
+        extra = self._range(rng, "relative", "extra", 0, 21)
+        s = sorted(set(ab) | set(rng.sample(range(0, 200), extra)))
+        share = self._range(rng, "relative", "share", 300, 1001) / 1000
+        s0 = sorted(rng.sample(ab, max(1, int(len(ab) * share))))
 
         def run():
             res = ss.decompose_binary_relative(s0, s)
@@ -181,7 +190,7 @@ class Workload(BaseWorkload):
         while True:
             a = rng.sample(range(0, 60), rng.randrange(3, 12))
             b = [0]
-            for _ in range(rng.randrange(20, 120) - 1):
+            for _ in range(self._range(rng, "large-decomposable", "b", 20, 120) - 1):
                 b.append(b[-1] + rng.randrange(max(a) + 1, 300))
             elems = sorted(oracles.sumset_values(a, b))
             if 200 <= len(elems) <= 900:
