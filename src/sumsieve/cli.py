@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import checks
-from .errors import SumsieveError
+from .errors import DomainError, SumsieveError
 from .primes import (
     ALL,
     And,
@@ -87,13 +87,20 @@ _SCHEMA = 1
 def parse_int_set(text: str) -> IntegerSet:
     """Comma list, lo..hi range, or @file with one integer per line."""
     text = text.strip()
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            return IntegerSet(int(line) for line in handle if line.strip())
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return IntegerSet(range(int(lo), int(hi) + 1))
-    return IntegerSet(int(part) for part in text.split(",") if part.strip())
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as handle:
+                values = [int(line) for line in handle if line.strip()]
+        elif ".." in text:
+            lo, hi = text.split("..", 1)
+            values = range(int(lo), int(hi) + 1)
+        else:
+            values = [int(part) for part in text.split(",") if part.strip()]
+    except OSError as exc:
+        raise DomainError(f"cannot read integer set {text!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DomainError(f"cannot parse integer set {text!r}: {exc}") from None
+    return IntegerSet(values)
 
 
 def parse_selector(text: str) -> Selector:

@@ -3,12 +3,14 @@
 A ``PrimeTable`` is an exact Eratosthenes sieve up to a limit (odd-only byte
 mask, built segmented above 10^7).  A ``PrimeSubset`` pairs a table with an
 immutable selector; every sieve formula in the package draws its primes and
-its partial sums (theta, Mertens-type) from here.
+its partial sums (theta, Mertens-type) from here.  ``first_factor_in`` is the
+one prime-factor kernel behind divisibility scans and sifted counts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +19,9 @@ import numpy as np
 from .errors import CapacityError, DegenerateInputError, DomainError
 
 DEFAULT_LIMIT_CAP = 2**40
+# SUMSIEVE_MEMORY_CAP (approximate bytes, read once at import) bounds the
+# largest table or memo the package builds
+MEMORY_CAP = int(os.environ.get("SUMSIEVE_MEMORY_CAP", 2 * 10**9))
 _DIRECT_LIMIT = 10**7
 _SEGMENT_ODDS = 1 << 21
 
@@ -101,9 +106,16 @@ class PrimeTable:
                 f"range end {hi} exceeds table limit {self.limit}", limit=self.limit
             )
         ps = self.primes
-        i = np.searchsorted(ps, lo, side="right")
-        j = np.searchsorted(ps, hi, side="right")
+        # integer bounds keep searchsorted from casting the table to float
+        i = np.searchsorted(ps, self._int_bound(lo), side="right")
+        j = np.searchsorted(ps, self._int_bound(hi), side="right")
         return ps[i:j]
+
+    def _int_bound(self, v: float):
+        """An int with as many table primes <= it as v (non-finite v as is)."""
+        if not math.isfinite(v):
+            return v
+        return math.floor(min(max(v, 0), self.limit))
 
     def count(self) -> int:
         return int(self.primes.size)
@@ -358,16 +370,24 @@ _SPF_CAP = 5 * 10**7
 _spf_cache: dict = {"limit": -1, "table": None}
 
 
+def spf_table_fits(limit: int) -> bool:
+    """Whether smallest_prime_factor_table(limit) stays within its caps."""
+    return limit <= _SPF_CAP and 4 * (limit + 1) <= MEMORY_CAP
+
+
 def smallest_prime_factor_table(limit: int) -> np.ndarray:
     """spf[n] = smallest prime factor of n (spf[1] = 1), for 0 <= n <= limit.
 
-    The most recent table is cached and reused for any smaller limit.
+    int32, capped at 5e7 and at SUMSIEVE_MEMORY_CAP bytes.  The most recent
+    table is cached and reused for any smaller limit.
     """
-    if limit > _SPF_CAP:
-        raise CapacityError(f"spf table limit {limit} exceeds cap {_SPF_CAP}")
+    if not spf_table_fits(limit):
+        raise CapacityError(
+            f"spf table limit {limit} exceeds cap {_SPF_CAP} or memory cap {MEMORY_CAP}"
+        )
     if _spf_cache["limit"] >= limit:
         return _spf_cache["table"]
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf = np.zeros(limit + 1, dtype=np.int32)
     spf[1:2] = 1
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
@@ -375,37 +395,72 @@ def smallest_prime_factor_table(limit: int) -> np.ndarray:
             seg[seg == 0] = p
     rest = np.flatnonzero(spf == 0)
     spf[rest] = rest
-    if limit >= 0:
-        spf[0] = 0
     _spf_cache["limit"] = limit
     _spf_cache["table"] = spf
     return spf
 
 
+def first_factor_in(values: np.ndarray, ps: PrimeSubset) -> np.ndarray:
+    """For each n in values, the smallest prime factor of n that ps contains
+    or that exceeds ps.base.limit (so ps cannot decide it); 0 if there is none.
+
+    Entries n <= 1 give 0; the largest entry must satisfy spf_table_fits.
+    Smallest prime factors are peeled off all live entries at once, one numpy
+    pass per prime factor counted with multiplicity.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    out = np.zeros(values.shape, dtype=np.int64)
+    flat = out.reshape(-1)
+    idx = np.flatnonzero(values > 1)
+    if idx.size == 0:
+        return out
+    rest = values.reshape(-1)[idx]
+    top = int(rest.max())
+    spf = smallest_prime_factor_table(top)
+    rest = rest.astype(spf.dtype)
+    # stop[p] for p <= bound: p in ps; every factor above bound (<= top)
+    # lies beyond the table and maps to the sentinel stop[bound + 1]
+    bound = min(top, ps.base.limit)
+    stop = np.zeros(bound + 2, dtype=bool)
+    stop[ps.primes_in(0, bound)] = True
+    stop[bound + 1] = True
+    while idx.size:
+        p = spf[rest]
+        found = stop[np.minimum(p, bound + 1)]
+        flat[idx[found]] = p[found]
+        more = ~found
+        rest = rest[more] // p[more]
+        idx = idx[more]
+        live = rest > 1
+        idx, rest = idx[live], rest[live]
+    return out
+
+
 def divisibility_hits(
     values: Sequence[int] | np.ndarray, ps: PrimeSubset, *, max_pairs: int = 20
 ) -> list[tuple[int, int]]:
-    """Up to max_pairs (value, prime) pairs where a prime of ps divides a value."""
+    """Up to max_pairs (value, prime) pairs where a prime of ps divides a value.
+
+    Within the spf table's caps each value contributes its smallest prime
+    factor in ps, in value order; a value with no such factor up to the
+    table limit but a prime factor beyond it raises CapacityError.  Beyond
+    the caps the primes of ps are swept in ascending order.
+    """
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     if arr.size == 0:
         return []
     top = int(arr.max())
+    limit = ps.base.limit
     hits: list[tuple[int, int]] = []
-    if top <= _SPF_CAP:
-        spf = smallest_prime_factor_table(top)
-        for v in arr.tolist():
-            n = v
-            while n > 1:
-                p = int(spf[n])
-                if ps.contains(p):
-                    hits.append((v, p))
-                    break
-                while n % p == 0:
-                    n //= p
-            if len(hits) >= max_pairs:
-                return hits
+    if spf_table_fits(top):
+        first = first_factor_in(arr, ps)
+        for i in np.flatnonzero(first)[:max_pairs].tolist():
+            p = int(first[i])
+            if p > limit:
+                raise CapacityError(f"{p} exceeds table limit {limit}", limit=limit)
+            hits.append((int(arr[i]), p))
         return hits
-    for p in ps.primes_in(1, min(top, ps.base.limit)).tolist():
+    for p in ps.primes_in(1, min(top, limit)).tolist():
         divisible = arr[arr % p == 0]
         for v in divisible.tolist():
             hits.append((int(v), p))

@@ -20,7 +20,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .primes import PrimeSubset, all_primes, divisibility_hits, subset_sums
+from .primes import (
+    PrimeSubset,
+    all_primes,
+    divisibility_hits,
+    first_factor_in,
+    spf_table_fits,
+    subset_sums,
+)
 from .profiles import STRICT, ConstantsProfile
 from .sumset import IntegerSet
 
@@ -138,31 +145,37 @@ def occupancy(a, ps: PrimeSubset, variant: str = "all") -> OccupancyProfile:
 
 
 def sift_count(s, shifts, ps: PrimeSubset) -> int:
-    """#{s in S : s != a_i mod p for every shift a_i and prime p in ps}."""
+    """#{s in S : s != a_i mod p for every shift a_i and prime p in ps}.
+
+    s is sifted out exactly when a prime of ps divides |s - a_i| for some i.
+    Within the spf table's caps the differences are factored at once
+    (``first_factor_in``); beyond them the primes of ps are swept one by one
+    over the survivors.
+    """
     s = IntegerSet.coerce(s)
     shifts = ShiftSet.coerce(shifts)
     arr = s.array()
     if arr.size == 0:
         return 0
-    keep = np.ones(arr.shape, dtype=bool)
     shift_arr = shifts.array()
     top = int(max(arr.max(), shift_arr.max()))
-    for p in ps.primes_in(0, min(top, ps.base.limit)).tolist():
-        forbidden = np.unique(shift_arr % p)
-        res = arr % p
-        if forbidden.size <= 8:
-            hit = res == forbidden[0]
-            for f in forbidden[1:]:
-                hit |= res == f
-            keep &= ~hit
-        else:
-            keep &= ~np.isin(res, forbidden)
-        if not keep.any():
-            return 0
-    # for p beyond every element and shift, congruence mod p means equality
-    if ps.base.limit > top and ps.primes_in(top, ps.base.limit).size > 0:
-        keep &= ~np.isin(arr, shift_arr)
-    return int(keep.sum())
+    limit = ps.base.limit
+    if spf_table_fits(top):
+        first = first_factor_in(np.abs(arr[:, None] - shift_arr[None, :]), ps)
+        live = arr[~((first > 0) & (first <= limit)).any(axis=1)]
+    else:
+        live = arr
+        for p in ps.primes_in(0, min(top, limit)).tolist():
+            forbidden = np.zeros(p, dtype=bool)
+            forbidden[shift_arr % p] = True
+            live = live[~forbidden[live - (live // p) * p]]
+            if live.size == 0:
+                return 0
+    # s = a_i: every prime divides 0, so any prime of ps sifts s out
+    equal = np.isin(live, shift_arr)
+    if equal.any() and ps.primes_in(0, limit).size > 0:
+        live = live[~equal]
+    return int(live.size)
 
 
 # --------------------------------------------------------------------------

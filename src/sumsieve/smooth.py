@@ -11,22 +11,21 @@ in log space with a fixed-step fourth-order scheme.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import PrimeSubset, PrimeTable
+from .primes import MEMORY_CAP, PrimeSubset, PrimeTable
 from .sieves import reduced_residues_mask
 from .sumset import IntegerSet
 
 _X_CAP = 10**9
 _TUPLE_X_CAP = 10**8
-# SUMSIEVE_MEMORY_CAP (approximate bytes) bounds the memo/enumeration work;
-# roughly 100 bytes per retained entry
-_DEFAULT_WORK_BUDGET = int(os.environ.get("SUMSIEVE_MEMORY_CAP", 2 * 10**9)) // 100
+# the memory cap bounds the memo/enumeration work; roughly 100 bytes per
+# retained entry
+_DEFAULT_WORK_BUDGET = MEMORY_CAP // 100
 
 _table_cache: dict[int, PrimeTable] = {}
 
@@ -287,7 +286,7 @@ def dickman_rho(u: float) -> DickmanValue:
     equation, not the step size), so values beyond u of about 15 are reliable
     in the absolute sense only.
     """
-    if u < 0 or u > _RHO_U_CAP:
+    if not 0 <= u <= _RHO_U_CAP:  # nan included
         raise DomainError(f"need 0 <= u <= {_RHO_U_CAP:g}, got {u}")
     if u <= 1.0:
         return DickmanValue(u, 1.0, 0.0)

@@ -88,6 +88,25 @@ class TestCommands:
         assert code == 1
         assert doc["error"]["type"] == "DomainError"
 
+    def test_malformed_set_is_an_error_object(self, capsys):
+        code, doc = run_json(capsys, "decompose", "--set", "0,a")
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"]["type"] == "DomainError"
+
+    def test_missing_set_file_is_an_error_object(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        code, doc = run_json(capsys, "sumset", "--a", f"@{missing}", "--b", "0,1")
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"]["type"] == "DomainError"
+
+    def test_nan_dickman_argument_is_an_error_object(self, capsys):
+        code, doc = run_json(capsys, "dickman", "--u", "nan")
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"]["type"] == "DomainError"
+
     def test_check_genthm_strict_honest(self, capsys):
         code, doc = run_json(
             capsys,

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from sumsieve import primes as primes_module
 from sumsieve.errors import CapacityError, DegenerateInputError, DomainError
 from sumsieve.primes import (
     And,
@@ -72,6 +73,16 @@ class TestPrimeTable:
     def test_range_query_beyond_limit(self, table_1e4):
         with pytest.raises(CapacityError):
             table_1e4.primes_between(1, 10**5)
+        # bounds inside the limit select lo < p <= hi, fractional and
+        # non-finite ones included
+        everything = table_1e4.primes.tolist()
+        for lo, hi in [(1, 30), (2, 3), (2.5, 29.9), (-7.5, 11), (96.99, 97.0),
+                       (10**4, 10**4), (1e300, 10**4), (-math.inf, 20),
+                       (math.inf, 20), (math.nan, 20), (5, math.nan), (0, -1e300)]:
+            got = table_1e4.primes_between(lo, hi).tolist()
+            if math.isnan(hi):
+                hi = math.inf  # nan sorts after every prime
+            assert got == [p for p in everything if lo < p <= hi], (lo, hi)
 
 
 class TestSelectors:
@@ -193,21 +204,68 @@ class TestDensityRatio:
             density_ratio_c(all_primes(table_1e6), 99)
 
 
+def divisibility_hits_scalar(values, ps, max_pairs=20):
+    """Reference: per value, walk its prime factors upward through the spf
+    table and test each with PrimeSubset.contains."""
+    values = list(values)
+    spf = smallest_prime_factor_table(max(max(values), 2))
+    hits = []
+    for v in values:
+        n = v
+        while n > 1:
+            p = int(spf[n])
+            if ps.contains(p):
+                hits.append((v, p))
+                break
+            while n % p == 0:
+                n //= p
+        if len(hits) >= max_pairs:
+            return hits
+    return hits
+
+
 class TestDivisibility:
-    def test_spf_table(self):
+    def test_spf_table(self, monkeypatch):
         spf = smallest_prime_factor_table(100)
+        assert spf.dtype == np.int32
         for n in range(2, 101):
             p = int(spf[n])
             assert n % p == 0
             assert trial_division_is_prime(p)
             for q in range(2, p):
                 assert n % q != 0
+        monkeypatch.setattr(primes_module, "MEMORY_CAP", 4 * 10**3)
+        smallest_prime_factor_table(999)
+        with pytest.raises(CapacityError):
+            smallest_prime_factor_table(1000)
 
     def test_hits_found(self, table_1e4):
         ps = PrimeSubset(table_1e4, ResidueClass(3, 4))
         hits = divisibility_hits([10, 21, 13], ps)
         assert hits == [(21, 3)]
+        rng = random.Random(4)
+        selectors = [ResidueClass(3, 4), Interval(10, 100), MinValue(50),
+                     Excluding(frozenset({2, 3})), Interval(9000, 10**4)]
+        cases = [
+            [0, 1, 2, 4, 8, 1024, 3**7, 7**4, 97**2, 9973],  # 0, 1, prime powers
+            rng.sample(range(0, 10**4), 300),
+            rng.sample(range(0, 10**4), 30) * 2,  # repeated values
+        ]
+        for values in cases:
+            for sel in selectors:
+                ps = PrimeSubset(table_1e4, sel)
+                for max_pairs in (1, 3, 20, 10**4):  # truncation keeps value order
+                    got = divisibility_hits(values, ps, max_pairs=max_pairs)
+                    assert got == divisibility_hits_scalar(values, ps, max_pairs)
+                    assert len(got) <= max_pairs
+                    assert got == divisibility_hits(np.asarray(values), ps, max_pairs=max_pairs)
 
     def test_clean_set(self, table_1e4):
         ps = PrimeSubset(table_1e4, Interval(10, 100))
         assert divisibility_hits([2, 3, 4, 8, 9], ps) == []
+        # a value whose only prime factor lies beyond the table cannot be
+        # cleared; a hit reached earlier in value order is reported instead
+        small = PrimeSubset(build_prime_table(100), ResidueClass(3, 4))
+        with pytest.raises(CapacityError, match="101 exceeds table limit 100"):
+            divisibility_hits([4, 101, 7], small)
+        assert divisibility_hits([7, 101], small, max_pairs=1) == [(7, 7)]

@@ -4,12 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from sumsieve import primes as primes_module
 from sumsieve.errors import DomainError
 from sumsieve.irreducibility import build_context
 from sumsieve.primes import (
     And,
     Excluding,
     Interval,
+    MinValue,
     PrimeSubset,
     ResidueClass,
     all_primes,
@@ -79,14 +81,47 @@ class TestSiftCount:
         # only n = 1 has no prime factor at or below its value
         assert sift_count(range(1, 101), [0], ps) == 1
 
-    def test_matches_elementwise_oracle(self, table_1e4):
+    def test_matches_elementwise_oracle(self, table_1e4, monkeypatch):
         rng = random.Random(2)
+        cases = []
         for _ in range(25):
             s = IntegerSet(rng.sample(range(1, 3000), rng.randrange(50, 300)))
             shifts = ShiftSet.coerce(rng.sample(range(0, 3000), rng.randrange(1, 5)))
             lo = rng.randrange(2, 40)
             ps = PrimeSubset(table_1e4, Interval(lo, lo + rng.randrange(10, 200)))
-            assert sift_count(s, shifts, ps) == sift_count_elementwise(s, shifts, ps)
+            cases.append((s, shifts, ps))
+        s = IntegerSet(rng.sample(range(1, 3000), 200))
+        cases += [
+            # shifts equal to elements
+            (s, ShiftSet.coerce(list(s)[::40]), PrimeSubset(table_1e4, Interval(2, 60))),
+            (s, ShiftSet.coerce(list(s)[:3]), PrimeSubset(table_1e4, Interval(0, 1))),
+            # primes beyond every element and shift
+            (s, ShiftSet.coerce([5, 17, list(s)[7]]), PrimeSubset(table_1e4, MinValue(3001))),
+            # more than 8 distinct residues per prime
+            (s, ShiftSet.coerce(rng.sample(range(0, 3000), 12)),
+             PrimeSubset(table_1e4, Interval(10, 400))),
+            # 0, 1 and prime powers, as elements and as differences
+            (IntegerSet([0, 1, 2, 4, 8, 9, 27, 25, 125, 49, 1024, 2187]),
+             ShiftSet.coerce([0, 1]), PrimeSubset(table_1e4, ResidueClass(1, 4))),
+            (IntegerSet([0, 1, 2, 4, 8, 9, 27, 25, 125, 49, 1024, 2187]),
+             ShiftSet.coerce([0]), PrimeSubset(table_1e4, Interval(2, 3))),
+        ]
+        # around 10^12 the spf table cannot cover the differences
+        assert not primes_module.spf_table_fits(10**12)
+        big = IntegerSet(rng.sample(range(10**12 - 10**5, 10**12 + 10**5), 60))
+        cases += [
+            (big, ShiftSet.coerce(rng.sample(range(0, 10**12), 3)),
+             PrimeSubset(table_1e4, Interval(100, 2000))),
+            (big, ShiftSet.coerce([big.elements[3], 10**12 - 7]),
+             PrimeSubset(table_1e4, Interval(0, 60))),
+        ]
+        for s, shifts, ps in cases:
+            expected = sift_count_elementwise(s, shifts, ps)
+            assert sift_count(s, shifts, ps) == expected
+            # a memory cap below every spf table forces the per-prime sweep
+            with monkeypatch.context() as patch:
+                patch.setattr(primes_module, "MEMORY_CAP", 0)
+                assert sift_count(s, shifts, ps) == expected
 
     def test_large_prime_equality_path(self, table_1e4):
         # subset includes primes beyond every element: congruence = equality
