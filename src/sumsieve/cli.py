@@ -65,6 +65,7 @@ from .sieves import (
     selberg_bound,
 )
 from .smooth import (
+    RHO_U_CAP,
     SmoothQuery,
     bv_discrepancy_sum,
     dickman_rho,
@@ -103,18 +104,30 @@ def parse_int_set(text: str) -> IntegerSet:
     return IntegerSet(values)
 
 
+def parse_numbers(text: str, convert, what: str, count: int | None = None) -> list:
+    """Comma-separated numbers (exactly `count` of them when given); anything
+    else is a DomainError naming `what`."""
+    parts = text.split(",")
+    try:
+        if count is not None and len(parts) != count:
+            raise ValueError(f"need {count} comma-separated numbers")
+        return [convert(part) for part in parts]
+    except ValueError as exc:
+        raise DomainError(f"cannot parse {what} {text!r}: {exc}") from None
+
+
 def parse_selector(text: str) -> Selector:
     text = text.strip()
     if text == "all":
         return ALL
     if text.startswith("ap:"):
-        a, m = text[3:].split(",", 1)
-        return ResidueClass(int(a), int(m))
+        a, m = parse_numbers(text[3:], int, "ap: selector", 2)
+        return ResidueClass(a, m)
     if text.startswith("interval:"):
-        lo, hi = text[9:].split(",", 1)
-        return Interval(float(lo), float(hi))
+        lo, hi = parse_numbers(text[9:], float, "interval: selector", 2)
+        return Interval(lo, hi)
     if text.startswith("min:"):
-        return MinValue(float(text[4:]))
+        return MinValue(*parse_numbers(text[4:], float, "min: selector", 1))
     if text.startswith("and(") and text.endswith(")"):
         inner = text[4:-1]
         return And(tuple(parse_selector(part) for part in inner.split(";") if part))
@@ -205,7 +218,7 @@ def _cmd_primes(args) -> int:
     ps = _subset(args, limit)
     result = {"count": int(ps.primes().size), "selector": ps.describe()}
     if args.sums:
-        lo, hi = (float(part) for part in args.sums.split(",", 1))
+        lo, hi = parse_numbers(args.sums, float, "--sums", 2)
         sums = subset_sums(ps, lo, hi)
         result["sums"] = {
             "lo": lo,
@@ -284,10 +297,11 @@ def _cmd_inverse_sieve(args) -> int:
 
 def _cmd_smooth_count(args) -> int:
     if args.grid:
-        xs_text, ys_text = args.grid.split("/", 1)
+        xs_text, _, ys_text = args.grid.partition("/")
+        xs, ys = parse_numbers(xs_text, int, "--grid"), parse_numbers(ys_text, int, "--grid")
         rows = []
-        for x_val in (int(v) for v in xs_text.split(",")):
-            for y_val in (int(v) for v in ys_text.split(",")):
+        for x_val in xs:
+            for y_val in ys:
                 rows.append(
                     {"x": x_val, "y": y_val, "psi": psi(SmoothQuery(x_val, y_val))}
                 )
@@ -303,7 +317,12 @@ def _cmd_smooth_count(args) -> int:
 
 def _cmd_dickman(args) -> int:
     if args.table:
-        lo, hi, step = (float(p) for p in args.table.split(",", 2))
+        lo, hi, step = parse_numbers(args.table, float, "--table", 3)
+        if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi <= RHO_U_CAP):
+            raise DomainError(
+                f"--table needs finite lo,hi,step with step > 0 and hi <= {RHO_U_CAP:g}, "
+                f"got {args.table!r}"
+            )
         rows = []
         u = lo
         while u <= hi + 1e-12:
@@ -378,7 +397,7 @@ def _cmd_semigroup(args) -> int:
     if args.csv_xs:
         rows = []
         tau = args.wirsing if args.wirsing is not None else 0.5
-        for x_val in (int(v) for v in args.csv_xs.split(",")):
+        for x_val in parse_numbers(args.csv_xs, int, "--csv-xs"):
             q = enumerate_q(ps, x_val)
             rows.append(
                 {

@@ -4,13 +4,16 @@ discrepancy sums and shifted-tuple smooth counts.
 Counting is exact only: Psi(x, y) comes from the recurrence
 Psi(x, y) = 1 + sum over p <= y of Psi(x/p, p) with memoisation, and the
 progression/coprime refinements come from the same machinery or from direct
-enumeration over prime-exponent vectors.  The Dickman function is integrated
-in log space with a fixed-step fourth-order scheme.
+enumeration over prime-exponent vectors.  The Dickman function comes from
+its exact power series on each unit interval, with positive coefficients
+obtained interval by interval from the delay equation (van de Lune & Wattel,
+Math. Comp. 23 (1969); Marsaglia, Zaman & Marsaglia, Math. Comp. 53 (1989)).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -187,127 +190,67 @@ class DickmanValue:
     log_rho: float
 
 
-_RHO_STEP = 1.0 / 1024.0
-_RHO_U_CAP = 500.0
+RHO_U_CAP = 500.0
+_RHO_TERMS = 64
+
+# Row k (k >= 2) holds rho(k - xi) = exp(_rho_log_scale[k]) * sum_i
+# _rho_rows[k][i] * xi^i for 0 <= xi <= 1, normalised so that the constant
+# term is 1 (the scale is log rho(k)).  Row 2 is the closed form
+# 1 - log(2 - xi) = 1 - log 2 + sum_i (xi/2)^i / i; rows 0 and 1 are unused.
+_RHO_C0 = 1.0 - math.log(2.0)
+_rho_rows: list[list[float]] = [
+    [], [], [1.0] + [1.0 / (i * 2.0**i * _RHO_C0) for i in range(1, _RHO_TERMS)]
+]
+_rho_log_scale: list[float] = [0.0, 0.0, math.log(_RHO_C0)]
+_rho_lock = threading.Lock()
 
 
-class _DickmanMesh:
-    """log rho on a uniform mesh over [2, grown_max], extended on demand.
+def _extend_rho_rows(top: int) -> None:
+    """Append the rows up to `top`, one unit interval at a time.
 
-    rho is exact on [0, 2] (1, then 1 - log u), so the delay term needs the
-    mesh only once u - 1 >= 2.  The delay equation is integrated in log space
-    as L'(u) = -exp(L(u-1) - L(u)) / u with classical RK4; delayed values at
-    half-steps come from cubic interpolation confined to one unit segment
-    (rho has derivative jumps at the integers).
+    Substituting the series into u rho'(u) = -rho(u - 1) with u = k - xi gives
+    c_{i+1} = (c_i^(k-1) + i c_i) / (k (i + 1)); the identity
+    u rho(u) = integral of rho over [u - 1, u] at u = k then gives
+    (k - 1) c_0 = sum_{i>=1} c_i / (i + 1).  Every term is positive, so
+    nothing cancels, and dividing by c_0 keeps each row near 1.
     """
-
-    def __init__(self, step: float = _RHO_STEP):
-        self.step = step
-        self.per_unit = round(1.0 / step)
-        if abs(self.per_unit * step - 1.0) > 1e-12:
-            raise DomainError("step must divide 1")
-        self.values = [self._exact_log(2.0)]  # L at u = 2
-        self.max_u = 2.0
-
-    @staticmethod
-    def _exact_log(u: float) -> float:
-        if u <= 1.0:
-            return 0.0
-        return math.log(1.0 - math.log(u))
-
-    def _mesh_log(self, u: float) -> float:
-        """L(u) for u <= current mesh top (exact below 2, cubic on the mesh)."""
-        if u <= 2.0:
-            return self._exact_log(u)
-        pos = (u - 2.0) / self.step
-        i = int(round(pos))
-        if abs(pos - i) < 1e-6 and i < len(self.values):
-            return self.values[i]
-        base = int(math.floor(pos)) - 1
-        # keep the 4-point stencil inside one unit segment
-        seg_lo = int(math.floor((u - 2.0))) * self.per_unit
-        seg_hi = min(seg_lo + self.per_unit, len(self.values) - 1)
-        base = max(seg_lo, min(base, seg_hi - 3))
-        xs = [2.0 + (base + t) * self.step for t in range(4)]
-        ys = self.values[base : base + 4]
-        total = 0.0
-        for m in range(4):
-            term = ys[m]
-            for r in range(4):
-                if r != m:
-                    term *= (u - xs[r]) / (xs[m] - xs[r])
-            total += term
-        return total
-
-    def grow(self, target: float):
-        if target <= self.max_u:
-            return
-        h = self.step
-        while self.max_u < target:
-            u = self.max_u
-            L = self.values[-1]
-
-            def f(uu: float, ll: float) -> float:
-                # clamp keeps stage evaluations finite once the double-
-                # precision relative floor is reached far out
-                return -math.exp(min(self._mesh_log(uu - 1.0) - ll, 700.0)) / uu
-
-            k1 = f(u, L)
-            k2 = f(u + h / 2.0, L + h * k1 / 2.0)
-            k3 = f(u + h / 2.0, L + h * k2 / 2.0)
-            k4 = f(u + h, L + h * k3)
-            self.values.append(L + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-            self.max_u = 2.0 + (len(self.values) - 1) * h
-
-    def log_rho(self, u: float) -> float:
-        if u <= 2.0:
-            return self._exact_log(u)
-        self.grow(u + self.step)
-        return self._mesh_log(u)
-
-
-_default_mesh: Optional[_DickmanMesh] = None
-
-
-def _mesh() -> _DickmanMesh:
-    global _default_mesh
-    if _default_mesh is None:
-        _default_mesh = _DickmanMesh()
-    return _default_mesh
+    with _rho_lock:
+        while len(_rho_rows) <= top:
+            k = len(_rho_rows)
+            prev = _rho_rows[-1]
+            c = [0.0] * _RHO_TERMS
+            for i in range(_RHO_TERMS - 1):
+                c[i + 1] = (prev[i] + i * c[i]) / (k * (i + 1))
+            c[0] = sum(c[i] / (i + 1) for i in range(1, _RHO_TERMS)) / (k - 1)
+            _rho_log_scale.append(_rho_log_scale[-1] + math.log(c[0]))
+            _rho_rows.append([v / c[0] for v in c])
 
 
 def dickman_rho(u: float) -> DickmanValue:
     """Dickman's function: 1 on [0, 1], u rho'(u) = -rho(u - 1) beyond.
 
-    Exact closed form up to u = 2; fixed-step integration beyond with
-    absolute error far below 1e-9 on u <= 20.  Relative accuracy decays for
-    large u: forward integration of the delay equation amplifies relative
-    perturbations faster than double precision can absorb (a property of the
-    equation, not the step size), so values beyond u of about 15 are reliable
-    in the absolute sense only.
+    Exact closed form up to u = 2.  Beyond, rho(u) on [k - 1, k] is the power
+    series in k - u whose coefficients follow exactly from the previous unit
+    interval's (see `_extend_rho_rows`), summed by Horner's rule; log_rho is
+    accurate to about 1e-12 absolute (so rho to about 1e-12 relative) up to
+    u = 500.  rho itself underflows to 0.0 beyond u of about 132.7, where
+    log_rho falls below the double-precision exponent range.
     """
-    if not 0 <= u <= _RHO_U_CAP:  # nan included
-        raise DomainError(f"need 0 <= u <= {_RHO_U_CAP:g}, got {u}")
+    if not 0 <= u <= RHO_U_CAP:  # nan included
+        raise DomainError(f"need 0 <= u <= {RHO_U_CAP:g}, got {u}")
     if u <= 1.0:
         return DickmanValue(u, 1.0, 0.0)
     if u <= 2.0:
         rho = 1.0 - math.log(u)
         return DickmanValue(u, rho, math.log(rho))
-    lr = _mesh().log_rho(float(u))
+    k = math.ceil(u)
+    _extend_rho_rows(k)
+    xi = k - u
+    total = 0.0
+    for coeff in reversed(_rho_rows[k]):
+        total = total * xi + coeff
+    lr = _rho_log_scale[k] + math.log(total)
     return DickmanValue(u, math.exp(lr), lr)
-
-
-def dickman_self_check(us: Sequence[float], fine_factor: int = 2) -> float:
-    """Max |rho_h - rho_{h/fine_factor}| over the given u values (Richardson
-    style step-halving diagnostic)."""
-    coarse = _DickmanMesh(_RHO_STEP)
-    fine = _DickmanMesh(_RHO_STEP / fine_factor)
-    worst = 0.0
-    for u in us:
-        a = math.exp(coarse.log_rho(u)) if u > 1 else 1.0
-        b = math.exp(fine.log_rho(u)) if u > 1 else 1.0
-        worst = max(worst, abs(a - b))
-    return worst
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +376,7 @@ def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
 
     u = math.log(x) / math.log(y)
     k = len(shifts)
-    rho = dickman_rho(min(u, _RHO_U_CAP)).rho
+    rho = dickman_rho(min(u, RHO_U_CAP)).rho
     return TupleCountReport(
         count,
         x,

@@ -380,8 +380,30 @@ def test_criterion_6_dickman():
             total += h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum())
         if abs(lhs - total) > 1e-8:
             violations.append(("identity", u, abs(lhs - total)))
+    # relative checks: published values, and the identity far out, where rho
+    # underflows, divided through by rho(u)
+    rel10 = abs(dickman_rho(10.0).rho / 2.77017183772596e-11 - 1.0)
+    if rel10 > 1e-12:
+        violations.append(("rho(10) relative", rel10))
+    rel20 = abs(dickman_rho(20.0).log_rho / -65.8740818822 - 1.0)
+    if rel20 > 1e-10:
+        violations.append(("log rho(20) relative", rel20))
+    for u in (20.5, 57.0, 137.25, 300.75, 500.0):
+        ref = dickman_rho(u).log_rho
+        total = 0.0
+        for a, b in ((u - 1.0, math.floor(u)), (math.floor(u), u)):
+            if b <= a:
+                continue
+            n = 1024
+            xs = np.linspace(a, b, n + 1)
+            ys = np.exp([dickman_rho(float(t)).log_rho - ref for t in xs])
+            h = (b - a) / n
+            total += h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum())
+        if abs(total / u - 1.0) > 1e-10:
+            violations.append(("relative identity", u, abs(total / u - 1.0)))
     report(6, "Dickman: 1 on [0,1]; rho(2) = 1 - ln 2 to 1e-8; "
-              "integral identity to 1e-8 on [1,20]", violations)
+              "integral identity to 1e-8 on [1,20]; rho(10) to 1e-12 and log rho(20) "
+              "to 1e-10 relative; identity to 1e-10 relative up to u = 500", violations)
 
 
 def test_criterion_7_semigroup(table_deep, table_main):

@@ -107,6 +107,32 @@ class TestCommands:
         assert set(doc) == {"schema", "command", "error"}
         assert doc["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("argv", [
+        ("dickman", "--table", "1,6,0"),  # step 0 used to loop forever
+        ("dickman", "--table", "1,6,-0.5"),
+        ("dickman", "--table", "1,x,1"),
+        ("dickman", "--table", "1,6"),
+        ("dickman", "--table", "nan,6,1"),
+        ("dickman", "--table", "1,inf,1"),
+        ("dickman", "--table", "1,6,nan"),
+        ("dickman", "--table", "1,501,1"),
+        ("primes", "--limit", "1000", "--selector", "ap:x,4"),
+        ("primes", "--limit", "1000", "--sums", "1,b"),
+        ("smooth-count", "--grid", "10,a/2"),
+        ("smooth-count", "--grid", "10,20"),
+        ("semigroup", "--x", "100", "--limit", "1000", "--csv-xs", "10,z"),
+    ])
+    def test_malformed_numbers_are_error_objects(self, capsys, argv):
+        code, doc = run_json(capsys, *argv)
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"]["type"] == "DomainError"
+
+    def test_dickman_table_up_to_the_cap(self, capsys):
+        code, doc = run_json(capsys, "dickman", "--table", "499,500,0.5")
+        assert code == 0
+        assert [row["u"] for row in doc["result"]["rows"]] == [499.0, 499.5, 500.0]
+
     def test_check_genthm_strict_honest(self, capsys):
         code, doc = run_json(
             capsys,

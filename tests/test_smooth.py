@@ -10,7 +10,6 @@ from sumsieve.smooth import (
     SmoothQuery,
     bv_discrepancy_sum,
     dickman_rho,
-    dickman_self_check,
     enumerate_smooth,
     psi,
     psi_coprime,
@@ -181,6 +180,22 @@ class SimpsonCollocation:
         raise ValueError("query off-mesh")
 
 
+def identity_relative_error(u: float, n: int = 1024) -> float:
+    """|1 - (1/u) * integral of rho(t) / rho(u) over [u - 1, u]|, by Simpson on
+    each piece between integers (rho' jumps there), through log_rho."""
+    ref = dickman_rho(u).log_rho
+    lo = u - 1.0
+    breaks = [lo] + [float(b) for b in range(math.ceil(lo), math.ceil(u))] + [u]
+    total = 0.0
+    for a, b in zip(breaks, breaks[1:]):
+        if b <= a:
+            continue
+        xs = np.linspace(a, b, n + 1)
+        ys = np.exp([dickman_rho(float(t)).log_rho - ref for t in xs])
+        total += (b - a) / n / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum())
+    return abs(total / u - 1.0)
+
+
 class TestDickman:
     def test_one_on_unit_interval(self):
         for u in (0.0, 0.25, 0.5, 1.0):
@@ -220,17 +235,28 @@ class TestDickman:
                 total += h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum())
             assert abs(lhs - total) <= 1e-8, f"identity off at u={u}"
 
-    def test_richardson_step_halving(self):
-        gap = dickman_self_check([2.5, 3.5, 5.0, 8.0])
-        assert gap <= 1e-9
+    def test_published_anchors(self):
+        # published values; rho(20) = 2.4617828e-29 is far below the absolute
+        # 1e-8 checks, so only a relative check sees it
+        assert dickman_rho(10.0).rho == pytest.approx(2.77017183772596e-11, rel=1e-12)
+        assert dickman_rho(20.0).log_rho == pytest.approx(-65.8740818822, rel=1e-10)
 
-    def test_far_out_values_finite_positive_decreasing(self):
-        # relative accuracy is double-precision-limited far out; the values
-        # must still be finite, positive and decreasing
-        v30, v50, v100, v500 = (dickman_rho(u) for u in (30.0, 50.0, 100.0, 500.0))
-        assert v30.rho > v50.rho > v100.rho >= v500.rho > 0
-        for v in (v30, v50, v100, v500):
-            assert math.isfinite(v.log_rho)
+    def test_integral_identity_relative_to_500(self):
+        # integer and fractional u alike; rho underflows past u ~ 132.7, so
+        # the identity is checked through log_rho
+        worst = max(
+            (identity_relative_error(float(u)), float(u))
+            for u in np.linspace(2.0, 500.0, 61)
+        )
+        assert worst[0] <= 1e-10, f"relative identity off by {worst[0]:.3g} at u={worst[1]}"
+
+    def test_far_out_values_finite_decreasing_rho_underflows(self):
+        far = [dickman_rho(u) for u in (30.0, 50.0, 100.0, 500.0)]
+        logs = [v.log_rho for v in far]
+        assert all(math.isfinite(lr) for lr in logs)
+        assert all(b < a for a, b in zip(logs, logs[1:]))
+        assert far[2].rho > 0.0
+        assert dickman_rho(133.0).rho == 0.0 and far[3].rho == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
