@@ -1,5 +1,6 @@
-"""Multiplicative arithmetic: Mobius, totient, triple-divisor counts,
-squarefree supported enumeration and restricted multiplicative sums.
+"""Multiplicative arithmetic: Mobius, totient, triple-divisor counts, the
+squarefree and smooth lattice walks over a prime list, squarefree supported
+enumeration and restricted multiplicative sums.
 
 The comparison inequality implemented by ``check_comparison_inequality`` is a
 finite theorem for completely multiplicative 0 <= f(p) <= g(p) < p; any
@@ -9,10 +10,11 @@ failure beyond tolerance is a bug, and the property suite treats it so.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .primes import PrimeSubset, PrimeTable, all_primes
 
 EULER_GAMMA = 0.57721566490153286061
@@ -105,6 +107,98 @@ class MultiplicativeSpec:
         return sorted(p for p, v in self.prime_values.items() if v != 0.0)
 
 
+def squarefree_lattice(
+    primes: Sequence[int], bound: int, root, step: Callable
+) -> Iterator[tuple[int, object]]:
+    """Every squarefree d <= bound whose prime factors lie in `primes`
+    (ascending), as (d, state) pairs, in preorder: d, then for each larger
+    prime p in turn, d * p followed by its own subtree over the primes above
+    p; this is the lexicographic order of the factor tuples.  1 carries
+    `root`; d * p carries step(state of d, p).  Lazy: nothing past the last
+    pair taken is visited.
+    """
+    if bound < 1:
+        return
+    yield 1, root
+    stack = [[0, 1, root]]  # [next prime index, d, state] down the current path
+    while stack:
+        j, d, state = frame = stack[-1]
+        if j == len(primes) or d * primes[j] > bound:
+            stack.pop()
+            continue
+        frame[0] = j + 1
+        p = primes[j]
+        child = step(state, p)
+        yield d * p, child
+        stack.append([j + 1, d * p, child])
+
+
+def squarefree_weight_sum(primes: Sequence[int], weights: Mapping[int, float], bound: int) -> float:
+    """sum over squarefree d <= bound supported on `primes` of prod_{p|d} weights[p].
+
+    Includes d = 1 (term 1); accumulated in lattice preorder.
+    """
+    total = 0.0
+    for _, term in squarefree_lattice(primes, bound, 1.0, lambda t, p: t * weights[p]):
+        total += term
+    return total
+
+
+def smooth_lattice(
+    primes: Sequence[int],
+    bound: int,
+    *,
+    weights: Mapping[int, float] | None = None,
+    budget: float = math.inf,
+) -> tuple[list[int], list[float]]:
+    """Every n <= bound whose prime factors all lie in `primes` (ascending),
+    n = 1 included, in preorder: n, then for each larger prime p and e >= 1
+    in turn, n * p^e followed by its own subtree over the primes above p.
+
+    Returns (values, products).  With `weights`, products[i] is the product
+    of weights[p] over the prime factors of values[i] with multiplicity,
+    multiplied along the walk from 1; without, products is empty.  Raises a
+    CapacityError once more than `budget` numbers have been produced.
+
+    The walk is eager and uses an explicit stack.  A node's children n * p
+    with n * p^2 > bound have no children of their own, so they are appended
+    as one run over a slice of `primes`.
+    """
+    values: list[int] = []
+    products: list[float] = []
+    if bound < 1:
+        return values, products
+    stack = [(1, 0, 1.0)]  # (n, next prime index, product), or a run (n, ~first index, product)
+    while stack:
+        n, i, t = stack.pop()
+        if i < 0:
+            run = primes[~i : bisect_right(primes, bound // n, ~i)]
+            values += [n * p for p in run]
+            if weights is not None:
+                products += [t * weights[p] for p in run]
+        else:
+            values.append(n)
+            if weights is not None:
+                products.append(t)
+            squares_end = bisect_right(primes, math.isqrt(bound // n), i)
+            kids = []
+            for j in range(i, squares_end):
+                p = primes[j]
+                w = 1.0 if weights is None else weights[p]
+                m, u = n * p, t * w
+                while True:
+                    kids.append((m, j + 1, u))
+                    if m * p > bound:
+                        break
+                    m, u = m * p, u * w
+            kids.append((n, ~squares_end, t))
+            kids.reverse()
+            stack += kids
+        if len(values) > budget:
+            raise CapacityError("smooth-number work budget exceeded")
+    return values, products
+
+
 def enumerate_squarefree_supported(
     ps: PrimeSubset, bound: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -115,36 +209,7 @@ def enumerate_squarefree_supported(
     if bound < 1:
         raise DomainError(f"need bound >= 1, got {bound}")
     support = ps.primes_in(1, min(bound, ps.base.limit)).tolist()
-    found: list[tuple[int, tuple[int, ...]]] = []
-
-    def rec(i: int, q: int, factors: tuple[int, ...]):
-        found.append((q, factors))
-        for j in range(i, len(support)):
-            p = support[j]
-            if q * p > bound:
-                break
-            rec(j + 1, q * p, factors + (p,))
-
-    rec(0, 1, ())
-    found.sort()
-    return iter(found)
-
-
-def _squarefree_product_sum(support: list[float | int], values: dict, bound: int) -> float:
-    """sum over squarefree supported q <= bound of prod_{p|q} values[p]."""
-    total = 0.0
-
-    def rec(i: int, q: int, term: float):
-        nonlocal total
-        total += term
-        for j in range(i, len(support)):
-            p = support[j]
-            if q * p > bound:
-                break
-            rec(j + 1, q * p, term * values[p])
-
-    rec(0, 1, 1.0)
-    return total
+    return iter(sorted(squarefree_lattice(support, bound, (), lambda f, p: f + (p,))))
 
 
 def restricted_multiplicative_sum(
@@ -153,12 +218,12 @@ def restricted_multiplicative_sum(
     bound: int,
     mode: str = "squarefree",
 ) -> float:
-    """Exact DFS sum restricted to ps-supported integers up to bound.
+    """Exact sum restricted to ps-supported integers up to bound.
 
     mode="squarefree": sum over squarefree supported q of prod_{p|q} f(p)/p.
     mode="complete":   sum over all supported n of f(n)/n, f completely
                        multiplicative.
-    Includes the n = 1 term (equal to 1).
+    Includes the n = 1 term (equal to 1).  Both sums run in lattice preorder.
     """
     if bound < 1:
         raise DomainError(f"need bound >= 1, got {bound}")
@@ -169,28 +234,12 @@ def restricted_multiplicative_sum(
         for p in ps.primes_in(1, min(bound, ps.base.limit)).tolist()
         if spec.at_prime(p) != 0.0
     ]
+    weights = {p: spec.at_prime(p) / p for p in support}
     if mode == "squarefree":
-        weights = {p: spec.at_prime(p) / p for p in support}
-        return _squarefree_product_sum(support, weights, bound)
-
+        return squarefree_weight_sum(support, weights, bound)
     total = 0.0
-
-    def rec(i: int, n: int, term: float):
-        nonlocal total
+    for term in smooth_lattice(support, bound, weights=weights)[1]:
         total += term
-        for j in range(i, len(support)):
-            p = support[j]
-            if n * p > bound:
-                break
-            w = spec.at_prime(p) / p
-            m, t = n * p, term * w
-            while True:
-                rec(j + 1, m, t)
-                if m * p > bound:
-                    break
-                m, t = m * p, t * w
-
-    rec(0, 1, 1.0)
     return total
 
 

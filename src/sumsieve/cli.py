@@ -17,6 +17,7 @@ Set inputs accept comma lists (``1,2,5``), ranges (``lo..hi``) and files
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,9 +26,10 @@ import time
 import numpy as np
 
 from . import checks
-from .errors import DomainError, SumsieveError
+from .errors import CapacityError, DomainError, SumsieveError
 from .primes import (
     ALL,
+    MEMORY_CAP,
     And,
     Interval,
     MinValue,
@@ -83,6 +85,10 @@ from .sumset import (
 )
 
 _SCHEMA = 1
+# keys `--scale` may set: every constant of a profile but its name
+_SCALE_KEYS = tuple(f.name for f in dataclasses.fields(ConstantsProfile) if f.name != "name")
+# a table row costs roughly 100 bytes, the estimate the smooth-number budget uses
+_TABLE_ROW_CAP = MEMORY_CAP // 100
 
 
 def parse_int_set(text: str) -> IntegerSet:
@@ -139,8 +145,12 @@ def _profile_from_args(args) -> ConstantsProfile:
         return STRICT
     overrides = {}
     for text in getattr(args, "scale", []) or []:
-        key, value = text.split("=", 1)
-        overrides[key] = float(value)
+        key, sep, value = text.partition("=")
+        if not sep or key not in _SCALE_KEYS:
+            raise DomainError(
+                f"--scale needs key=value with key in {', '.join(_SCALE_KEYS)}, got {text!r}"
+            )
+        overrides[key] = parse_numbers(value, float, f"--scale {key}", 1)[0]
     return scaled(**overrides)
 
 
@@ -323,6 +333,8 @@ def _cmd_dickman(args) -> int:
                 f"--table needs finite lo,hi,step with step > 0 and hi <= {RHO_U_CAP:g}, "
                 f"got {args.table!r}"
             )
+        if (hi + 1e-12 - lo) / step >= _TABLE_ROW_CAP:
+            raise CapacityError(f"--table {args.table!r} asks for more than {_TABLE_ROW_CAP} rows")
         rows = []
         u = lo
         while u <= hi + 1e-12:

@@ -17,11 +17,17 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import MultiplicativeSpec, restricted_multiplicative_sum
+from .arith import (
+    MultiplicativeSpec,
+    restricted_multiplicative_sum,
+    squarefree_lattice,
+    squarefree_weight_sum,
+)
 from .errors import DegenerateInputError, DivisibilityError, DomainError
 from .primes import PrimeSubset, PrimeTable, density_ratio_c, divisibility_hits
 from .profiles import STRICT, ConstantsProfile
-from .sieves import OccupancyProfile, _squarefree_weight_sum, reduced_residues_mask
+from .sieves import OccupancyProfile, max_progression_deviation
+from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .sumset import IntegerSet
 
 
@@ -179,7 +185,7 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     size_s = len(s)
     star = ctx.ps_star
     q_primes = star.primes_in(1, q_limit).tolist()
-    main_sum = _squarefree_weight_sum(q_primes, lambda p: 1.0 / p, q_limit) - 1.0
+    main_sum = squarefree_weight_sum(q_primes, {p: 1.0 / p for p in q_primes}, q_limit) - 1.0
     main_threshold = ctx.profile.condition_coefficient / ctx.sigma0
 
     d_bound = q_limit**2
@@ -188,22 +194,9 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     disc_sum = 0.0
     if d_primes and math.isfinite(ctx.K):
         weight_base = 3.0 ** (1.0 + math.log(ctx.K) / math.log(3.0))
-
-        def rec(i: int, d: int, r: int):
-            nonlocal disc_sum
+        for d, r in squarefree_lattice(d_primes, d_bound, 0, lambda r, p: r + 1):
             if d > 1:
-                counts = np.bincount(s_arr % d, minlength=d)
-                coprime = reduced_residues_mask(d)
-                phi = int(coprime.sum())
-                dev = float(np.abs(counts[coprime] - size_s / phi).max())
-                disc_sum += weight_base**r * dev
-            for j in range(i, len(d_primes)):
-                p = d_primes[j]
-                if d * p > d_bound:
-                    break
-                rec(j + 1, d * p, r + 1)
-
-        rec(0, 1, 0)
+                disc_sum += weight_base**r * max_progression_deviation(s_arr, d)
     disc_threshold = (
         size_s * ctx.sigma0 / (2.0 * ctx.K) if math.isfinite(ctx.K) else 0.0
     )
@@ -365,7 +358,7 @@ def ostmann_multiplicative_diagnostic(a, x: int, y_limit: float) -> dict:
             weights[p] = (p / 2.0 + eps) / (p / 2.0 - eps)
     root = math.isqrt(x)
     support = sorted(p for p in weights if p <= root)
-    total = _squarefree_weight_sum(support, lambda p: weights[p], root)
+    total = squarefree_weight_sum(support, weights, root)
     bound = 2.0 * x / total if total > 0 else math.inf
     reference = math.sqrt(x) / math.log(math.log(x))
     return {

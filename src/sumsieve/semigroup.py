@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import EULER_GAMMA, gamma_function
+from .arith import EULER_GAMMA, gamma_function, smooth_lattice
 from .errors import CapacityError, DegenerateInputError, DomainError
 from .primes import PrimeSubset
 from .sumset import IntegerSet
@@ -37,24 +37,9 @@ def enumerate_q(ps: PrimeSubset, x: int) -> IntegerSet:
     if x > _ENUM_X_CAP:
         raise CapacityError(f"x = {x} exceeds enumeration cap {_ENUM_X_CAP}")
     support = ps.primes_in(1, min(x, ps.base.limit)).tolist()
-    out = [1]
-
-    def rec(i: int, n: int):
-        for j in range(i, len(support)):
-            p = support[j]
-            m = n * p
-            if m > x:
-                break
-            while True:
-                out.append(m)
-                rec(j + 1, m)
-                if m * p > x:
-                    break
-                m *= p
-
-    rec(0, 1)
-    out.sort()
-    return IntegerSet(out)
+    values = np.asarray(smooth_lattice(support, x)[0], dtype=np.int64)
+    values.sort()
+    return IntegerSet.from_sorted(values)
 
 
 def count_q(ps: PrimeSubset, x: int) -> int:

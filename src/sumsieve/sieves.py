@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from .arith import squarefree_lattice, squarefree_weight_sum
 from .errors import DomainError
 from .primes import (
     PrimeSubset,
@@ -47,6 +48,13 @@ def reduced_residues_mask(d: int) -> np.ndarray:
             _residue_mask_cache.clear()
         _residue_mask_cache[d] = mask
     return mask
+
+
+def max_progression_deviation(values: np.ndarray, d: int) -> float:
+    """max over reduced residues a mod d of |#{v : v = a mod d} - #values/phi(d)|."""
+    counts = np.bincount(values % d, minlength=d)
+    reduced = reduced_residues_mask(d)
+    return float(np.abs(counts[reduced] - values.size / int(reduced.sum())).max())
 
 
 @dataclass(frozen=True)
@@ -214,28 +222,6 @@ def larger_sieve_bound(
     return SieveBoundReport(num / den, den, params, True)
 
 
-def _squarefree_weight_sum(support: Sequence[int], weight, bound: float) -> float:
-    """sum over squarefree q <= bound supported on `support` of prod weight(p).
-
-    Includes the empty product q = 1 (term 1).
-    """
-    total = 0.0
-
-    def rec(i: int, q: int, term: float):
-        nonlocal total
-        total += term
-        for j in range(i, len(support)):
-            p = support[j]
-            if q * p > bound:
-                break
-            w = weight(p)
-            if w != 0.0:
-                rec(j + 1, q * p, term * w)
-
-    rec(0, 1, 1.0)
-    return total
-
-
 def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveBoundReport:
     """Montgomery large-sieve upper bound (x + Q^2) / L.
 
@@ -250,7 +236,9 @@ def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveB
             raise DomainError(f"need 0 <= omega(p) <= p-1 at p={p}, got {w}")
         if w > 0 and p <= q_limit:
             support.append(p)
-    L = _squarefree_weight_sum(support, lambda p: profile.get(p) / (p - profile.get(p)), q_limit)
+    L = squarefree_weight_sum(
+        support, {p: profile.get(p) / (p - profile.get(p)) for p in support}, q_limit
+    )
     bound = (x + q_limit**2) / L
     params = {"x": x, "Q": q_limit, "support": len(support)}
     return SieveBoundReport(bound, L, params, True)
@@ -280,34 +268,23 @@ def selberg_bound(
     shift_arr = shifts.array()
     size_c = len(c_set)
 
-    L = _squarefree_weight_sum(
-        [p for p in plist if omega.get(p) > 0],
-        lambda p: omega.get(p) / (p - omega.get(p)),
-        q_limit,
+    support = [p for p in plist if omega.get(p) > 0]
+    L = squarefree_weight_sum(
+        support, {p: omega.get(p) / (p - omega.get(p)) for p in support}, q_limit
     )
     main = size_c / L
 
-    hit_masks = {}
-    for p in plist:
-        occupied = np.unique(shift_arr % p)
-        hit_masks[p] = np.isin(c_arr % p, occupied)
+    hit_masks = {p: np.isin(c_arr % p, np.unique(shift_arr % p)) for p in plist}
+
+    def step(state, p):
+        mask, density, r = state
+        hits = hit_masks[p] if mask is None else mask & hit_masks[p]
+        return hits, density * omega.get(p) / p, r + 1
 
     remainder = 0.0
-    d_bound = q_limit**2
-
-    def rec(i: int, d: int, mask, density: float, r: int):
-        nonlocal remainder
+    for d, (mask, density, r) in squarefree_lattice(plist, q_limit**2, (None, 1.0, 0), step):
         if d > 1:
-            count = int(mask.sum())
-            remainder += (3**r) * abs(count - size_c * density)
-        for j in range(i, len(plist)):
-            p = plist[j]
-            if d * p > d_bound:
-                break
-            new_mask = hit_masks[p] if mask is None else (mask & hit_masks[p])
-            rec(j + 1, d * p, new_mask, density * omega.get(p) / p, r + 1)
-
-    rec(0, 1, None, 1.0, 0)
+            remainder += (3**r) * abs(int(mask.sum()) - size_c * density)
 
     sifted = sift_count(c_set, shifts, ps)
     params = {
@@ -381,16 +358,6 @@ def inverse_sieve_lower_bound(
 # proposition-level machines
 
 
-def _occupancy_deficit(shift_arr: np.ndarray, plist: list[int], k_target) -> float:
-    """sum over p of (g(p) - nu(p))/p where nu is the occupancy used and
-    g(p) the completely multiplicative comparison value at p."""
-    total = 0.0
-    for p in plist:
-        g, nu = k_target(shift_arr, p)
-        total += (g - nu) / p
-    return total
-
-
 def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
     """Small-k bound driven by the sieve-controls-size denominator.
 
@@ -417,7 +384,8 @@ def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
         "set_size": len(s),
     }
     small = star.primes_in(1, root)
-    denom_sum = _squarefree_weight_sum(small.tolist(), lambda p: 2.0 / p, root) - 1.0
+    small_list = small.tolist()
+    denom_sum = squarefree_weight_sum(small_list, {p: 2.0 / p for p in small_list}, root) - 1.0
     sifted = sift_count(s, shifts, star)
     if small.size == 0 or denom_sum <= 0:
         return SieveBoundReport(
@@ -485,7 +453,7 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
     }
     sifted = sift_count(s, shifts, star)
     q_primes = star.primes_in(1, q_limit).tolist()
-    main_den = _squarefree_weight_sum(q_primes, lambda p: 1.0 / p, q_limit) - 1.0
+    main_den = squarefree_weight_sum(q_primes, {p: 1.0 / p for p in q_primes}, q_limit) - 1.0
     if not q_primes or main_den <= 0:
         return SieveBoundReport(
             math.inf,
@@ -502,22 +470,10 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
     d_primes = star.primes_in(1, d_bound).tolist()
     s_arr = s.array()
     disc = 0.0
-
-    def rec(i: int, d: int, r: int):
-        nonlocal disc
+    for d, r in squarefree_lattice(d_primes, d_bound, 0, lambda r, p: r + 1):
         if d > 1:
-            counts = np.bincount(s_arr % d, minlength=d)
-            reduced = reduced_residues_mask(d)
-            phi = int(reduced.sum())
-            dev = float(np.abs(counts[reduced] - size_s / phi).max())
-            disc += (3.0 * k) ** r * dev  # tau3(d)^(1+log k/log 3) for squarefree d
-        for j in range(i, len(d_primes)):
-            p = d_primes[j]
-            if d * p > d_bound:
-                break
-            rec(j + 1, d * p, r + 1)
-
-    rec(0, 1, 0)
+            # tau3(d)^(1+log k/log 3) for squarefree d
+            disc += (3.0 * k) ** r * max_progression_deviation(s_arr, d)
     bound = main + disc
 
     shift_arr = shifts.array()

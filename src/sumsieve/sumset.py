@@ -35,6 +35,16 @@ class IntegerSet:
         self._lookup = frozenset(elems)
 
     @classmethod
+    def from_sorted(cls, values: np.ndarray) -> "IntegerSet":
+        """Trusted constructor: `values` is already a sorted, deduplicated,
+        non-negative int64 array (np.unique output, say); nothing is checked."""
+        out = cls.__new__(cls)
+        elems = values.tolist()
+        out.elements = tuple(elems)
+        out._lookup = frozenset(elems)
+        return out
+
+    @classmethod
     def coerce(cls, values) -> "IntegerSet":
         return values if isinstance(values, IntegerSet) else cls(values)
 
@@ -84,7 +94,7 @@ def sumset(a, b) -> IntegerSet:
     if len(a) == 0 or len(b) == 0:
         return IntegerSet(())
     sums = np.unique(np.add.outer(a.array(), b.array()).ravel())
-    return IntegerSet(sums.tolist())
+    return IntegerSet.from_sorted(sums)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,9 +15,11 @@ from sumsieve.arith import (
     gamma_function,
     mobius,
     restricted_multiplicative_sum,
+    smooth_lattice,
+    squarefree_lattice,
     tau3,
 )
-from sumsieve.errors import DomainError
+from sumsieve.errors import CapacityError, DomainError
 from sumsieve.primes import Interval, PrimeSubset, all_primes
 
 
@@ -137,6 +140,106 @@ class TestSquarefreeEnumeration:
         ps = PrimeSubset(table_1e6, Interval(10, 100))
         qs = [q for q, _ in enumerate_squarefree_supported(ps, 10**5)]
         assert qs == sorted(set(qs))
+
+
+def supported(n: int, primes) -> bool:
+    """Marking filter: n is supported on `primes` when dividing them out leaves 1."""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def factor_chain_product(n: int, weights) -> float:
+    """prod weights[p] over the prime factors of n with multiplicity, ascending."""
+    t = 1.0
+    for p, e in factorize(n):
+        for _ in range(e):
+            t *= weights[p]
+    return t
+
+
+def random_prime_lists(rng, count):
+    small = [p for p in range(2, 200) if factorize(p) == [(p, 1)]]
+    yield [2, 3, 5, 7]
+    yield [3, 11, 13, 97]
+    for _ in range(count):
+        yield sorted(rng.sample(small, rng.randrange(1, 12)))
+
+
+class TestLatticeEnumerators:
+    def test_squarefree_matches_brute_force_in_preorder(self):
+        rng = random.Random(21)
+        for primes in random_prime_lists(rng, 30):
+            for bound in (1, 2, rng.randrange(1, 300), rng.randrange(300, 5000)):
+                walk = list(squarefree_lattice(primes, bound, (), lambda f, p: f + (p,)))
+                brute = [
+                    d for d in range(1, bound + 1) if mobius(d) != 0 and supported(d, primes)
+                ]
+                assert sorted(d for d, _ in walk) == brute
+                for d, factors in walk:
+                    assert factors == tuple(p for p, _ in factorize(d))
+                tuples = [factors for _, factors in walk]
+                assert tuples == sorted(tuples)  # preorder = lexicographic order
+
+    def test_smooth_matches_marking_filter_in_preorder(self):
+        rng = random.Random(22)
+        for primes in random_prime_lists(rng, 30):
+            for bound in (1, 2, rng.randrange(1, 300), rng.randrange(300, 20000)):
+                values, products = smooth_lattice(primes, bound)
+                assert products == []
+                assert sorted(values) == [n for n in range(1, bound + 1) if supported(n, primes)]
+                factorisations = [tuple(factorize(n)) for n in values]
+                assert factorisations == sorted(factorisations)
+
+    def test_bound_equal_to_a_product(self):
+        primes = [2, 3, 5, 7]
+        step = lambda r, p: r + 1  # noqa: E731
+        assert 210 in dict(squarefree_lattice(primes, 210, 0, step))
+        assert 210 not in dict(squarefree_lattice(primes, 209, 0, step))
+        assert dict(squarefree_lattice(primes, 210, 0, step))[210] == 4
+        assert 2**10 in smooth_lattice(primes, 2**10)[0]
+        assert 2**10 not in smooth_lattice(primes, 2**10 - 1)[0]
+
+    def test_small_bounds_and_empty_prime_list(self):
+        for bound in (0, -3, 0.5):
+            assert list(squarefree_lattice([2, 3], bound, (), lambda f, p: f + (p,))) == []
+            assert smooth_lattice([2, 3], bound, weights={2: 1.0, 3: 1.0}) == ([], [])
+        assert list(squarefree_lattice([], 100, "root", lambda s, p: s)) == [(1, "root")]
+        assert smooth_lattice([], 100, weights={}) == ([1], [1.0])
+        assert list(squarefree_lattice([2, 3], 1, 0, lambda r, p: r + 1)) == [(1, 0)]
+
+    def test_weighted_path_products(self):
+        rng = random.Random(23)
+        for primes in random_prime_lists(rng, 10):
+            weights = {p: rng.uniform(0.01, 3.0) for p in primes}
+            values, products = smooth_lattice(primes, 5000, weights=weights)
+            assert len(products) == len(values)
+            for n, t in zip(values, products):
+                assert t == factor_chain_product(n, weights)  # same chain, same float
+            walk = squarefree_lattice(primes, 5000, 1.0, lambda t, p: t * weights[p])
+            for d, t in walk:
+                assert t == factor_chain_product(d, weights)
+
+    def test_work_budget(self):
+        primes = [2, 3, 5, 7, 11]
+        count = len(smooth_lattice(primes, 10**4)[0])
+        assert len(smooth_lattice(primes, 10**4, budget=count)[0]) == count
+        with pytest.raises(CapacityError, match="smooth-number work budget exceeded"):
+            smooth_lattice(primes, 10**4, budget=count - 1)
+        with pytest.raises(CapacityError):
+            smooth_lattice(list(range(2, 3)), 10**6, budget=0)
+
+    def test_squarefree_walk_is_lazy(self):
+        steps = []
+
+        def step(state, p):
+            steps.append(p)
+            return state
+
+        walk = squarefree_lattice([2, 3, 5, 7, 11, 13], 10**6, None, step)
+        assert [d for d, _ in itertools.islice(walk, 4)] == [1, 2, 6, 30]
+        assert steps == [2, 3, 5]
 
 
 class TestRestrictedSums:

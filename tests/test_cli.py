@@ -121,12 +121,22 @@ class TestCommands:
         ("smooth-count", "--grid", "10,a/2"),
         ("smooth-count", "--grid", "10,20"),
         ("semigroup", "--x", "100", "--limit", "1000", "--csv-xs", "10,z"),
+        *(("check-genthm", "--s", "1,2,3,4", "--x", "100", "--selector", "interval:3,50",
+           "--profile", "scaled", "--scale", scale)
+          for scale in ("bogus=1", "k_coefficient=x", "k_coefficient", "name=foo")),
     ])
     def test_malformed_numbers_are_error_objects(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
         assert code == 1
         assert set(doc) == {"schema", "command", "error"}
         assert doc["error"]["type"] == "DomainError"
+
+    def test_dickman_table_row_count_is_capped(self, capsys):
+        # 5e11 rows: used to run without end
+        code, doc = run_json(capsys, "dickman", "--table", "0,500,1e-9")
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"]["type"] == "CapacityError"
 
     def test_dickman_table_up_to_the_cap(self, capsys):
         code, doc = run_json(capsys, "dickman", "--table", "499,500,0.5")
