@@ -47,7 +47,6 @@ from .sumset import (
 )
 from .sieves import (
     OccupancyProfile,
-    ShiftSet,
     SieveBoundReport,
     inverse_sieve_lower_bound,
     large_sieve_bound,

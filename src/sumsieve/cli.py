@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -58,7 +59,7 @@ from .semigroup import (
     wirsing_estimate,
 )
 from .sieves import (
-    ShiftSet,
+    coerce_shifts,
     inverse_sieve_lower_bound,
     large_sieve_bound,
     larger_sieve_bound,
@@ -89,15 +90,19 @@ _SCHEMA = 1
 _SCALE_KEYS = tuple(f.name for f in dataclasses.fields(ConstantsProfile) if f.name != "name")
 # a table row costs roughly 100 bytes, the estimate the smooth-number budget uses
 _TABLE_ROW_CAP = MEMORY_CAP // 100
+# an integer set holds 8 bytes per value
+_SET_VALUE_CAP = MEMORY_CAP // 8
 
 
 def parse_int_set(text: str) -> IntegerSet:
-    """Comma list, lo..hi range, or @file with one integer per line."""
+    """Comma list, lo..hi range, or @file with one integer per line; at most
+    _SET_VALUE_CAP values, counted before they are built."""
     text = text.strip()
     try:
         if text.startswith("@"):
             with open(text[1:], "r", encoding="utf-8") as handle:
-                values = [int(line) for line in handle if line.strip()]
+                lines = itertools.islice(filter(str.strip, handle), _SET_VALUE_CAP + 1)
+                values = [int(line) for line in lines]
         elif ".." in text:
             lo, hi = text.split("..", 1)
             values = range(int(lo), int(hi) + 1)
@@ -107,6 +112,8 @@ def parse_int_set(text: str) -> IntegerSet:
         raise DomainError(f"cannot read integer set {text!r}: {exc.strerror}") from None
     except ValueError as exc:
         raise DomainError(f"cannot parse integer set {text!r}: {exc}") from None
+    if len(values) > _SET_VALUE_CAP:
+        raise CapacityError(f"integer set {text[:40]!r} has more than {_SET_VALUE_CAP} values")
     return IntegerSet(values)
 
 
@@ -248,12 +255,12 @@ def _cmd_sieve_bound(args) -> int:
     limit = args.limit
     ps = _subset(args, limit)
     s = parse_int_set(args.set)
-    shifts = ShiftSet.coerce(parse_int_set(args.shifts).elements) if args.shifts else None
+    shifts = coerce_shifts(parse_int_set(args.shifts)) if args.shifts else None
     params = {
         "kind": args.kind,
         "set_size": len(s),
         "selector": args.selector,
-        "shifts": list(shifts.values) if shifts else None,
+        "shifts": list(shifts) if shifts else None,
         "N": args.n_limit,
         "x": args.x,
         "Q": args.q,
@@ -269,7 +276,7 @@ def _cmd_sieve_bound(args) -> int:
     elif args.kind == "selberg":
         if shifts is None:
             raise SumsieveError("selberg needs --shifts")
-        omega = occupancy(IntegerSet(shifts.values), ps)
+        omega = occupancy(shifts, ps)
         report = selberg_bound(s, ps, shifts, omega, args.q or 10)
     elif args.kind == "middlek":
         if shifts is None or args.x is None or args.y1 is None or args.y2 is None:
@@ -358,7 +365,7 @@ def _cmd_tuple_count(args) -> int:
         "heuristic_u_power": report.heuristic_u_power,
         "heuristic_u_super": report.heuristic_u_super,
     }
-    params = {"x": args.x, "y": args.y, "shifts": list(shifts.elements)}
+    params = {"x": args.x, "y": args.y, "shifts": list(shifts)}
     return _emit(args, "tuple-count", params, result)
 
 
@@ -430,7 +437,7 @@ def _cmd_sumset(args) -> int:
         args,
         "sumset",
         {"a_size": len(a), "b_size": len(b)},
-        {"size": len(out), "elements": list(out.elements) if len(out) <= args.max_list else None},
+        {"size": len(out), "elements": list(out) if len(out) <= args.max_list else None},
     )
 
 
@@ -467,13 +474,13 @@ def _cmd_decompose(args) -> int:
         )
     result = {
         "decomposable": res.decomposable,
-        "witness": [list(w.elements) for w in res.witness] if res.witness else None,
+        "witness": [list(w) for w in res.witness] if res.witness else None,
         "nodes_explored": res.nodes_explored,
         "normalized": res.normalized,
     }
     if res.all_witnesses is not None:
         result["all_witnesses"] = [
-            [list(a.elements), list(b.elements)] for a, b in res.all_witnesses
+            [list(a), list(b)] for a, b in res.all_witnesses
         ]
     params = {"set_size": len(s), "min_part": args.min_part, "relative": args.s0 is not None}
     return _emit(args, "decompose", params, result)

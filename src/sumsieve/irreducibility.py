@@ -90,7 +90,7 @@ def build_context(
         raise DomainError("S0 must be a subset of S")
     if s.min < 1 or s.max > x:
         raise DomainError(f"S must lie in [1, {x}]")
-    hits = divisibility_hits(s.elements, ps)
+    hits = divisibility_hits(s.array(), ps)
     if hits:
         raise DivisibilityError(hits)
 

@@ -37,9 +37,7 @@ def enumerate_q(ps: PrimeSubset, x: int) -> IntegerSet:
     if x > _ENUM_X_CAP:
         raise CapacityError(f"x = {x} exceeds enumeration cap {_ENUM_X_CAP}")
     support = ps.primes_in(1, min(x, ps.base.limit)).tolist()
-    values = np.asarray(smooth_lattice(support, x)[0], dtype=np.int64)
-    values.sort()
-    return IntegerSet.from_sorted(values)
+    return IntegerSet(smooth_lattice(support, x)[0])
 
 
 def count_q(ps: PrimeSubset, x: int) -> int:

@@ -63,6 +63,8 @@ class OccupancyProfile:
 
     entries: dict
     variant: str = "all"  # or "nonzero"
+    # (min, max) of the profiled set; None for a hand-built profile
+    span: Optional[tuple[int, int]] = None
 
     def get(self, p: int, default: float = 0.0) -> float:
         return self.entries.get(p, default)
@@ -71,32 +73,12 @@ class OccupancyProfile:
         return sorted(self.entries)
 
 
-@dataclass(frozen=True)
-class ShiftSet:
-    """Distinct non-negative shift values a_1 < ... < a_k."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 1:
-            raise DomainError("need at least one shift")
-        if list(self.values) != sorted(set(self.values)):
-            raise DomainError("shifts must be distinct and increasing")
-        if self.values[0] < 0:
-            raise DomainError("shifts must be non-negative")
-
-    @classmethod
-    def coerce(cls, values) -> "ShiftSet":
-        if isinstance(values, ShiftSet):
-            return values
-        return cls(tuple(sorted(set(int(v) for v in values))))
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.int64)
+def coerce_shifts(values) -> IntegerSet:
+    """The shifts a_1 < ... < a_k as an IntegerSet; k >= 1."""
+    shifts = IntegerSet.coerce(values)
+    if len(shifts) == 0:
+        raise DomainError("need at least one shift")
+    return shifts
 
 
 @dataclass
@@ -149,7 +131,7 @@ def occupancy(a, ps: PrimeSubset, variant: str = "all") -> OccupancyProfile:
         if variant == "nonzero" and residues.size and residues[0] == 0:
             count -= 1
         entries[p] = count
-    return OccupancyProfile(entries, variant)
+    return OccupancyProfile(entries, variant, (a.min, a.max))
 
 
 def sift_count(s, shifts, ps: PrimeSubset) -> int:
@@ -161,7 +143,7 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
     over the survivors.
     """
     s = IntegerSet.coerce(s)
-    shifts = ShiftSet.coerce(shifts)
+    shifts = coerce_shifts(shifts)
     arr = s.array()
     if arr.size == 0:
         return 0
@@ -197,10 +179,15 @@ def larger_sieve_bound(
 
     bound = (sum log p - log N) / (sum log p / nu(p) - log N), valid while
     the denominator is positive.  nu(p) = 0 for some p means the set is
-    empty mod p; reported as invalid with bound 0 rather than raised.
+    empty mod p; reported as invalid with bound 0 rather than raised.  When
+    the profile knows its set's range (``occupancy`` records it), A inside
+    [1, N] is a hypothesis of the report, and the bound is not valid without it.
     """
     plist = ps.primes().tolist()
     params = {"N": n_limit, "ps": ps.describe(), "primes": len(plist)}
+    hyps = {}
+    if profile.span is not None:
+        hyps["set_within_1_to_N"] = 1 <= profile.span[0] and profile.span[1] <= n_limit
     log_n = math.log(n_limit)
     num = -log_n
     den = -log_n
@@ -210,16 +197,21 @@ def larger_sieve_bound(
         nu = profile.get(p)
         if nu <= 0:
             return SieveBoundReport(
-                0.0, 0.0, params, False, f"occupancy 0 at p={p}: sifted set empty"
+                0.0, 0.0, params, False, f"occupancy 0 at p={p}: sifted set empty",
+                hypotheses=hyps,
             )
         lp = math.log(p)
         num += lp
         den += lp / nu
     if den <= 0:
         return SieveBoundReport(
-            math.inf, den, params, False, "denominator not positive"
+            math.inf, den, params, False, "denominator not positive", hypotheses=hyps
         )
-    return SieveBoundReport(num / den, den, params, True)
+    if not all(hyps.values()):
+        return SieveBoundReport(
+            num / den, den, params, False, "the set does not lie in [1, N]", hypotheses=hyps
+        )
+    return SieveBoundReport(num / den, den, params, True, hypotheses=hyps)
 
 
 def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveBoundReport:
@@ -256,7 +248,7 @@ def selberg_bound(
     Sound for any 0 <= omega(p) < p, so the report is always valid.
     """
     c_set = IntegerSet.coerce(c_set)
-    shifts = ShiftSet.coerce(shifts)
+    shifts = coerce_shifts(shifts)
     if len(c_set) == 0:
         raise DomainError("C must be non-empty")
     plist = ps.primes().tolist()
@@ -290,7 +282,7 @@ def selberg_bound(
     params = {
         "Q": q_limit,
         "ps": ps.describe(),
-        "k": shifts.k,
+        "k": len(shifts),
         "set_size": size_c,
         "primes": len(plist),
     }
@@ -367,11 +359,11 @@ def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
     exp(-1/2) budget; both hold automatically under the strict constants.
     """
     s = IntegerSet.coerce(s)
-    shifts = ShiftSet.coerce(shifts)
-    k = shifts.k
+    shifts = coerce_shifts(shifts)
+    k = len(shifts)
     if not (2 <= k <= ctx.K):
         raise DomainError(f"need 2 <= k <= K = {ctx.K:.6g}, got k = {k}")
-    if shifts.values[-1] > ctx.x:
+    if shifts.max > ctx.x:
         raise DomainError(f"shifts must lie in [0, x = {ctx.x}]")
     star = ctx.ps_star
     x = ctx.x
@@ -430,14 +422,14 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
     Requires that no element of S is divisible by a P0* prime.
     """
     s = IntegerSet.coerce(s)
-    shifts = ShiftSet.coerce(shifts)
-    k = shifts.k
+    shifts = coerce_shifts(shifts)
+    k = len(shifts)
     if not (2 <= k <= ctx.K):
         raise DomainError(f"need 2 <= k <= K = {ctx.K:.6g}, got k = {k}")
-    if shifts.values[-1] > ctx.x:
+    if shifts.max > ctx.x:
         raise DomainError(f"shifts must lie in [0, x = {ctx.x}]")
     star = ctx.ps_star
-    hits = divisibility_hits(s.elements, star)
+    hits = divisibility_hits(s.array(), star)
     if hits:
         raise DomainError(
             f"S contains elements divisible by P0* primes, e.g. {hits[:3]}"
@@ -523,14 +515,14 @@ def middlek_bound(
     M = max(1/k^2, 4 (w log x)^2 / theta_i^2) in place of 1/k0^2.
     """
     s = IntegerSet.coerce(s)
-    shifts = ShiftSet.coerce(shifts)
-    k = shifts.k
+    shifts = coerce_shifts(shifts)
+    k = len(shifts)
     if not (y1 < y2 / 2 < y2 < math.sqrt(x) / y1):
         raise DomainError(
             f"window ordering violated: need y1 < y2/2 < y2 < sqrt(x)/y1, "
             f"got y1={y1}, y2={y2}, sqrt(x)/y1={math.sqrt(x) / y1:.6g}"
         )
-    if shifts.values[-1] > x:
+    if shifts.max > x:
         raise DomainError(f"shifts must lie in [0, x = {x}]")
     log_x = math.log(x)
     w_coeff = profile.window_coefficient

@@ -22,9 +22,8 @@ import numpy as np
 from .arith import smooth_lattice, squarefree_lattice
 from .errors import CapacityError, DomainError
 from .primes import MEMORY_CAP, PrimeSubset, PrimeTable
-from .sieves import max_progression_deviation
+from .sieves import coerce_shifts, max_progression_deviation
 from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
-from .sumset import IntegerSet
 
 _X_CAP = 10**9
 _TUPLE_X_CAP = 10**8
@@ -294,9 +293,7 @@ def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
     The report carries the standard comparators x rho(u)^k, x / u^k and
     x / u^(u + k - 1) for context.
     """
-    shifts = IntegerSet.coerce(shifts)
-    if len(shifts) == 0:
-        raise DomainError("need at least one shift")
+    shifts = coerce_shifts(shifts)
     if x > _TUPLE_X_CAP:
         raise CapacityError(f"x = {x} exceeds tuple-count cap {_TUPLE_X_CAP}")
     if x < 1:

@@ -6,7 +6,10 @@ at least min_part.  After translating min(s) to 0, any witness can be
 normalised so 0 lies in both parts; then A and B are subsets of s, and for a
 fixed A the maximal candidate B is the intersection of the translates s - a.
 Searching A in ascending element order with that maximal B is therefore
-complete.
+complete.  The sandwich variant s0 <= A + B <= s runs the same search once
+for each candidate min(B) in s up to min(s0).
+
+Every set is an ``IntegerSet``: one read-only, sorted, deduplicated int64 array.
 """
 
 from __future__ import annotations
@@ -20,71 +23,85 @@ from .errors import CapacityError, DomainError
 
 _SET_SIZE_CAP = 10_000
 _DEFAULT_NODE_CAP = 1_000_000
+# every element is an int64: values lie in [0, 2^63)
+_VALUE_END = 1 << 63
 
 
 class IntegerSet:
-    """Strictly increasing tuple of non-negative integers."""
+    """Finite set of integers in [0, 2^63), stored as one read-only, sorted,
+    deduplicated int64 array; everything else is derived from that array."""
 
-    __slots__ = ("elements", "_lookup")
+    __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[int]):
-        elems = sorted(set(int(v) for v in values))
-        if elems and elems[0] < 0:
-            raise DomainError(f"negative element {elems[0]}")
-        self.elements: tuple[int, ...] = tuple(elems)
-        self._lookup = frozenset(elems)
-
-    @classmethod
-    def from_sorted(cls, values: np.ndarray) -> "IntegerSet":
-        """Trusted constructor: `values` is already a sorted, deduplicated,
-        non-negative int64 array (np.unique output, say); nothing is checked."""
-        out = cls.__new__(cls)
-        elems = values.tolist()
-        out.elements = tuple(elems)
-        out._lookup = frozenset(elems)
-        return out
+        if not isinstance(values, (np.ndarray, list, tuple)):
+            values = list(values)
+        try:
+            arr = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("integer set elements must lie in [0, 2^63)") from None
+        if arr.ndim != 1:
+            raise DomainError("an integer set needs a flat sequence of integers")
+        arr.sort()
+        if arr.size and arr[0] < 0:
+            raise DomainError(f"negative element {arr[0]}")
+        repeat = arr[1:] == arr[:-1]
+        if repeat.any():
+            arr = arr[np.concatenate(([True], ~repeat))]
+        arr.flags.writeable = False
+        self._values = arr
 
     @classmethod
     def coerce(cls, values) -> "IntegerSet":
         return values if isinstance(values, IntegerSet) else cls(values)
 
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self._values.tolist())
+
     def __len__(self):
-        return len(self.elements)
+        return self._values.size
 
     def __iter__(self):
-        return iter(self.elements)
+        return iter(self._values.tolist())
 
     def __contains__(self, v):
-        return v in self._lookup
+        i = int(np.searchsorted(self._values, v))
+        return i < self._values.size and self._values[i] == v
 
     def __eq__(self, other):
-        return isinstance(other, IntegerSet) and self.elements == other.elements
+        return isinstance(other, IntegerSet) and np.array_equal(self._values, other._values)
 
     def __hash__(self):
-        return hash(self.elements)
+        return hash(self._values.tobytes())
 
     def __repr__(self):
-        if len(self.elements) <= 8:
-            return f"IntegerSet({list(self.elements)})"
-        head = ", ".join(str(v) for v in self.elements[:4])
-        return f"IntegerSet([{head}, ...; n={len(self.elements)}])"
+        if len(self) <= 8:
+            return f"IntegerSet({self._values.tolist()})"
+        head = ", ".join(str(v) for v in self._values[:4].tolist())
+        return f"IntegerSet([{head}, ...; n={len(self)}])"
 
     @property
     def min(self) -> int:
-        return self.elements[0]
+        return int(self._values[0])
 
     @property
     def max(self) -> int:
-        return self.elements[-1]
+        return int(self._values[-1])
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.elements, dtype=np.int64)
+        """The elements as a read-only int64 array (the stored one, not a copy)."""
+        return self._values
 
     def translate(self, offset: int) -> "IntegerSet":
-        return IntegerSet(v + offset for v in self.elements)
+        return IntegerSet([v + offset for v in self])
 
     def issubset(self, other: "IntegerSet") -> bool:
-        return self._lookup <= other._lookup
+        # both ascend, so the last position is the largest
+        pos = np.searchsorted(other._values, self._values)
+        return not pos.size or bool(
+            pos[-1] < other._values.size and (other._values[pos] == self._values).all()
+        )
 
 
 def sumset(a, b) -> IntegerSet:
@@ -93,8 +110,9 @@ def sumset(a, b) -> IntegerSet:
     b = IntegerSet.coerce(b)
     if len(a) == 0 or len(b) == 0:
         return IntegerSet(())
-    sums = np.unique(np.add.outer(a.array(), b.array()).ravel())
-    return IntegerSet.from_sorted(sums)
+    if a.max + b.max >= _VALUE_END:
+        raise DomainError(f"sum {a.max} + {b.max} does not fit below 2^63")
+    return IntegerSet(np.add.outer(a.array(), b.array()).ravel())
 
 
 @dataclass(frozen=True)
@@ -124,35 +142,90 @@ class DecompositionResult:
     all_witnesses: Optional[tuple] = None  # populated only when requested
 
 
-def _coverage_feasible(target, a_sofar, b_set, future):
-    """Every target element must be reachable from current A or future
-    candidates with some b in the current (maximal) B candidate."""
-    for u in target:
-        hit = False
-        for a in a_sofar:
-            if a > u:
-                break
-            if u - a in b_set:
-                hit = True
-                break
-        if not hit:
-            for a in future:
-                if a > u:
+def _search(s, target, anchors, min_part, max_nodes, collected=None, max_witnesses=0):
+    """Depth-first search for A + B with target <= A + B <= s and #A, #B >= min_part.
+
+    For each anchor (min B, ascending) the search works in coordinates
+    relative to it: the offsets t are the elements of s from the anchor on,
+    A starts as {0} and grows by offsets in ascending order, and B is the
+    maximal partner {b in t : a + b in t for every a in A}.  A child is
+    pruned unless every target element u is a + b with b in B and a in A or
+    a later offset.  Returns ((A, B + anchor), nodes) for the first witness or
+    (None, nodes).  With a `collected` list every witness is appended (up to
+    max_witnesses of them) and the search runs on to the end.
+    """
+    nodes = 0
+
+    def rec(a_sofar, b_cand, covered, start_idx):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapacityError(
+                f"decomposition search exceeded {max_nodes} nodes",
+                nodes_explored=nodes,
+            )
+        if covered and len(a_sofar) >= min_part:
+            if collected is None:
+                return a_sofar, b_cand
+            if len(collected) < max_witnesses:
+                collected.append((a_sofar, [b + anchor for b in b_cand]))
+        for idx in range(start_idx, len(t)):
+            a = t[idx]
+            b_new = [b for b in b_cand if (a + b) in t_set]
+            if len(b_new) < min_part:
+                continue
+            b_set = set(b_new)
+            a_new = a_sofar + [a]
+            # child_covered: every u is reached from A + a; feasible: from
+            # A + a or a later offset.  Offsets ascend, so the scans stop past u.
+            child_covered = feasible = True
+            for u in goal:
+                hit = False
+                for x in a_new:
+                    if x > u:
+                        break
+                    if u - x in b_set:
+                        hit = True
+                        break
+                if hit:
+                    continue
+                child_covered = False
+                for x in t[idx + 1 :]:
+                    if x > u:
+                        break
+                    if u - x in b_set:
+                        hit = True
+                        break
+                if not hit:
+                    feasible = False
                     break
-                if u - a in b_set:
-                    hit = True
-                    break
-            if not hit:
-                return False
-    return True
+            if not feasible:
+                continue
+            found = rec(a_new, b_new, child_covered, idx + 1)
+            if found is not None:
+                return found
+        return None
+
+    elements = s.elements
+    for anchor in anchors:
+        # rec reads these three for the current anchor
+        t = [v - anchor for v in elements if v >= anchor]
+        t_set = set(t)
+        goal = [u - anchor for u in target]
+        found = rec([0], t, False, 1)
+        if found is not None:
+            a_part, b_part = found
+            return (IntegerSet(a_part), IntegerSet([b + anchor for b in b_part])), nodes
+    return None, nodes
 
 
-def _covers(target_size, target_set, a_sofar, b_cand) -> bool:
-    covered = set()
-    for a in a_sofar:
-        for b in b_cand:
-            covered.add(a + b)
-    return len(covered) == target_size  # A+B is a subset of target by construction
+def _check_search_input(s, min_part):
+    if min_part < 2:
+        raise DomainError(f"need min_part >= 2, got {min_part}")
+    if len(s) > _SET_SIZE_CAP:
+        raise CapacityError(
+            f"set size {len(s)} exceeds search cap {_SET_SIZE_CAP}", nodes_explored=0
+        )
 
 
 def decompose_binary(
@@ -171,62 +244,16 @@ def decompose_binary(
     together with its maximal partner B (exponential; capped).
     """
     s = IntegerSet.coerce(s)
-    if min_part < 2:
-        raise DomainError(f"need min_part >= 2, got {min_part}")
     if len(s) < 2:
         raise DomainError(f"need at least 2 elements, got {len(s)}")
-    if len(s) > _SET_SIZE_CAP:
-        raise CapacityError(
-            f"set size {len(s)} exceeds search cap {_SET_SIZE_CAP}", nodes_explored=0
-        )
-    offset = s.min
-    t = tuple(v - offset for v in s.elements)
-    t_set = frozenset(t)
-    n = len(t)
-    nodes = 0
-    collected = []
-
-    def rec(a_sofar, b_cand, start_idx):
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise CapacityError(
-                f"decomposition search exceeded {max_nodes} nodes",
-                nodes_explored=nodes,
-            )
-        if (
-            len(a_sofar) >= min_part
-            and len(b_cand) >= min_part
-            and _covers(n, t_set, a_sofar, b_cand)
-        ):
-            if not all_witnesses:
-                return a_sofar, b_cand
-            if len(collected) < max_witnesses:
-                collected.append((list(a_sofar), list(b_cand)))
-        for idx in range(start_idx, n):
-            a = t[idx]
-            b_new = [b for b in b_cand if (a + b) in t_set]
-            if len(b_new) < min_part:
-                continue
-            future = t[idx + 1 :]
-            if not _coverage_feasible(t, a_sofar + [a], set(b_new), future):
-                continue
-            hit = rec(a_sofar + [a], b_new, idx + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    found = rec([0], list(t), 1)
-    if all_witnesses and collected:
-        witnesses = tuple(
-            (IntegerSet(a), IntegerSet(b + offset for b in bs))
-            for a, bs in collected
-        )
+    _check_search_input(s, min_part)
+    collected = [] if all_witnesses else None
+    witness, nodes = _search(s, s, [s.min], min_part, max_nodes, collected, max_witnesses)
+    if collected:
+        witnesses = tuple((IntegerSet(a), IntegerSet(b)) for a, b in collected)
         return DecompositionResult(True, witnesses[0], nodes, True, witnesses)
-    if found is None:
-        return DecompositionResult(False, None, nodes, offset != 0)
-    a_part, b_part = found
-    witness = (IntegerSet(a_part), IntegerSet(b + offset for b in b_part))
+    if witness is None:
+        return DecompositionResult(False, None, nodes, s.min != 0)
     return DecompositionResult(True, witness, nodes, True)
 
 
@@ -236,9 +263,8 @@ def decompose_binary_relative(
     """Decide whether some A + B sandwiches: s0 subset of A+B subset of s.
 
     This is the finitised inclusion variant: coverage is required only on s0
-    while every sum must stay inside s.  Anchors min(B) over the elements of
-    s not exceeding min(s0); within an anchor the search mirrors
-    ``decompose_binary``.
+    while every sum must stay inside s.  The search is ``decompose_binary``'s,
+    anchored in turn at each element of s not exceeding min(s0).
     """
     s0 = IntegerSet.coerce(s0)
     s = IntegerSet.coerce(s)
@@ -246,61 +272,10 @@ def decompose_binary_relative(
         raise DomainError("s0 must be non-empty")
     if not s0.issubset(s):
         raise DomainError("s0 must be a subset of s")
-    if min_part < 2:
-        raise DomainError(f"need min_part >= 2, got {min_part}")
-    if len(s) > _SET_SIZE_CAP:
-        raise CapacityError(
-            f"set size {len(s)} exceeds search cap {_SET_SIZE_CAP}", nodes_explored=0
-        )
-    s_set = s._lookup
-    s0_elems = s0.elements
-    nodes = 0
-
-    def rec(anchor, offsets, a_sofar, b_cand, start_idx):
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise CapacityError(
-                f"decomposition search exceeded {max_nodes} nodes",
-                nodes_explored=nodes,
-            )
-        if len(a_sofar) >= min_part and len(b_cand) >= min_part:
-            b_set = set(b_cand)
-            if all(any(u - a in b_set for a in a_sofar) for u in s0_elems):
-                return a_sofar, b_cand
-        for idx in range(start_idx, len(offsets)):
-            a = offsets[idx]
-            b_new = [b for b in b_cand if (a + b) in s_set]
-            if len(b_new) < min_part:
-                continue
-            future = offsets[idx + 1 :]
-            b_new_set = set(b_new)
-            feasible = True
-            for u in s0_elems:
-                if any(u - x in b_new_set for x in a_sofar + [a]):
-                    continue
-                if not any(u - x in b_new_set for x in future if x <= u):
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            hit = rec(anchor, offsets, a_sofar + [a], b_new, idx + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    for anchor in s.elements:
-        if anchor > s0.min:
-            break
-        offsets = tuple(v - anchor for v in s.elements if v >= anchor)
-        b0 = [b for b in s.elements if b >= anchor]
-        found = rec(anchor, offsets, [0], b0, 1)
-        if found is not None:
-            a_part, b_part = found
-            return DecompositionResult(
-                True, (IntegerSet(a_part), IntegerSet(b_part)), nodes, True
-            )
-    return DecompositionResult(False, None, nodes, True)
+    _check_search_input(s, min_part)
+    anchors = [v for v in s if v <= s0.min]
+    witness, nodes = _search(s, s0, anchors, min_part, max_nodes)
+    return DecompositionResult(witness is not None, witness, nodes, True)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from sumsieve.profiles import STRICT, scaled
 from sumsieve.semigroup import enumerate_q, estimate_tau
 from sumsieve.sieves import (
     OccupancyProfile,
-    ShiftSet,
     inverse_sieve_lower_bound,
     large_sieve_bound,
     larger_sieve_bound,
@@ -121,7 +120,7 @@ def _selberg_batch(table, rng, n_instances):
         start = rng.randrange(1, 4000)
         c_set = IntegerSet(range(start, start + size))
         k = rng.randrange(1, 5)
-        shifts = ShiftSet.coerce(rng.sample(range(0, start + size), k))
+        shifts = IntegerSet(rng.sample(range(0, start + size), k))
         lo = rng.randrange(5, 80)
         ps = PrimeSubset(table, Interval(lo, lo + rng.randrange(20, 150)))
         plist = ps.primes().tolist()
@@ -165,7 +164,7 @@ def _scaled_small_k_instance(table, rng, k, x_choices=(10**4, 2 * 10**4)):
         c_floor_exponent=0.3,
     )
     ctx = build_context(s, s, p0, x, profile)
-    shifts = ShiftSet.coerce(rng.sample(range(0, x), k))
+    shifts = IntegerSet(rng.sample(range(0, x), k))
     return ctx, s, shifts
 
 
@@ -223,7 +222,7 @@ def _middlek_batch(table_small, rng, n_instances):
         y2 = rng.uniform(2.2 * y1, 0.95 * math.sqrt(x) / y1)
         ps = PrimeSubset(table_small, Interval(y1 / 2, y2))
         s = IntegerSet(sorted(rng.sample(range(1, x), rng.randrange(4000, 12000))))
-        shifts = ShiftSet.coerce(rng.sample(range(0, x), k))
+        shifts = IntegerSet(rng.sample(range(0, x), k))
         rep = middlek_bound(
             s, shifts, ps, x, y1, y2, profile=scaled(window_coefficient=w_coeff)
         )

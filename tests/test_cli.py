@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sumsieve import cli
 from sumsieve.cli import main, parse_int_set, parse_selector
 from sumsieve.primes import And, Interval, MinValue, ResidueClass
 
@@ -124,12 +125,46 @@ class TestCommands:
         *(("check-genthm", "--s", "1,2,3,4", "--x", "100", "--selector", "interval:3,50",
            "--profile", "scaled", "--scale", scale)
           for scale in ("bogus=1", "k_coefficient=x", "k_coefficient", "name=foo")),
+        # values and sums outside int64: an OverflowError traceback, or a
+        # wrapped negative element
+        ("sumset", "--a", "0,100000000000000000000", "--b", "0,1"),
+        ("ruzsa", "--a", "0,1", "--b", "0,1", "--c", "0,100000000000000000000"),
+        ("sumset", "--a", "0,5000000000000000000", "--b", "0,5000000000000000000"),
+        ("decompose", "--set", "0,9223372036854775808"),
     ])
     def test_malformed_numbers_are_error_objects(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
         assert code == 1
         assert set(doc) == {"schema", "command", "error"}
         assert doc["error"]["type"] == "DomainError"
+
+    def test_set_value_count_is_capped(self, capsys, monkeypatch, tmp_path):
+        # 10^12 values: used to grow until memory ran out
+        code, doc = run_json(capsys, "sumset", "--a", "0..1000000000000", "--b", "0,1")
+        assert code == 1
+        assert doc["error"]["type"] == "CapacityError"
+        monkeypatch.setattr(cli, "_SET_VALUE_CAP", 5)
+        # reading stops at the sixth value, before the malformed last line
+        path = tmp_path / "six.txt"
+        path.write_text("\n".join(map(str, range(6))) + "\nnot-a-number\n")
+        for text in ("0..5", "0,1,2,3,4,5", f"@{path}"):
+            code, doc = run_json(capsys, "sumset", "--a", text, "--b", "0,1")
+            assert code == 1
+            assert set(doc) == {"schema", "command", "error"}
+            assert doc["error"]["type"] == "CapacityError"
+        code, doc = run_json(capsys, "sumset", "--a", "0..4", "--b", "0,1")
+        assert code == 0 and doc["result"]["size"] == 6
+
+    def test_larger_sieve_needs_the_set_in_1_to_n(self, capsys):
+        # |A| = 361 in [2, 362] with N = 11: was reported valid with bound 34.7
+        code, doc = run_json(
+            capsys,
+            "sieve-bound", "--kind", "larger", "--set", "2..362", "--n-limit", "11",
+            "--selector", "interval:2,2000", "--limit", "10000",
+        )
+        assert code == 2
+        assert doc["result"]["valid"] is False
+        assert doc["result"]["hypotheses"] == {"set_within_1_to_N": False}
 
     def test_dickman_table_row_count_is_capped(self, capsys):
         # 5e11 rows: used to run without end

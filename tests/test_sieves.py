@@ -21,7 +21,6 @@ from sumsieve.profiles import STRICT, scaled
 from sumsieve.semigroup import enumerate_q
 from sumsieve.sieves import (
     OccupancyProfile,
-    ShiftSet,
     inverse_sieve_lower_bound,
     large_sieve_bound,
     larger_sieve_bound,
@@ -38,7 +37,7 @@ from sumsieve.sumset import IntegerSet
 def sift_count_elementwise(s, shifts, ps) -> int:
     """Independent oracle: per-element loop, primes innermost."""
     plist = ps.primes().tolist()
-    shift_list = list(getattr(shifts, "values", shifts))
+    shift_list = list(shifts)
     count = 0
     for v in s:
         ok = True
@@ -86,33 +85,33 @@ class TestSiftCount:
         cases = []
         for _ in range(25):
             s = IntegerSet(rng.sample(range(1, 3000), rng.randrange(50, 300)))
-            shifts = ShiftSet.coerce(rng.sample(range(0, 3000), rng.randrange(1, 5)))
+            shifts = IntegerSet(rng.sample(range(0, 3000), rng.randrange(1, 5)))
             lo = rng.randrange(2, 40)
             ps = PrimeSubset(table_1e4, Interval(lo, lo + rng.randrange(10, 200)))
             cases.append((s, shifts, ps))
         s = IntegerSet(rng.sample(range(1, 3000), 200))
         cases += [
             # shifts equal to elements
-            (s, ShiftSet.coerce(list(s)[::40]), PrimeSubset(table_1e4, Interval(2, 60))),
-            (s, ShiftSet.coerce(list(s)[:3]), PrimeSubset(table_1e4, Interval(0, 1))),
+            (s, IntegerSet(list(s)[::40]), PrimeSubset(table_1e4, Interval(2, 60))),
+            (s, IntegerSet(list(s)[:3]), PrimeSubset(table_1e4, Interval(0, 1))),
             # primes beyond every element and shift
-            (s, ShiftSet.coerce([5, 17, list(s)[7]]), PrimeSubset(table_1e4, MinValue(3001))),
+            (s, IntegerSet([5, 17, list(s)[7]]), PrimeSubset(table_1e4, MinValue(3001))),
             # more than 8 distinct residues per prime
-            (s, ShiftSet.coerce(rng.sample(range(0, 3000), 12)),
+            (s, IntegerSet(rng.sample(range(0, 3000), 12)),
              PrimeSubset(table_1e4, Interval(10, 400))),
             # 0, 1 and prime powers, as elements and as differences
             (IntegerSet([0, 1, 2, 4, 8, 9, 27, 25, 125, 49, 1024, 2187]),
-             ShiftSet.coerce([0, 1]), PrimeSubset(table_1e4, ResidueClass(1, 4))),
+             IntegerSet([0, 1]), PrimeSubset(table_1e4, ResidueClass(1, 4))),
             (IntegerSet([0, 1, 2, 4, 8, 9, 27, 25, 125, 49, 1024, 2187]),
-             ShiftSet.coerce([0]), PrimeSubset(table_1e4, Interval(2, 3))),
+             IntegerSet([0]), PrimeSubset(table_1e4, Interval(2, 3))),
         ]
         # around 10^12 the spf table cannot cover the differences
         assert not primes_module.spf_table_fits(10**12)
         big = IntegerSet(rng.sample(range(10**12 - 10**5, 10**12 + 10**5), 60))
         cases += [
-            (big, ShiftSet.coerce(rng.sample(range(0, 10**12), 3)),
+            (big, IntegerSet(rng.sample(range(0, 10**12), 3)),
              PrimeSubset(table_1e4, Interval(100, 2000))),
-            (big, ShiftSet.coerce([big.elements[3], 10**12 - 7]),
+            (big, IntegerSet([big.elements[3], 10**12 - 7]),
              PrimeSubset(table_1e4, Interval(0, 60))),
         ]
         for s, shifts, ps in cases:
@@ -164,6 +163,29 @@ class TestLargerSieve:
         prof = OccupancyProfile({3: 0, 5: 2})
         rep = larger_sieve_bound(prof, ps, 100)
         assert not rep.valid and rep.bound == 0.0
+
+    def test_set_outside_1_to_n_is_not_valid(self, table_1e4):
+        # 361 elements in [2, 362] but N = 11: the bound 34.7 is no bound for A
+        ps = PrimeSubset(table_1e4, Interval(2, 2000))
+        prof = occupancy(IntegerSet(range(2, 363)), ps)
+        assert prof.span == (2, 362)
+        rep = larger_sieve_bound(prof, ps, 11)
+        assert rep.hypotheses == {"set_within_1_to_N": False}
+        assert not rep.valid and not rep.hypotheses_ok
+        assert rep.bound < 361
+        # 0 lies outside [1, N] as well
+        rep = larger_sieve_bound(occupancy(IntegerSet([0, 4, 8]), ps), ps, 8)
+        assert not rep.valid and rep.hypotheses == {"set_within_1_to_N": False}
+
+    def test_set_inside_1_to_n_is_recorded(self, table_1e4):
+        ps = PrimeSubset(table_1e4, Interval(2, 2000))
+        rep = larger_sieve_bound(occupancy(IntegerSet([1, 2, 4, 8, 16, 32]), ps), ps, 32)
+        assert rep.valid and rep.hypotheses == {"set_within_1_to_N": True}
+        assert rep.bound >= 6
+        # a hand-built profile carries no range and no hypothesis
+        prof = OccupancyProfile({p: 1 for p in ps.primes().tolist()})
+        assert prof.span is None
+        assert larger_sieve_bound(prof, ps, 32).hypotheses == {}
 
     def test_full_occupancy_formula_consistency(self, table_1e4):
         # nu(p) = min(p, k) must allow any k-element set
@@ -282,7 +304,7 @@ class TestSelberg:
             start = rng.randrange(1, 3000)
             c_set = IntegerSet(range(start, start + size))
             k = rng.randrange(1, 5)
-            shifts = ShiftSet.coerce(rng.sample(range(0, start + size), k))
+            shifts = IntegerSet(rng.sample(range(0, start + size), k))
             lo = rng.randrange(5, 80)
             ps = PrimeSubset(table_1e4, Interval(lo, lo + rng.randrange(20, 150)))
             plist = ps.primes().tolist()
@@ -377,7 +399,7 @@ class TestSmallK:
         for _ in range(25):
             k = rng.randrange(2, 6)
             ctx, s = make_scaled_context(table_1e6, rng, k=k)
-            shifts = ShiftSet.coerce(rng.sample(range(0, ctx.x), k))
+            shifts = IntegerSet(rng.sample(range(0, ctx.x), k))
             rep = prop_smallkscs_bound(s, shifts, ctx)
             assert rep.profile == "scaled"
             if rep.valid and rep.hypotheses_ok:
@@ -389,7 +411,7 @@ class TestSmallK:
         rng = random.Random(10)
         ctx, s = make_scaled_context(table_1e6, rng)
         with pytest.raises(DomainError):
-            prop_smallkscs_bound(s, ShiftSet.coerce(range(1000)), ctx)
+            prop_smallkscs_bound(s, IntegerSet(range(1000)), ctx)
 
     def test_bv_scaled_soundness(self, table_1e6):
         rng = random.Random(11)
@@ -397,7 +419,7 @@ class TestSmallK:
         for _ in range(15):
             k = rng.randrange(2, 5)
             ctx, s = make_scaled_context(table_1e6, rng, k=k, set_size=1200)
-            shifts = ShiftSet.coerce(rng.sample(range(0, ctx.x), k))
+            shifts = IntegerSet(rng.sample(range(0, ctx.x), k))
             rep = prop_smallkbv_bound(s, shifts, ctx, rng.randrange(40, 70))
             if rep.valid and rep.hypotheses_ok:
                 hits += 1
@@ -418,7 +440,7 @@ class TestSmallK:
         rng = random.Random(13)
         ctx, s = make_scaled_context(table_1e6, rng, k=3)
         p = int(ctx.ps_star.primes_in(1, 100)[0])
-        shifts = ShiftSet.coerce([0, p, 2 * p])
+        shifts = IntegerSet([0, p, 2 * p])
         rep = prop_smallkbv_bound(s, shifts, ctx, 60)
         if rep.valid and rep.hypotheses_ok:
             assert rep.bound >= rep.sifted_count
@@ -438,7 +460,7 @@ class TestMiddleK:
         x = 10**10
         ps = PrimeSubset(table_1e4, Interval(100, 450))
         s = self._sample_set(rng, x, 5000)
-        shifts = ShiftSet.coerce(rng.sample(range(0, x), 2))
+        shifts = IntegerSet(rng.sample(range(0, x), 2))
         rep = middlek_bound(
             s, shifts, ps, x, 200, 450, profile=scaled(window_coefficient=0.5)
         )
@@ -451,7 +473,7 @@ class TestMiddleK:
         x = 10**10
         ps = PrimeSubset(table_1e4, Interval(100, 450))
         s = self._sample_set(rng, x, 5000)
-        shifts = ShiftSet.coerce(rng.sample(range(0, x), 50))
+        shifts = IntegerSet(rng.sample(range(0, x), 50))
         rep = middlek_bound(
             s, shifts, ps, x, 200, 450, profile=scaled(window_coefficient=0.5)
         )

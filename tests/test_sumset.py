@@ -27,12 +27,56 @@ class TestIntegerSet:
     def test_translate(self):
         assert IntegerSet([2, 4]).translate(3).elements == (5, 7)
 
+    def test_one_read_only_array(self):
+        s = IntegerSet(np.array([9, 2, 9, 4, 2], dtype=np.int32))
+        arr = s.array()
+        assert arr.dtype == np.int64 and arr.tolist() == [2, 4, 9]
+        with pytest.raises(ValueError):
+            arr[0] = 7
+        assert IntegerSet.__slots__ == ("_values",)
+        assert all(type(v) is int for v in s) and s.elements == (2, 4, 9)
+        assert (s.min, s.max, len(s)) == (2, 9, 3)
+        # the caller's array is copied, never aliased
+        source = np.array([3, 1], dtype=np.int64)
+        t = IntegerSet(source)
+        source[0] = 0
+        assert t.elements == (1, 3)
+
+    def test_equality_hash_membership_subset(self):
+        a, b = IntegerSet(range(5)), IntegerSet([4, 3, 2, 1, 0, 0])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != IntegerSet([0, 1, 2, 3]) and a != (0, 1, 2, 3, 4)
+        assert 0 in a and 4 in a and 5 not in a and 2**70 not in a
+        assert IntegerSet([]).issubset(IntegerSet([]))
+        assert IntegerSet([1, 3]).issubset(a) and not IntegerSet([1, 5]).issubset(a)
+        assert not IntegerSet([7]).issubset(IntegerSet([]))
+        assert IntegerSet(()).elements == () and len(IntegerSet(range(0))) == 0
+
+    def test_rejects_values_outside_int64(self):
+        IntegerSet([0, 2**63 - 1])
+        for bad in ([0, 2**63], [10**20], [-(2**63) - 1], [-5]):
+            with pytest.raises(DomainError):
+                IntegerSet(bad)
+        with pytest.raises(DomainError):
+            IntegerSet(np.array([[1, 2], [3, 4]]))
+
 
 class TestSumset:
     def test_examples(self):
         assert sumset([0, 1], [0, 2]).elements == (0, 1, 2, 3)
         a = IntegerSet([3, 7, 9])
         assert sumset(a, [0]) == a
+
+    def test_sum_beyond_int64_is_refused(self):
+        top = 2**62
+        assert sumset([0, top - 1], [0, top]).max == 2**63 - 1
+        # in int64 these wrap to -2^63 and -8446744073709551616
+        with pytest.raises(DomainError, match=r"2\^63"):
+            sumset([0, top], [0, top])
+        with pytest.raises(DomainError, match=r"2\^63"):
+            sumset([0, 5 * 10**18], [0, 5 * 10**18])
+        with pytest.raises(DomainError):
+            ruzsa_check([0, 1], [0, 1], [0, 2**63 - 1])
 
     def test_matches_double_loop(self):
         rng = random.Random(1)
