@@ -70,16 +70,6 @@ def tau3(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class Factorization:
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, n: int) -> "Factorization":
-        return cls(n, tuple(factorize(n)))
-
-
 # --------------------------------------------------------------------------
 # multiplicative specs and restricted sums
 

@@ -17,13 +17,10 @@ import numpy as np
 from . import arith, primes, semigroup, sieves, smooth
 from .sumset import IntegerSet, decompose_binary, ruzsa_check, sumset
 
-_table_cache = {}
-
 
 def _table(limit: int) -> primes.PrimeTable:
-    if limit not in _table_cache:
-        _table_cache[limit] = primes.PrimeTable(limit)
-    return _table_cache[limit]
+    # keyed by the exact limit: PrimeSubset results depend on base.limit
+    return primes.cached(("table", limit), lambda: primes.PrimeTable(limit))
 
 
 def _random_subset(rng: random.Random, table) -> primes.PrimeSubset:

@@ -59,6 +59,7 @@ from .semigroup import (
     wirsing_estimate,
 )
 from .sieves import (
+    avoided_classes,
     coerce_shifts,
     inverse_sieve_lower_bound,
     large_sieve_bound,
@@ -271,14 +272,15 @@ def _cmd_sieve_bound(args) -> int:
         prof = occupancy(s, ps)
         report = larger_sieve_bound(prof, ps, args.n_limit or s.max)
     elif args.kind == "large":
-        prof = occupancy(s, ps, variant=args.variant)
-        report = large_sieve_bound(prof, args.x or s.max, args.q or 10)
+        omega = avoided_classes(occupancy(s, ps))
+        # by default x is the length of the set's span, the least x it meets
+        report = large_sieve_bound(omega, args.x or s.max - s.min + 1, args.q or 10)
     elif args.kind == "selberg":
         if shifts is None:
             raise SumsieveError("selberg needs --shifts")
         omega = occupancy(shifts, ps)
         report = selberg_bound(s, ps, shifts, omega, args.q or 10)
-    elif args.kind == "middlek":
+    else:  # middlek
         if shifts is None or args.x is None or args.y1 is None or args.y2 is None:
             raise SumsieveError("middlek needs --shifts, --x, --y1 and --y2")
         report = middlek_bound(
@@ -286,8 +288,6 @@ def _cmd_sieve_bound(args) -> int:
             profile=scaled(window_coefficient=args.window_coefficient)
             if args.window_coefficient is not None else STRICT,
         )
-    else:
-        raise SumsieveError(f"unknown sieve kind {args.kind}")
     code = 0 if report.valid else 2
     return _emit(args, "sieve-bound", params, report.to_dict(), exit_code=code)
 
@@ -579,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--set", required=True, help="the set to bound or sift")
     sp.add_argument("--shifts", default=None)
-    sp.add_argument("--variant", choices=("all", "nonzero"), default="all")
     sp.add_argument("--n-limit", type=int, default=None)
     sp.add_argument("--x", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)

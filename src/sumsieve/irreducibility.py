@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .arith import (
     MultiplicativeSpec,
     restricted_multiplicative_sum,
@@ -24,7 +22,7 @@ from .arith import (
     squarefree_weight_sum,
 )
 from .errors import DegenerateInputError, DivisibilityError, DomainError
-from .primes import PrimeSubset, PrimeTable, density_ratio_c, divisibility_hits
+from .primes import PrimeSubset, PrimeTable, density_ratio_c, divisibility_hits, residue_counts
 from .profiles import STRICT, ConstantsProfile
 from .sieves import OccupancyProfile, max_progression_deviation
 from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
@@ -276,15 +274,13 @@ def ostmann_epsilon_profile(a, x: int, y_limit: float) -> EpsilonProfile:
         raise DomainError("A must be non-empty")
     if a.max > x:
         raise DomainError(f"A must lie in [1, {x}]")
-    arr = a.array()
     entries = {}
     quad = 0.0
     linear = 0.0
     large = 0.0
     log_x = math.log(x)
-    table = PrimeTable(max(int(y_limit) + 1, 3))
-    for p in table.primes_between(1, y_limit).tolist():
-        nu = int(np.unique(arr % p).size)
+    plist = PrimeTable(max(int(y_limit) + 1, 3)).primes_between(1, y_limit)
+    for p, nu in zip(plist.tolist(), residue_counts(a.array(), plist).tolist()):
         eps = nu - p / 2.0
         entries[p] = eps
         quad += (math.log(p) / p) * (eps * eps) / (p * p)

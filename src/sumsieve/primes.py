@@ -1,18 +1,22 @@
 """Prime tables, selector-defined prime subsets and prime partial sums.
 
 A ``PrimeTable`` is an exact Eratosthenes sieve up to a limit (odd-only byte
-mask, built segmented above 10^7).  A ``PrimeSubset`` pairs a table with an
-immutable selector; every sieve formula in the package draws its primes and
-its partial sums (theta, Mertens-type) from here.  ``first_factor_in`` is the
-one prime-factor kernel behind divisibility scans and sifted counts.
+mask, built in segments of 2^21 odd numbers).  A ``PrimeSubset`` pairs a
+table with an immutable selector; every sieve formula in the package draws
+its primes and its partial sums (theta, Mertens-type) from here.
+``first_factor_in`` is the one prime-factor kernel behind divisibility scans
+and sifted counts, ``residue_counts`` the one residue-occupancy kernel, and
+``cached`` the package's one cache (tables and masks), bounded in bytes by
+the memory cap.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -20,9 +24,10 @@ from .errors import CapacityError, DegenerateInputError, DomainError
 
 DEFAULT_LIMIT_CAP = 2**40
 # SUMSIEVE_MEMORY_CAP (approximate bytes, read once at import) bounds the
-# largest table or memo the package builds
+# largest table or memo the package builds, and everything `cached` holds
 MEMORY_CAP = int(os.environ.get("SUMSIEVE_MEMORY_CAP", 2 * 10**9))
-_DIRECT_LIMIT = 10**7
+# the largest temporary array a blocked kernel builds at once
+BLOCK_BYTES = min(1 << 24, MEMORY_CAP)
 _SEGMENT_ODDS = 1 << 21
 
 
@@ -74,10 +79,7 @@ class PrimeTable:
                 f"prime table limit {limit} exceeds cap {limit_cap}", limit=limit
             )
         self.limit = int(limit)
-        if self.limit <= _DIRECT_LIMIT:
-            self._odd_mask = _odd_sieve_direct(self.limit)
-        else:
-            self._odd_mask = _odd_sieve_segmented(self.limit)
+        self._odd_mask = _odd_sieve_segmented(self.limit)
         self._primes = None
 
     def is_prime(self, n: int) -> bool:
@@ -119,6 +121,11 @@ class PrimeTable:
 
     def count(self) -> int:
         return int(self.primes.size)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the odd mask and the ascending prime list."""
+        return int(self._odd_mask.nbytes + self.primes.nbytes)
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit})"
@@ -276,9 +283,6 @@ class PrimeSubset:
         """The subset intersected with [threshold, infinity)."""
         return self.restricted(MinValue(threshold))
 
-    def restrict_interval(self, lo: float, hi: float) -> "PrimeSubset":
-        return self.restricted(Interval(lo, hi))
-
     def is_empty(self) -> bool:
         return self.primes().size == 0
 
@@ -364,10 +368,47 @@ def density_ratio_c(
 
 
 # --------------------------------------------------------------------------
+# the one cache
+
+
+class _ByteCache(OrderedDict):
+    """key -> (reach, value, nbytes), least recently used first."""
+
+    nbytes = 0  # the values' total bytes
+
+
+_CACHE = _ByteCache()
+
+
+def cached(key: Hashable, build: Callable, need: int = 0, reach: Optional[int] = None):
+    """build(), or the value the package's one cache holds under key.
+
+    The entry serves every need up to the reach it was built for (`reach`,
+    default `need`); a larger need rebuilds it.  The values' bytes stay within
+    MEMORY_CAP: the least recently used entries make way for a new one, and a
+    value larger than the cap on its own is returned without being kept.
+    """
+    cache = _CACHE
+    entry = cache.get(key)
+    if entry is not None and entry[0] >= need:
+        cache.move_to_end(key)
+        return entry[1]
+    if entry is not None:
+        cache.nbytes -= cache.pop(key)[2]
+    value = build()
+    size = int(value.nbytes)
+    if size <= MEMORY_CAP:
+        while cache.nbytes + size > MEMORY_CAP:
+            cache.nbytes -= cache.popitem(last=False)[1][2]
+        cache[key] = (need if reach is None else reach, value, size)
+        cache.nbytes += size
+    return value
+
+
+# --------------------------------------------------------------------------
 # divisibility scanning (exact, factorisation-based)
 
 _SPF_CAP = 5 * 10**7
-_spf_cache: dict = {"limit": -1, "table": None}
 
 
 def spf_table_fits(limit: int) -> bool:
@@ -375,18 +416,7 @@ def spf_table_fits(limit: int) -> bool:
     return limit <= _SPF_CAP and 4 * (limit + 1) <= MEMORY_CAP
 
 
-def smallest_prime_factor_table(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n (spf[1] = 1), for 0 <= n <= limit.
-
-    int32, capped at 5e7 and at SUMSIEVE_MEMORY_CAP bytes.  The most recent
-    table is cached and reused for any smaller limit.
-    """
-    if not spf_table_fits(limit):
-        raise CapacityError(
-            f"spf table limit {limit} exceeds cap {_SPF_CAP} or memory cap {MEMORY_CAP}"
-        )
-    if _spf_cache["limit"] >= limit:
-        return _spf_cache["table"]
+def _spf_table(limit: int) -> np.ndarray:
     spf = np.zeros(limit + 1, dtype=np.int32)
     spf[1:2] = 1
     for p in range(2, math.isqrt(limit) + 1):
@@ -395,9 +425,20 @@ def smallest_prime_factor_table(limit: int) -> np.ndarray:
             seg[seg == 0] = p
     rest = np.flatnonzero(spf == 0)
     spf[rest] = rest
-    _spf_cache["limit"] = limit
-    _spf_cache["table"] = spf
     return spf
+
+
+def smallest_prime_factor_table(limit: int) -> np.ndarray:
+    """spf[n] = smallest prime factor of n (spf[1] = 1), for 0 <= n <= limit.
+
+    int32, capped at 5e7 and at SUMSIEVE_MEMORY_CAP bytes.  The cached table
+    serves any smaller limit; a larger one replaces it.
+    """
+    if not spf_table_fits(limit):
+        raise CapacityError(
+            f"spf table limit {limit} exceeds cap {_SPF_CAP} or memory cap {MEMORY_CAP}"
+        )
+    return cached("spf", lambda: _spf_table(limit), need=limit)
 
 
 def first_factor_in(values: np.ndarray, ps: PrimeSubset) -> np.ndarray:
@@ -467,3 +508,26 @@ def divisibility_hits(
             if len(hits) >= max_pairs:
                 return hits
     return hits
+
+
+# --------------------------------------------------------------------------
+# residue occupancy
+
+
+def residue_counts(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """nu(p) = #{v mod p : v in values} for each p in primes (int64).
+
+    One row of residues per prime, sorted, counting the changes along it; the
+    rows go in blocks of at most BLOCK_BYTES (or of one row, if larger).
+    """
+    values = np.asarray(values, dtype=np.int64).reshape(-1)
+    primes = np.asarray(primes, dtype=np.int64).reshape(-1)
+    out = np.zeros(primes.size, dtype=np.int64)
+    if values.size == 0:
+        return out
+    rows = max(1, BLOCK_BYTES // (8 * values.size))
+    for lo in range(0, primes.size, rows):
+        residues = values[None, :] % primes[lo : lo + rows, None]
+        residues.sort(axis=1)
+        out[lo : lo + rows] = 1 + np.count_nonzero(residues[:, 1:] != residues[:, :-1], axis=1)
+    return out

@@ -7,7 +7,7 @@ individual constants.  Reports always echo the profile so strict and scaled
 verdicts cannot be conflated.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,7 @@ class ConstantsProfile:
     c_override: float | None = None
 
     def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "k_coefficient": self.k_coefficient,
-            "star_exponent": self.star_exponent,
-            "window_coefficient": self.window_coefficient,
-            "condition_coefficient": self.condition_coefficient,
-            "c_floor_exponent": self.c_floor_exponent,
-            "c_override": self.c_override,
-        }
+        return asdict(self)
 
 
 STRICT = ConstantsProfile()

@@ -24,8 +24,6 @@ _TAU_MESH_POINTS = 32
 class SemigroupStats:
     tau_hat: float
     C_hat: Optional[float] = None
-    count: Optional[int] = None
-    wirsing_estimate: Optional[float] = None
     residual_rms: Optional[float] = None
     mesh_points: int = 0
 
@@ -38,10 +36,6 @@ def enumerate_q(ps: PrimeSubset, x: int) -> IntegerSet:
         raise CapacityError(f"x = {x} exceeds enumeration cap {_ENUM_X_CAP}")
     support = ps.primes_in(1, min(x, ps.base.limit)).tolist()
     return IntegerSet(smooth_lattice(support, x)[0])
-
-
-def count_q(ps: PrimeSubset, x: int) -> int:
-    return len(enumerate_q(ps, x))
 
 
 def estimate_tau(ps: PrimeSubset, x: int) -> SemigroupStats:

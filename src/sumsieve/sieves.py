@@ -14,7 +14,7 @@ directly.  A bound should only be asserted against the sifted count when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,8 +24,10 @@ from .errors import DomainError
 from .primes import (
     PrimeSubset,
     all_primes,
+    cached,
     divisibility_hits,
     first_factor_in,
+    residue_counts,
     spf_table_fits,
     subset_sums,
 )
@@ -36,25 +38,17 @@ from .sumset import IntegerSet
 # the deficit sum below stays under this threshold (1 - t >= exp(-2t) there).
 _DEFICIT_BUDGET = math.log(2.0) / 4.0
 
-_residue_mask_cache: dict = {}
-
 
 def reduced_residues_mask(d: int) -> np.ndarray:
     """Boolean mask over [0, d) marking residues coprime to d (cached)."""
-    mask = _residue_mask_cache.get(d)
-    if mask is None:
-        mask = np.gcd(np.arange(d, dtype=np.int64), d) == 1
-        if len(_residue_mask_cache) > 4096:
-            _residue_mask_cache.clear()
-        _residue_mask_cache[d] = mask
-    return mask
+    return cached(("mask", d), lambda: np.gcd(np.arange(d, dtype=np.int64), d) == 1)
 
 
 def max_progression_deviation(values: np.ndarray, d: int) -> float:
     """max over reduced residues a mod d of |#{v : v = a mod d} - #values/phi(d)|."""
     counts = np.bincount(values % d, minlength=d)
     reduced = reduced_residues_mask(d)
-    return float(np.abs(counts[reduced] - values.size / int(reduced.sum())).max())
+    return float(np.abs(counts[reduced] - values.size / int(np.count_nonzero(reduced))).max())
 
 
 @dataclass(frozen=True)
@@ -62,15 +56,11 @@ class OccupancyProfile:
     """Map p -> number of residue classes mod p met (or avoided) by a set."""
 
     entries: dict
-    variant: str = "all"  # or "nonzero"
     # (min, max) of the profiled set; None for a hand-built profile
     span: Optional[tuple[int, int]] = None
 
     def get(self, p: int, default: float = 0.0) -> float:
         return self.entries.get(p, default)
-
-    def primes(self) -> list[int]:
-        return sorted(self.entries)
 
 
 def coerce_shifts(values) -> IntegerSet:
@@ -100,38 +90,22 @@ class SieveBoundReport:
         return all(self.hypotheses.values())
 
     def to_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "denominator_L": self.denominator_L,
-            "params": self.params,
-            "valid": self.valid,
-            "reason": self.reason,
-            "main_term": self.main_term,
-            "remainder": self.remainder,
-            "sifted_count": self.sifted_count,
-            "hypotheses": dict(self.hypotheses),
-            "hypotheses_ok": self.hypotheses_ok,
-            "branch": self.branch,
-            "profile": self.profile,
-        }
+        return {**asdict(self), "hypotheses_ok": self.hypotheses_ok}
 
 
-def occupancy(a, ps: PrimeSubset, variant: str = "all") -> OccupancyProfile:
-    """Exact residue-class occupancy of a set at every prime of ps."""
-    if variant not in ("all", "nonzero"):
-        raise DomainError(f"unknown variant {variant!r}")
+def occupancy(a, ps: PrimeSubset) -> OccupancyProfile:
+    """Exact residue-class occupancy nu(p) of a set at every prime of ps."""
     a = IntegerSet.coerce(a)
     if len(a) == 0:
         raise DomainError("occupancy of an empty set")
-    arr = a.array()
-    entries = {}
-    for p in ps.primes().tolist():
-        residues = np.unique(arr % p)
-        count = int(residues.size)
-        if variant == "nonzero" and residues.size and residues[0] == 0:
-            count -= 1
-        entries[p] = count
-    return OccupancyProfile(entries, variant, (a.min, a.max))
+    plist = ps.primes()
+    counts = residue_counts(a.array(), plist)
+    return OccupancyProfile(dict(zip(plist.tolist(), counts.tolist())), (a.min, a.max))
+
+
+def avoided_classes(profile: OccupancyProfile) -> OccupancyProfile:
+    """omega(p) = p - nu(p): the classes mod p an occupancy profile's set avoids."""
+    return OccupancyProfile({p: p - nu for p, nu in profile.entries.items()}, profile.span)
 
 
 def sift_count(s, shifts, ps: PrimeSubset) -> int:
@@ -170,6 +144,19 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
 
 # --------------------------------------------------------------------------
 # the three sieve lemmas
+
+
+def _sieve_denominator(omega: OccupancyProfile, primes: list, q_limit: int):
+    """(support, L): the primes p <= Q with omega(p) > 0, and L, the sum over
+    squarefree q <= Q supported on them of prod omega(p) / (p - omega(p)).
+    Every omega(p) must lie in [0, p)."""
+    for p in primes:
+        w = omega.get(p)
+        if w < 0 or w >= p:
+            raise DomainError(f"need 0 <= omega(p) < p at p={p}, got {w}")
+    support = [p for p in primes if omega.get(p) > 0 and p <= q_limit]
+    weights = {p: omega.get(p) / (p - omega.get(p)) for p in support}
+    return support, squarefree_weight_sum(support, weights, q_limit)
 
 
 def larger_sieve_bound(
@@ -217,23 +204,21 @@ def larger_sieve_bound(
 def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveBoundReport:
     """Montgomery large-sieve upper bound (x + Q^2) / L.
 
-    omega(p) is the number of residue classes avoided; primes absent from the
-    profile contribute omega = 0.  The q = 1 term makes L >= 1, so the report
-    is always valid.
+    omega(p) is the number of residue classes avoided (``avoided_classes``);
+    primes absent from the profile contribute omega = 0.  The q = 1 term makes
+    L >= 1.  When the profile knows its set's range, the set lying in an
+    interval of x integers is a hypothesis of the report, and the bound is not
+    valid without it.
     """
-    support = []
-    for p in profile.primes():
-        w = profile.get(p)
-        if w < 0 or w >= p:
-            raise DomainError(f"need 0 <= omega(p) <= p-1 at p={p}, got {w}")
-        if w > 0 and p <= q_limit:
-            support.append(p)
-    L = squarefree_weight_sum(
-        support, {p: profile.get(p) / (p - profile.get(p)) for p in support}, q_limit
-    )
+    support, L = _sieve_denominator(profile, sorted(profile.entries), q_limit)
     bound = (x + q_limit**2) / L
     params = {"x": x, "Q": q_limit, "support": len(support)}
-    return SieveBoundReport(bound, L, params, True)
+    hyps = {}
+    if profile.span is not None:
+        hyps["set_within_interval_of_length_x"] = profile.span[1] - profile.span[0] < x
+    valid = all(hyps.values())
+    reason = "" if valid else "the set does not lie in an interval of length x"
+    return SieveBoundReport(bound, L, params, valid, reason, hypotheses=hyps)
 
 
 def selberg_bound(
@@ -252,21 +237,13 @@ def selberg_bound(
     if len(c_set) == 0:
         raise DomainError("C must be non-empty")
     plist = ps.primes().tolist()
-    for p in plist:
-        w = omega.get(p)
-        if w < 0 or w >= p:
-            raise DomainError(f"need 0 <= omega(p) < p at p={p}, got {w}")
+    _, L = _sieve_denominator(omega, plist, q_limit)
     c_arr = c_set.array()
     shift_arr = shifts.array()
     size_c = len(c_set)
-
-    support = [p for p in plist if omega.get(p) > 0]
-    L = squarefree_weight_sum(
-        support, {p: omega.get(p) / (p - omega.get(p)) for p in support}, q_limit
-    )
     main = size_c / L
 
-    hit_masks = {p: np.isin(c_arr % p, np.unique(shift_arr % p)) for p in plist}
+    hit_masks = {p: np.isin(c_arr % p, shift_arr % p) for p in plist}
 
     def step(state, p):
         mask, density, r = state
@@ -333,10 +310,9 @@ def inverse_sieve_lower_bound(
         raise DomainError("A must lie in [1, x]")
     sums = subset_sums(ps, y / 2, y)
     window_primes = ps.primes_in(y / 2, y)
-    arr = a.array()
     lhs = 0.0
-    for p in window_primes.tolist():
-        lhs += np.unique(arr % p).size / p
+    for p, nu in zip(window_primes.tolist(), residue_counts(a.array(), window_primes).tolist()):
+        lhs += nu / p
     log_x = math.log(x)
     base_lower = k * sums.mertens_recip - (k * k - k) * log_x / ((y / 2) * math.log(y / 2))
     strengthened = sums.theta >= window_coefficient * k * log_x
@@ -350,6 +326,23 @@ def inverse_sieve_lower_bound(
 # proposition-level machines
 
 
+def _vacuous(params, reason, sifted, profile, branch=None) -> SieveBoundReport:
+    """The infinite, invalid bound of a machine whose denominator vanished."""
+    return SieveBoundReport(
+        math.inf, 0.0, params, False, reason, sifted_count=sifted, branch=branch, profile=profile
+    )
+
+
+def _small_k_shifts(shifts, ctx) -> IntegerSet:
+    """The shifts of a small-k machine: 2 <= k <= K of them, in [0, x]."""
+    shifts = coerce_shifts(shifts)
+    if not (2 <= len(shifts) <= ctx.K):
+        raise DomainError(f"need 2 <= k <= K = {ctx.K:.6g}, got k = {len(shifts)}")
+    if shifts.max > ctx.x:
+        raise DomainError(f"shifts must lie in [0, x = {ctx.x}]")
+    return shifts
+
+
 def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
     """Small-k bound driven by the sieve-controls-size denominator.
 
@@ -359,12 +352,8 @@ def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
     exp(-1/2) budget; both hold automatically under the strict constants.
     """
     s = IntegerSet.coerce(s)
-    shifts = coerce_shifts(shifts)
+    shifts = _small_k_shifts(shifts, ctx)
     k = len(shifts)
-    if not (2 <= k <= ctx.K):
-        raise DomainError(f"need 2 <= k <= K = {ctx.K:.6g}, got k = {k}")
-    if shifts.max > ctx.x:
-        raise DomainError(f"shifts must lie in [0, x = {ctx.x}]")
     star = ctx.ps_star
     x = ctx.x
     root = math.isqrt(x)
@@ -380,22 +369,13 @@ def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
     denom_sum = squarefree_weight_sum(small_list, {p: 2.0 / p for p in small_list}, root) - 1.0
     sifted = sift_count(s, shifts, star)
     if small.size == 0 or denom_sum <= 0:
-        return SieveBoundReport(
-            math.inf,
-            0.0,
-            params,
-            False,
-            "P0* has no prime up to sqrt(x); denominator sum vanishes",
-            sifted_count=sifted,
-            profile=ctx.profile.name,
-        )
+        reason = "P0* has no prime up to sqrt(x); denominator sum vanishes"
+        return _vacuous(params, reason, sifted, ctx.profile.name)
     denominator = (k / 2.0) * denom_sum
     bound = 4.0 * x / denominator
 
-    shift_arr = shifts.array()
     deficit = 0.0
-    for p in small.tolist():
-        nu = np.unique(shift_arr % p).size
+    for p, nu in zip(small_list, residue_counts(shifts.array(), small).tolist()):
         deficit += (k - nu) / p
     hyps = {
         "star_primes_at_least_4k": bool(small.size == 0 or int(small[0]) >= 4 * k),
@@ -422,12 +402,8 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
     Requires that no element of S is divisible by a P0* prime.
     """
     s = IntegerSet.coerce(s)
-    shifts = coerce_shifts(shifts)
+    shifts = _small_k_shifts(shifts, ctx)
     k = len(shifts)
-    if not (2 <= k <= ctx.K):
-        raise DomainError(f"need 2 <= k <= K = {ctx.K:.6g}, got k = {k}")
-    if shifts.max > ctx.x:
-        raise DomainError(f"shifts must lie in [0, x = {ctx.x}]")
     star = ctx.ps_star
     hits = divisibility_hits(s.array(), star)
     if hits:
@@ -447,15 +423,8 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
     q_primes = star.primes_in(1, q_limit).tolist()
     main_den = squarefree_weight_sum(q_primes, {p: 1.0 / p for p in q_primes}, q_limit) - 1.0
     if not q_primes or main_den <= 0:
-        return SieveBoundReport(
-            math.inf,
-            0.0,
-            params,
-            False,
-            "P0* has no prime up to Q; main denominator vanishes",
-            sifted_count=sifted,
-            profile=ctx.profile.name,
-        )
+        reason = "P0* has no prime up to Q; main denominator vanishes"
+        return _vacuous(params, reason, sifted, ctx.profile.name)
     main = 2.0 * size_s / ((k - 1) * main_den)
 
     d_bound = q_limit**2
@@ -468,16 +437,9 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
             disc += (3.0 * k) ** r * max_progression_deviation(s_arr, d)
     bound = main + disc
 
-    shift_arr = shifts.array()
     deficit = 0.0
-    for p in q_primes:
-        residues = np.unique(shift_arr % p)
-        nu = int(residues.size)
-        g = k
-        if residues[0] == 0:
-            nu -= 1
-            g = k - 1
-        deficit += (g - nu) / p
+    for p, nu in zip(q_primes, residue_counts(shifts.array(), q_primes).tolist()):
+        deficit += (k - nu) / p
     hyps = {
         "star_primes_at_least_4k": bool(not d_primes or d_primes[0] >= 4 * k),
         "occupancy_deficit_within_budget": deficit <= _DEFICIT_BUDGET,
@@ -543,15 +505,7 @@ def middlek_bound(
     }
     sifted = sift_count(s, shifts, ps)
     if any(w[1].theta <= 0 for w in windows):
-        return SieveBoundReport(
-            math.inf,
-            0.0,
-            params,
-            False,
-            "a window contains no subset prime",
-            sifted_count=sifted,
-            profile=profile.name,
-        )
+        return _vacuous(params, "a window contains no subset prime", sifted, profile.name)
 
     threshold = w_coeff * k * log_x
     if all(w[1].theta >= threshold for w in windows):
@@ -564,16 +518,8 @@ def middlek_bound(
             k, *(int(w[1].theta // (w_coeff * log_x)) for w in windows)
         )
         if k_eff < 1:
-            return SieveBoundReport(
-                math.inf,
-                0.0,
-                params,
-                False,
-                "window theta sums below the single-shift threshold",
-                sifted_count=sifted,
-                branch=branch,
-                profile=profile.name,
-            )
+            reason = "window theta sums below the single-shift threshold"
+            return _vacuous(params, reason, sifted, profile.name, branch)
         m_factor = max(
             1.0 / (k * k),
             *(4.0 * (w_coeff * log_x) ** 2 / (w[1].theta ** 2) for w in windows),

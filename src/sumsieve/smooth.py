@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import smooth_lattice, squarefree_lattice
 from .errors import CapacityError, DomainError
-from .primes import MEMORY_CAP, PrimeSubset, PrimeTable
+from .primes import MEMORY_CAP, PrimeSubset, PrimeTable, cached
 from .sieves import coerce_shifts, max_progression_deviation
 from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 
@@ -31,18 +31,11 @@ _TUPLE_X_CAP = 10**8
 # retained entry
 _DEFAULT_WORK_BUDGET = MEMORY_CAP // 100
 
-_table_cache: dict[int, PrimeTable] = {}
-
 
 def _primes_up_to(y: int) -> list[int]:
     key = max(int(y), 2)
-    for limit, table in _table_cache.items():
-        if limit >= key:
-            return table.primes_between(1, key).tolist()
     limit = max(2 * key, 1000)
-    table = PrimeTable(limit)
-    _table_cache.clear()
-    _table_cache[limit] = table
+    table = cached("smooth-primes", lambda: PrimeTable(limit), need=key, reach=limit)
     return table.primes_between(1, key).tolist()
 
 
@@ -67,24 +60,15 @@ class SmoothQuery:
                 raise DomainError(f"need 0 <= a < d, got a={self.a}, d={self.d}")
 
 
-class _Work:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int):
-        self.left = budget
-
-    def spend(self, amount: int = 1):
-        self.left -= amount
-        if self.left < 0:
-            raise CapacityError("smooth-number work budget exceeded")
-
-
-def _count_smooth(x: int, primes: Sequence[int], work: _Work) -> int:
+def _count_smooth(x: int, primes: Sequence[int], budget: int) -> int:
     """#{n <= x : all prime factors of n among `primes`} via the largest-
-    prime-factor recurrence with memoisation on (value, prime index)."""
+    prime-factor recurrence with memoisation on (value, prime index); more
+    than `budget` memo misses raise CapacityError."""
     memo: dict[tuple[int, int], int] = {}
+    spent = 0
 
     def rec(v: int, i: int) -> int:
+        nonlocal spent
         if v < 1:
             return 0
         if i < 0 or v < 2:
@@ -93,7 +77,9 @@ def _count_smooth(x: int, primes: Sequence[int], work: _Work) -> int:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        work.spend()
+        spent += 1
+        if spent > budget:
+            raise CapacityError("smooth-number work budget exceeded")
         total = 1
         for j in range(i + 1):
             p = primes[j]
@@ -113,7 +99,7 @@ def psi(q: SmoothQuery, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
     if q.d is None:
         if q.y >= q.x:
             return q.x
-        return _count_smooth(q.x, _primes_up_to(q.y), _Work(work_budget))
+        return _count_smooth(q.x, _primes_up_to(q.y), work_budget)
     values, _ = smooth_lattice(_primes_up_to(q.y), q.x, budget=work_budget)
     return sum(n % q.d == q.a for n in values)
 
@@ -125,7 +111,7 @@ def psi_coprime(q: SmoothQuery, d: int, *, work_budget: int = _DEFAULT_WORK_BUDG
     if q.x > _X_CAP:
         raise CapacityError(f"x = {q.x} exceeds exact-mode cap {_X_CAP}")
     primes = [p for p in _primes_up_to(q.y) if d % p != 0]
-    return _count_smooth(q.x, primes, _Work(work_budget))
+    return _count_smooth(q.x, primes, work_budget)
 
 
 def enumerate_smooth(

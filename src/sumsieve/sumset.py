@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import primes
 from .errors import CapacityError, DomainError
 
 _SET_SIZE_CAP = 10_000
@@ -105,14 +106,29 @@ class IntegerSet:
 
 
 def sumset(a, b) -> IntegerSet:
-    """{x + y : x in a, y in b}, sorted and deduplicated."""
+    """{x + y : x in a, y in b}, sorted and deduplicated.
+
+    The outer sum is formed in row blocks of at most primes.BLOCK_BYTES (or of
+    one row, if larger); the blocks' distinct sums are merged by sort and adjacent-dedup at the end,
+    or as soon as they pass MEMORY_CAP bytes.  A result of more than
+    MEMORY_CAP bytes raises CapacityError.
+    """
     a = IntegerSet.coerce(a)
     b = IntegerSet.coerce(b)
     if len(a) == 0 or len(b) == 0:
         return IntegerSet(())
     if a.max + b.max >= _VALUE_END:
         raise DomainError(f"sum {a.max} + {b.max} does not fit below 2^63")
-    return IntegerSet(np.add.outer(a.array(), b.array()).ravel())
+    a_arr, b_arr = a.array(), b.array()
+    rows = max(1, primes.BLOCK_BYTES // (8 * len(b)))
+    parts = []
+    for lo in range(0, len(a), rows):
+        parts.append(IntegerSet(np.add.outer(a_arr[lo : lo + rows], b_arr).ravel()))
+        if len(parts) > 1 and (lo + rows >= len(a) or 8 * sum(map(len, parts)) > primes.MEMORY_CAP):
+            parts = [IntegerSet(np.concatenate([part.array() for part in parts]))]
+            if 8 * len(parts[0]) > primes.MEMORY_CAP:
+                raise CapacityError(f"sumset has more than {primes.MEMORY_CAP // 8} values")
+    return parts[0]
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,50 @@ def _smallkbv_batch(table, rng, n_instances):
     return violations
 
 
+def _sample_range(rng, lo, hi, k):
+    """rng.sample(range(lo, hi), k) as an int64 array, from the same bits.
+
+    Above its set-size threshold, random.sample draws j = getrandbits(b) with
+    b = (hi - lo).bit_length() until j < hi - lo and j is new.  Those draws are
+    read here from one bulk getrandbits stream: the sample is the first k
+    distinct accepted draws, and rng is then advanced by exactly the words
+    they used.
+    """
+    n = hi - lo
+    bits = n.bit_length()
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if n <= setsize or bits > 64:
+        return np.array(rng.sample(range(lo, hi), k), dtype=np.int64)
+    words = 1 if bits <= 32 else 2  # 32-bit words per draw, lowest first
+    state = rng.getstate()
+    draws = k + k // 8 + 16
+    while True:
+        stream = rng.getrandbits(32 * words * draws).to_bytes(4 * words * draws, "little")
+        raw = np.frombuffer(stream, dtype="<u4").astype(np.uint64)
+        if words == 1:
+            vals = raw >> np.uint64(32 - bits)
+        else:
+            vals = raw[0::2] | (raw[1::2] >> np.uint64(64 - bits)) << np.uint64(32)
+        accepted = np.flatnonzero(vals < n)
+        _, first = np.unique(vals[accepted], return_index=True)
+        rng.setstate(state)
+        if first.size >= k:
+            picks = accepted[np.sort(first)[:k]]
+            rng.getrandbits(32 * words * (int(picks[-1]) + 1))
+            return vals[picks].astype(np.int64) + lo
+        draws *= 2
+
+
+def test_sample_range_matches_random_sample():
+    for seed in range(40):
+        for lo, hi, k in ((1, 10**12, 60), (1, 1000, 30), (0, 100, 50), (7, 2**32 + 7, 9),
+                          (0, 2**32 - 1, 12), (3, 2**40 + 3, 1), (0, 2**63 - 1, 25),
+                          (0, 1025, 85)):  # the last needs a second, longer stream
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert _sample_range(ours, lo, hi, k).tolist() == ref.sample(range(lo, hi), k)
+            assert ours.getstate() == ref.getstate()
+
+
 def _middlek_batch(table_small, rng, n_instances):
     violations = []
     x = 10**12
@@ -221,7 +265,7 @@ def _middlek_batch(table_small, rng, n_instances):
         y1 = rng.uniform(360, 500) if k != 3 else rng.uniform(430, 500)
         y2 = rng.uniform(2.2 * y1, 0.95 * math.sqrt(x) / y1)
         ps = PrimeSubset(table_small, Interval(y1 / 2, y2))
-        s = IntegerSet(sorted(rng.sample(range(1, x), rng.randrange(4000, 12000))))
+        s = IntegerSet(_sample_range(rng, 1, x, rng.randrange(4000, 12000)))
         shifts = IntegerSet(rng.sample(range(0, x), k))
         rep = middlek_bound(
             s, shifts, ps, x, y1, y2, profile=scaled(window_coefficient=w_coeff)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sumsieve import cli
+from sumsieve import cli, primes
 from sumsieve.cli import main, parse_int_set, parse_selector
 from sumsieve.primes import And, Interval, MinValue, ResidueClass
 
@@ -165,6 +165,45 @@ class TestCommands:
         assert code == 2
         assert doc["result"]["valid"] is False
         assert doc["result"]["hypotheses"] == {"set_within_1_to_N": False}
+
+    def test_large_sieve_omega_counts_avoided_classes(self, capsys, tmp_path):
+        # the 228 integers in [1, 1000] coprime to 210: omega was once the
+        # classes met, which gave a valid bound of 80.69
+        path = tmp_path / "coprime.txt"
+        path.write_text("\n".join(str(v) for v in range(1, 1001) if math.gcd(v, 210) == 1))
+        argv = ["sieve-bound", "--kind", "large", "--set", f"@{path}", "--q", "7",
+                "--selector", "interval:2,7", "--limit", "1000"]
+        code, doc = run_json(capsys, *argv, "--x", "1000")
+        assert code == 0
+        assert doc["params"]["set_size"] == 228
+        assert doc["result"]["valid"] is True
+        assert doc["result"]["hypotheses"] == {"set_within_interval_of_length_x": True}
+        assert doc["result"]["bound"] >= 228
+        # the set spans 1..999, more than an interval of 500 integers
+        code, doc = run_json(capsys, *argv, "--x", "500")
+        assert code == 2
+        assert doc["result"]["valid"] is False
+        assert doc["result"]["hypotheses"] == {"set_within_interval_of_length_x": False}
+        # without --x, x is the length of the span: 997 - 1 + 1
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and doc["result"]["params"]["x"] == 997
+        code, doc = run_json(capsys, "sieve-bound", "--kind", "large", "--set", "0..100",
+                             "--selector", "interval:1,10", "--limit", "1000")
+        assert code == 0 and doc["result"]["params"]["x"] == 101
+        with pytest.raises(SystemExit):
+            main(argv + ["--variant", "nonzero"])
+
+    def test_sumset_result_is_capped(self, capsys, monkeypatch):
+        # 1000 values fit; the blocks hold 400 sums each
+        monkeypatch.setattr(primes, "MEMORY_CAP", 8000)
+        monkeypatch.setattr(primes, "BLOCK_BYTES", 3200)
+        code, doc = run_json(capsys, "sumset", "--a", "0..99", "--b", "0..99", "--max-list", "0")
+        assert code == 0 and doc["result"]["size"] == 199
+        tens = ",".join(str(1000 * i) for i in range(20))
+        code, doc = run_json(capsys, "sumset", "--a", "0..99", "--b", tens, "--max-list", "0")
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"]["type"] == "CapacityError"
 
     def test_dickman_table_row_count_is_capped(self, capsys):
         # 5e11 rows: used to run without end

@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sumsieve import checks, smooth
 from sumsieve import primes as primes_module
 from sumsieve.errors import CapacityError, DegenerateInputError, DomainError
 from sumsieve.primes import (
@@ -17,9 +20,11 @@ from sumsieve.primes import (
     build_prime_table,
     density_ratio_c,
     divisibility_hits,
+    residue_counts,
     smallest_prime_factor_table,
     subset_sums,
 )
+from sumsieve.sieves import reduced_residues_mask
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -59,9 +64,9 @@ class TestPrimeTable:
         assert np.all(np.diff(ps) > 0)
 
     def test_segmented_matches_direct(self):
-        from sumsieve.primes import _DIRECT_LIMIT, _odd_sieve_direct, _odd_sieve_segmented
+        from sumsieve.primes import _odd_sieve_direct, _odd_sieve_segmented
 
-        limit = _DIRECT_LIMIT + 50_000
+        limit = 10**7 + 50_000
         assert np.array_equal(_odd_sieve_segmented(limit), _odd_sieve_direct(limit))
 
     def test_limit_validation(self):
@@ -269,3 +274,64 @@ class TestDivisibility:
         with pytest.raises(CapacityError, match="101 exceeds table limit 100"):
             divisibility_hits([4, 101, 7], small)
         assert divisibility_hits([7, 101], small, max_pairs=1) == [(7, 7)]
+
+
+_SMALL_PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+class TestResidueCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(0, 50), st.integers(0, 10**12)), max_size=30),
+        primes=st.lists(st.sampled_from(_SMALL_PRIMES), max_size=25),
+        rows=st.integers(1, 4),
+    )
+    @example(values=[0], primes=[2, 3, 5], rows=1)
+    @example(values=[0, 7, 14], primes=[7, 101, 397], rows=2)  # primes above every value
+    @example(values=[123456789], primes=[2, 389], rows=1)
+    @example(values=[1, 2, 3], primes=[], rows=1)
+    @example(values=[], primes=[2, 3], rows=1)
+    def test_matches_python_sets(self, values, primes, rows):
+        # rows primes per block, so most prime lists cross a block boundary
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "BLOCK_BYTES", 8 * max(len(values), 1) * rows)
+            got = residue_counts(np.array(values, dtype=np.int64), np.array(primes, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [len({v % p for v in values}) for p in primes]
+
+
+class TestCache:
+    def test_bytes_stay_under_the_cap(self, monkeypatch):
+        cache = primes_module._ByteCache()
+        cap = 20_000
+        monkeypatch.setattr(primes_module, "_CACHE", cache)
+        monkeypatch.setattr(primes_module, "MEMORY_CAP", cap)
+        spf = smallest_prime_factor_table(3000)
+        assert smallest_prime_factor_table(100) is spf  # a smaller limit builds nothing
+        requests = [
+            lambda: smallest_prime_factor_table(4000),
+            lambda: reduced_residues_mask(3000),
+            lambda: checks._table(10**4),
+            lambda: smooth._primes_up_to(50),
+            lambda: reduced_residues_mask(3000),
+            lambda: smallest_prime_factor_table(100),
+            lambda: reduced_residues_mask(4999),
+            lambda: smooth._primes_up_to(700),
+            lambda: checks._table(2000),
+            lambda: smallest_prime_factor_table(4500),
+        ]
+        for request in requests:
+            request()
+            assert cache.nbytes == sum(entry[2] for entry in cache.values())
+            assert cache.nbytes <= cap
+        spf = smallest_prime_factor_table(4600)
+        assert spf.size == 4601  # grown to exactly the requested limit
+        assert smallest_prime_factor_table(4599) is spf
+        # a checks table is kept by its exact limit
+        assert checks._table(2000).limit == 2000
+        # larger than the cap on its own: returned, not kept
+        table = checks._table(10**5)
+        assert table.limit == 10**5 and table.nbytes > cap
+        assert ("table", 10**5) not in cache
+        assert checks._table(10**5) is not table
+        assert cache.nbytes <= cap

@@ -21,6 +21,7 @@ from sumsieve.profiles import STRICT, scaled
 from sumsieve.semigroup import enumerate_q
 from sumsieve.sieves import (
     OccupancyProfile,
+    avoided_classes,
     inverse_sieve_lower_bound,
     large_sieve_bound,
     larger_sieve_bound,
@@ -58,7 +59,6 @@ class TestOccupancy:
         assert prof.get(3) == 1  # all = 1 mod 3
         ps2 = PrimeSubset(table_1e4, Interval(1, 2))
         assert occupancy(IntegerSet([1, 2]), ps2).get(2) == 2
-        assert occupancy(IntegerSet([1, 2]), ps2, variant="nonzero").get(2) == 1
 
     def test_against_direct_residue_sets(self, table_1e4):
         rng = random.Random(1)
@@ -238,6 +238,29 @@ class TestLargeSieve:
         count = int(keep.sum())
         rep = large_sieve_bound(OccupancyProfile(omega), x, q_limit)
         assert rep.bound >= count
+
+    def test_bound_from_a_set_covers_it(self, table_1e4):
+        # omega(p) = p - nu(p) from the set itself; S inside [lo, lo + x)
+        rng = random.Random(6)
+        for _ in range(40):
+            x = rng.randrange(50, 3000)
+            lo = rng.randrange(0, 10**5)
+            a = IntegerSet(rng.sample(range(lo, lo + x), rng.randrange(1, min(x, 400))))
+            q_limit = rng.randrange(2, 40)
+            ps = PrimeSubset(table_1e4, Interval(1, q_limit))
+            omega = avoided_classes(occupancy(a, ps))
+            assert omega.entries == {p: p - len({v % p for v in a}) for p in ps.primes().tolist()}
+            rep = large_sieve_bound(omega, x, q_limit)
+            assert rep.valid and rep.hypotheses == {"set_within_interval_of_length_x": True}
+            assert rep.bound >= len(a)
+
+    def test_span_beyond_x_is_not_valid(self, table_1e4):
+        ps = PrimeSubset(table_1e4, Interval(1, 7))
+        omega = avoided_classes(occupancy(IntegerSet([5, 104]), ps))
+        assert large_sieve_bound(omega, 100, 7).valid  # 100 integers 5..104
+        rep = large_sieve_bound(omega, 99, 7)
+        assert not rep.valid and not rep.hypotheses_ok
+        assert rep.reason == "the set does not lie in an interval of length x"
 
     def test_omega_equals_p_rejected(self):
         with pytest.raises(DomainError):

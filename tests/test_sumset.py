@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from sumsieve import primes
 from sumsieve.errors import CapacityError, DomainError
 from sumsieve.sumset import (
     IntegerSet,
@@ -86,6 +87,21 @@ class TestSumset:
             got = sumset(a, b).elements
             brute = tuple(sorted({x + y for x in a for y in b}))
             assert got == brute
+
+    def test_row_blocks_merge_to_the_same_set(self, monkeypatch):
+        rng = random.Random(5)
+        cases = [(rng.sample(range(0, 2000), rng.randrange(1, 60)),
+                  rng.sample(range(0, 2000), rng.randrange(1, 60))) for _ in range(30)]
+        for block_bytes, cap in ((8, 10**6), (100, 10**6), (1000, 2000)):
+            monkeypatch.setattr(primes, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(primes, "MEMORY_CAP", cap)
+            for a, b in cases:
+                brute = tuple(sorted({x + y for x in a for y in b}))
+                if 8 * len(brute) > cap:
+                    with pytest.raises(CapacityError):
+                        sumset(a, b)
+                else:
+                    assert sumset(a, b).elements == brute
 
     def test_commutative_associative(self):
         rng = random.Random(2)
