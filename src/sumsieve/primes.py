@@ -4,10 +4,11 @@ A ``PrimeTable`` is an exact Eratosthenes sieve up to a limit (odd-only byte
 mask, built in segments of 2^21 odd numbers).  A ``PrimeSubset`` pairs a
 table with an immutable selector; every sieve formula in the package draws
 its primes and its partial sums (theta, Mertens-type) from here.
-``first_factor_in`` is the one prime-factor kernel behind divisibility scans
-and sifted counts, ``residue_counts`` the one residue-occupancy kernel, and
-``cached`` the package's one cache (tables and masks), bounded in bytes by
-the memory cap.
+``multiples_mask`` (which n <= top a prime of a subset divides, one byte
+each, built per call) is the one prime-factor kernel behind divisibility
+scans and sifted counts, ``residue_counts`` the one residue-occupancy kernel,
+and ``cached`` the package's one cache (tables and masks), bounded in bytes
+by the memory cap.
 """
 
 from __future__ import annotations
@@ -406,75 +407,55 @@ def cached(key: Hashable, build: Callable, need: int = 0, reach: Optional[int] =
 
 
 # --------------------------------------------------------------------------
-# divisibility scanning (exact, factorisation-based)
+# divisibility scanning (exact, one multiples mask)
 
-_SPF_CAP = 5 * 10**7
-
-
-def spf_table_fits(limit: int) -> bool:
-    """Whether smallest_prime_factor_table(limit) stays within its caps."""
-    return limit <= _SPF_CAP and 4 * (limit + 1) <= MEMORY_CAP
+# values up to this bound are scanned through a multiples mask (1 byte each)
+MASK_CAP = 5 * 10**7
+# primes with at least this many multiples are marked by one strided slice
+_SLICE_MULTIPLES = 64
 
 
-def _spf_table(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[1:2] = 1
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-    return spf
+def mask_fits(top: int) -> bool:
+    """Whether a multiples mask over [0, top] stays within its caps."""
+    return top <= MASK_CAP and top + 1 <= MEMORY_CAP
 
 
-def smallest_prime_factor_table(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n (spf[1] = 1), for 0 <= n <= limit.
+def _multiples(primes: np.ndarray, top: int) -> np.ndarray:
+    """Bool mask over [0, top]: n >= 1 is a multiple of a prime in primes
+    (ascending, none above top).
 
-    int32, capped at 5e7 and at SUMSIEVE_MEMORY_CAP bytes.  The cached table
-    serves any smaller limit; a larger one replaces it.
+    Primes with many multiples take one slice each; the rest share index
+    arrays of at most BLOCK_BYTES (or of one prime's multiples, if larger).
     """
-    if not spf_table_fits(limit):
-        raise CapacityError(
-            f"spf table limit {limit} exceeds cap {_SPF_CAP} or memory cap {MEMORY_CAP}"
-        )
-    return cached("spf", lambda: _spf_table(limit), need=limit)
+    m = np.zeros(top + 1, dtype=bool)
+    split = int(np.searchsorted(primes, top // _SLICE_MULTIPLES, side="right"))
+    for p in primes[:split].tolist():
+        m[p::p] = True
+    # the rest have fewer than _SLICE_MULTIPLES multiples each
+    step = max(1, BLOCK_BYTES // (16 * _SLICE_MULTIPLES))  # two int64 temporaries
+    for lo in range(split, primes.size, step):
+        block = primes[lo : lo + step]
+        counts = top // block
+        k = np.arange(1, int(counts.sum()) + 1, dtype=np.int64)
+        k -= np.repeat(np.cumsum(counts) - counts, counts)
+        k *= np.repeat(block, counts)
+        m[k] = True
+    return m
 
 
-def first_factor_in(values: np.ndarray, ps: PrimeSubset) -> np.ndarray:
-    """For each n in values, the smallest prime factor of n that ps contains
-    or that exceeds ps.base.limit (so ps cannot decide it); 0 if there is none.
+def multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray:
+    """m[n] for 0 <= n <= top: a prime of ps up to min(top, ps.base.limit)
+    divides n; m[0] holds when ps has any prime (every prime divides 0).
 
-    Entries n <= 1 give 0; the largest entry must satisfy spf_table_fits.
-    Smallest prime factors are peeled off all live entries at once, one numpy
-    pass per prime factor counted with multiplicity.
+    Built per call, 1 byte per entry; top must satisfy mask_fits.
     """
-    values = np.asarray(values, dtype=np.int64)
-    out = np.zeros(values.shape, dtype=np.int64)
-    flat = out.reshape(-1)
-    idx = np.flatnonzero(values > 1)
-    if idx.size == 0:
-        return out
-    rest = values.reshape(-1)[idx]
-    top = int(rest.max())
-    spf = smallest_prime_factor_table(top)
-    rest = rest.astype(spf.dtype)
-    # stop[p] for p <= bound: p in ps; every factor above bound (<= top)
-    # lies beyond the table and maps to the sentinel stop[bound + 1]
+    if not mask_fits(top):
+        raise CapacityError(f"multiples mask over [0, {top}] exceeds its caps")
     bound = min(top, ps.base.limit)
-    stop = np.zeros(bound + 2, dtype=bool)
-    stop[ps.primes_in(0, bound)] = True
-    stop[bound + 1] = True
-    while idx.size:
-        p = spf[rest]
-        found = stop[np.minimum(p, bound + 1)]
-        flat[idx[found]] = p[found]
-        more = ~found
-        rest = rest[more] // p[more]
-        idx = idx[more]
-        live = rest > 1
-        idx, rest = idx[live], rest[live]
-    return out
+    plist = ps.primes_in(0, bound)
+    m = _multiples(plist, top)
+    m[0] = plist.size > 0 or ps.primes_in(bound, ps.base.limit).size > 0
+    return m
 
 
 def divisibility_hits(
@@ -482,10 +463,10 @@ def divisibility_hits(
 ) -> list[tuple[int, int]]:
     """Up to max_pairs (value, prime) pairs where a prime of ps divides a value.
 
-    Within the spf table's caps each value contributes its smallest prime
-    factor in ps, in value order; a value with no such factor up to the
-    table limit but a prime factor beyond it raises CapacityError.  Beyond
-    the caps the primes of ps are swept in ascending order.
+    Within the mask's caps each value > 1 contributes its smallest prime in
+    ps, in value order; a value with no prime of ps up to the table limit
+    but a prime factor beyond it raises CapacityError.  Beyond the caps the
+    primes of ps are swept in ascending order.
     """
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     if arr.size == 0:
@@ -493,13 +474,19 @@ def divisibility_hits(
     top = int(arr.max())
     limit = ps.base.limit
     hits: list[tuple[int, int]] = []
-    if spf_table_fits(top):
-        first = first_factor_in(arr, ps)
-        for i in np.flatnonzero(first)[:max_pairs].tolist():
-            p = int(first[i])
-            if p > limit:
+    if mask_fits(top):
+        at = np.maximum(arr, 0)
+        qualify = inside = multiples_mask(ps, max(top, 0))[at] & (arr > 1)
+        if top > limit:  # a prime factor beyond the table also qualifies
+            beyond = PrimeTable(top).primes_between(limit, top)
+            qualify = inside | _multiples(beyond, top)[at]
+        for i in np.flatnonzero(qualify)[:max_pairs].tolist():
+            v = int(arr[i])
+            found = ps.primes_in(0, min(v, limit)) if inside[i] else beyond
+            p = int(found[v % found == 0][0])
+            if not inside[i]:
                 raise CapacityError(f"{p} exceeds table limit {limit}", limit=limit)
-            hits.append((int(arr[i]), p))
+            hits.append((v, p))
         return hits
     for p in ps.primes_in(1, min(top, limit)).tolist():
         divisible = arr[arr % p == 0]

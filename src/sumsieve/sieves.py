@@ -26,9 +26,9 @@ from .primes import (
     all_primes,
     cached,
     divisibility_hits,
-    first_factor_in,
+    mask_fits,
+    multiples_mask,
     residue_counts,
-    spf_table_fits,
     subset_sums,
 )
 from .profiles import STRICT, ConstantsProfile
@@ -112,9 +112,8 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
     """#{s in S : s != a_i mod p for every shift a_i and prime p in ps}.
 
     s is sifted out exactly when a prime of ps divides |s - a_i| for some i.
-    Within the spf table's caps the differences are factored at once
-    (``first_factor_in``); beyond them the primes of ps are swept one by one
-    over the survivors.
+    Within the mask's caps that is one gather from ``multiples_mask``; beyond
+    them the primes of ps are swept one by one over the survivors.
     """
     s = IntegerSet.coerce(s)
     shifts = coerce_shifts(shifts)
@@ -124,17 +123,16 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
     shift_arr = shifts.array()
     top = int(max(arr.max(), shift_arr.max()))
     limit = ps.base.limit
-    if spf_table_fits(top):
-        first = first_factor_in(np.abs(arr[:, None] - shift_arr[None, :]), ps)
-        live = arr[~((first > 0) & (first <= limit)).any(axis=1)]
-    else:
-        live = arr
-        for p in ps.primes_in(0, min(top, limit)).tolist():
-            forbidden = np.zeros(p, dtype=bool)
-            forbidden[shift_arr % p] = True
-            live = live[~forbidden[live - (live // p) * p]]
-            if live.size == 0:
-                return 0
+    if mask_fits(top):
+        sifted = multiples_mask(ps, top)[np.abs(arr[:, None] - shift_arr[None, :])]
+        return int(arr.size - np.count_nonzero(sifted.any(axis=1)))
+    live = arr
+    for p in ps.primes_in(0, min(top, limit)).tolist():
+        forbidden = np.zeros(p, dtype=bool)
+        forbidden[shift_arr % p] = True
+        live = live[~forbidden[live - (live // p) * p]]
+        if live.size == 0:
+            return 0
     # s = a_i: every prime divides 0, so any prime of ps sifts s out
     equal = np.isin(live, shift_arr)
     if equal.any() and ps.primes_in(0, limit).size > 0:

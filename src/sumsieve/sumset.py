@@ -109,9 +109,11 @@ def sumset(a, b) -> IntegerSet:
     """{x + y : x in a, y in b}, sorted and deduplicated.
 
     The outer sum is formed in row blocks of at most primes.BLOCK_BYTES (or of
-    one row, if larger); the blocks' distinct sums are merged by sort and adjacent-dedup at the end,
-    or as soon as they pass MEMORY_CAP bytes.  A result of more than
-    MEMORY_CAP bytes raises CapacityError.
+    one row, if larger).  When the sums span at most BLOCK_BYTES integers the
+    blocks mark them in one bool range; otherwise each block's distinct sums
+    are merged by sort and adjacent-dedup at the end, or as soon as they pass
+    MEMORY_CAP bytes.  A result of more than MEMORY_CAP bytes raises
+    CapacityError.
     """
     a = IntegerSet.coerce(a)
     b = IntegerSet.coerce(b)
@@ -119,15 +121,25 @@ def sumset(a, b) -> IntegerSet:
         return IntegerSet(())
     if a.max + b.max >= _VALUE_END:
         raise DomainError(f"sum {a.max} + {b.max} does not fit below 2^63")
+    too_many = CapacityError(f"sumset has more than {primes.MEMORY_CAP // 8} values")
     a_arr, b_arr = a.array(), b.array()
     rows = max(1, primes.BLOCK_BYTES // (8 * len(b)))
+    span = a.max + b.max - a.min - b.min + 1
+    if span <= primes.BLOCK_BYTES:
+        marked = np.zeros(span, dtype=bool)
+        a_rel, b_rel = a_arr - a.min, b_arr - b.min
+        for lo in range(0, len(a), rows):
+            marked[np.add.outer(a_rel[lo : lo + rows], b_rel).ravel()] = True
+        if 8 * np.count_nonzero(marked) > primes.MEMORY_CAP:
+            raise too_many
+        return IntegerSet(np.flatnonzero(marked) + (a.min + b.min))
     parts = []
     for lo in range(0, len(a), rows):
         parts.append(IntegerSet(np.add.outer(a_arr[lo : lo + rows], b_arr).ravel()))
         if len(parts) > 1 and (lo + rows >= len(a) or 8 * sum(map(len, parts)) > primes.MEMORY_CAP):
             parts = [IntegerSet(np.concatenate([part.array() for part in parts]))]
             if 8 * len(parts[0]) > primes.MEMORY_CAP:
-                raise CapacityError(f"sumset has more than {primes.MEMORY_CAP // 8} values")
+                raise too_many
     return parts[0]
 
 
@@ -158,6 +170,16 @@ class DecompositionResult:
     all_witnesses: Optional[tuple] = None  # populated only when requested
 
 
+def _reaches(u, offsets, b_set) -> bool:
+    """Whether u = x + b for an x in offsets (ascending) and b in b_set."""
+    for x in offsets:
+        if x > u:
+            return False
+        if u - x in b_set:
+            return True
+    return False
+
+
 def _search(s, target, anchors, min_part, max_nodes, collected=None, max_witnesses=0):
     """Depth-first search for A + B with target <= A + B <= s and #A, #B >= min_part.
 
@@ -172,63 +194,55 @@ def _search(s, target, anchors, min_part, max_nodes, collected=None, max_witness
     """
     nodes = 0
 
-    def rec(a_sofar, b_cand, covered, start_idx):
+    def enter(a_part, b_part, covered):
+        """Count a node; return its witness if the search stops there."""
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
-            raise CapacityError(
-                f"decomposition search exceeded {max_nodes} nodes",
-                nodes_explored=nodes,
-            )
-        if covered and len(a_sofar) >= min_part:
+            raise CapacityError(f"decomposition search exceeded {max_nodes} nodes",
+                                nodes_explored=nodes)
+        if covered and len(a_part) >= min_part:
             if collected is None:
-                return a_sofar, b_cand
+                return a_part, b_part
             if len(collected) < max_witnesses:
-                collected.append((a_sofar, [b + anchor for b in b_cand]))
-        for idx in range(start_idx, len(t)):
-            a = t[idx]
-            b_new = [b for b in b_cand if (a + b) in t_set]
-            if len(b_new) < min_part:
-                continue
-            b_set = set(b_new)
-            a_new = a_sofar + [a]
-            # child_covered: every u is reached from A + a; feasible: from
-            # A + a or a later offset.  Offsets ascend, so the scans stop past u.
-            child_covered = feasible = True
-            for u in goal:
-                hit = False
-                for x in a_new:
-                    if x > u:
-                        break
-                    if u - x in b_set:
-                        hit = True
-                        break
-                if hit:
-                    continue
-                child_covered = False
-                for x in t[idx + 1 :]:
-                    if x > u:
-                        break
-                    if u - x in b_set:
-                        hit = True
-                        break
-                if not hit:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            found = rec(a_new, b_new, child_covered, idx + 1)
-            if found is not None:
-                return found
+                collected.append((a_part, [b + anchor for b in b_part]))
         return None
+
+    def child(a_sofar, b_cand, idx):
+        """(A + t[idx], its maximal B, covered), or None if pruned."""
+        a = t[idx]
+        b_new = [b for b in b_cand if (a + b) in t_set]
+        if len(b_new) < min_part:
+            return None
+        b_set = set(b_new)
+        a_new = a_sofar + [a]
+        # covered: A + a reaches every u; pruned if a u is out of reach of later offsets too
+        covered = True
+        for u in goal:
+            if not _reaches(u, a_new, b_set):
+                covered = False
+                if not _reaches(u, t[idx + 1 :], b_set):
+                    return None
+        return a_new, b_new, covered
 
     elements = s.elements
     for anchor in anchors:
-        # rec reads these three for the current anchor
+        # enter and child read these three for the current anchor
         t = [v - anchor for v in elements if v >= anchor]
         t_set = set(t)
         goal = [u - anchor for u in target]
-        found = rec([0], t, False, 1)
+        # preorder walk from A = {0}: each stack entry (A, B, i) is a node
+        # whose children A + t[j], j >= i, are still to be tried
+        found = enter([0], t, False)
+        stack = [([0], t, 1)]
+        while found is None and stack:
+            a_sofar, b_cand, start = stack.pop()
+            for idx in range(start, len(t)):
+                node = child(a_sofar, b_cand, idx)
+                if node is not None:
+                    found = enter(*node)
+                    stack += [(a_sofar, b_cand, idx + 1), (node[0], node[1], idx + 1)]
+                    break
         if found is not None:
             a_part, b_part = found
             return (IntegerSet(a_part), IntegerSet([b + anchor for b in b_part])), nodes

@@ -20,11 +20,11 @@ from sumsieve.primes import (
     build_prime_table,
     density_ratio_c,
     divisibility_hits,
+    multiples_mask,
     residue_counts,
-    smallest_prime_factor_table,
     subset_sums,
 )
-from sumsieve.sieves import reduced_residues_mask
+from sumsieve.sieves import reduced_residues_mask, sift_count
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -209,40 +209,52 @@ class TestDensityRatio:
             density_ratio_c(all_primes(table_1e6), 99)
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n > 1, ascending, by trial division."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def divisibility_hits_scalar(values, ps, max_pairs=20):
-    """Reference: per value, walk its prime factors upward through the spf
-    table and test each with PrimeSubset.contains."""
-    values = list(values)
-    spf = smallest_prime_factor_table(max(max(values), 2))
+    """Reference: per value > 1, its prime factors upward by trial division;
+    the first one in ps is a hit, and a first one beyond the table limit
+    cannot be decided and raises CapacityError."""
+    limit = ps.base.limit
     hits = []
     for v in values:
-        n = v
-        while n > 1:
-            p = int(spf[n])
-            if ps.contains(p):
+        for p in prime_factors(v) if v > 1 else []:
+            if p > limit:
+                raise CapacityError(f"{p} exceeds table limit {limit}", limit=limit)
+            if ps.selector.contains(p):
                 hits.append((v, p))
                 break
-            while n % p == 0:
-                n //= p
         if len(hits) >= max_pairs:
             return hits
     return hits
 
 
 class TestDivisibility:
-    def test_spf_table(self, monkeypatch):
-        spf = smallest_prime_factor_table(100)
-        assert spf.dtype == np.int32
-        for n in range(2, 101):
-            p = int(spf[n])
-            assert n % p == 0
-            assert trial_division_is_prime(p)
-            for q in range(2, p):
-                assert n % q != 0
-        monkeypatch.setattr(primes_module, "MEMORY_CAP", 4 * 10**3)
-        smallest_prime_factor_table(999)
+    def test_multiples_mask(self, table_1e4, monkeypatch):
+        ps = PrimeSubset(table_1e4, ResidueClass(3, 4))
+        m = multiples_mask(ps, 100)
+        assert m.dtype == np.bool_ and m.size == 101
+        for n in range(1, 101):
+            assert m[n] == any(p % 4 == 3 for p in prime_factors(n))
+        assert m[0]  # every prime divides 0
+        assert not multiples_mask(PrimeSubset(table_1e4, Interval(0, 1)), 100)[0]
+        monkeypatch.setattr(primes_module, "MEMORY_CAP", 10**3)
+        multiples_mask(ps, 999)
         with pytest.raises(CapacityError):
-            smallest_prime_factor_table(1000)
+            multiples_mask(ps, 1000)
 
     def test_hits_found(self, table_1e4):
         ps = PrimeSubset(table_1e4, ResidueClass(3, 4))
@@ -276,6 +288,83 @@ class TestDivisibility:
         assert divisibility_hits([7, 101], small, max_pairs=1) == [(7, 7)]
 
 
+_TABLES = {limit: build_prime_table(limit) for limit in (60, 500)}
+_SELECTORS = st.one_of(
+    st.builds(Interval, st.integers(0, 600), st.integers(0, 600)),
+    st.integers(1, 6).flatmap(lambda m: st.builds(ResidueClass, st.integers(0, m - 1), st.just(m))),
+    st.builds(Excluding, st.frozensets(st.integers(2, 60), max_size=6)),
+    st.builds(MinValue, st.integers(0, 700)),  # above every value of a small top
+)
+
+
+def _oracle_primes(ps, bound):
+    """The primes of ps up to bound, by trial division and the selector."""
+    return [p for p in range(2, bound + 1) if trial_division_is_prime(p) and ps.selector.contains(p)]
+
+
+class TestMultiplesMaskProperty:
+    """multiples_mask, sift_count and divisibility_hits against trial division."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        limit=st.sampled_from(sorted(_TABLES)),
+        selectors=st.lists(_SELECTORS, min_size=1, max_size=2),
+        top=st.integers(0, 1200),
+        block=st.sampled_from([24, 240, 1 << 24]),
+    )
+    @example(limit=500, selectors=[MinValue(700)], top=300, block=24)  # no prime <= top
+    @example(limit=60, selectors=[Interval(59, 600)], top=1000, block=24)  # top beyond limit
+    def test_mask(self, limit, selectors, top, block):
+        ps = PrimeSubset(_TABLES[limit], selectors[0] if len(selectors) == 1 else And(tuple(selectors)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "BLOCK_BYTES", block)  # many index blocks
+            got = multiples_mask(ps, top)
+        plist = _oracle_primes(ps, min(top, limit))
+        assert got.tolist() == [bool(_oracle_primes(ps, limit))] + [
+            any(n % p == 0 for p in plist) for n in range(1, top + 1)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        limit=st.sampled_from(sorted(_TABLES)),
+        selectors=st.lists(_SELECTORS, min_size=1, max_size=2),
+        data=st.data(),
+    )
+    def test_sift_count(self, limit, selectors, data):
+        ps = PrimeSubset(_TABLES[limit], selectors[0] if len(selectors) == 1 else And(tuple(selectors)))
+        s = data.draw(st.lists(st.integers(0, 1500), min_size=1, max_size=25, unique=True))
+        # some shifts equal elements of s
+        shifts = data.draw(st.lists(st.one_of(st.sampled_from(s), st.integers(0, 1500)),
+                                    min_size=1, max_size=4, unique=True))
+        plist = _oracle_primes(ps, limit)
+        expected = sum(
+            1 for v in s if not any(abs(v - a) % p == 0 for a in shifts for p in plist)
+        )
+        assert sift_count(s, shifts, ps) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "MEMORY_CAP", 0)  # the per-prime sweep
+            assert sift_count(s, shifts, ps) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        limit=st.sampled_from(sorted(_TABLES)),
+        selectors=st.lists(_SELECTORS, min_size=1, max_size=2),
+        values=st.lists(st.integers(0, 2000), min_size=1, max_size=30),
+        max_pairs=st.sampled_from([1, 3, 20]),
+    )
+    @example(limit=60, selectors=[ResidueClass(3, 4)], values=[4, 7, 67, 3], max_pairs=1)
+    @example(limit=60, selectors=[ResidueClass(3, 4)], values=[4, 7, 67, 3], max_pairs=3)
+    def test_divisibility_hits(self, limit, selectors, values, max_pairs):
+        ps = PrimeSubset(_TABLES[limit], selectors[0] if len(selectors) == 1 else And(tuple(selectors)))
+        try:
+            expected = divisibility_hits_scalar(values, ps, max_pairs)
+        except CapacityError as exc:
+            with pytest.raises(CapacityError, match=str(exc)):
+                divisibility_hits(values, ps, max_pairs=max_pairs)
+        else:
+            assert divisibility_hits(values, ps, max_pairs=max_pairs) == expected
+
+
 _SMALL_PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
@@ -306,27 +395,31 @@ class TestCache:
         cap = 20_000
         monkeypatch.setattr(primes_module, "_CACHE", cache)
         monkeypatch.setattr(primes_module, "MEMORY_CAP", cap)
-        spf = smallest_prime_factor_table(3000)
-        assert smallest_prime_factor_table(100) is spf  # a smaller limit builds nothing
+        smooth._primes_up_to(1500)
+        table = cache["smooth-primes"][1]
+        smooth._primes_up_to(100)
+        assert cache["smooth-primes"][1] is table  # a smaller need builds nothing
         requests = [
-            lambda: smallest_prime_factor_table(4000),
+            lambda: smooth._primes_up_to(2000),
             lambda: reduced_residues_mask(3000),
             lambda: checks._table(10**4),
             lambda: smooth._primes_up_to(50),
             lambda: reduced_residues_mask(3000),
-            lambda: smallest_prime_factor_table(100),
+            lambda: smooth._primes_up_to(100),
             lambda: reduced_residues_mask(4999),
             lambda: smooth._primes_up_to(700),
             lambda: checks._table(2000),
-            lambda: smallest_prime_factor_table(4500),
+            lambda: smooth._primes_up_to(2600),
         ]
         for request in requests:
             request()
             assert cache.nbytes == sum(entry[2] for entry in cache.values())
             assert cache.nbytes <= cap
-        spf = smallest_prime_factor_table(4600)
-        assert spf.size == 4601  # grown to exactly the requested limit
-        assert smallest_prime_factor_table(4599) is spf
+        smooth._primes_up_to(5300)
+        table = cache["smooth-primes"][1]
+        assert table.limit == 10600  # rebuilt to the reach its builder asked for
+        smooth._primes_up_to(10600)
+        assert cache["smooth-primes"][1] is table
         # a checks table is kept by its exact limit
         assert checks._table(2000).limit == 2000
         # larger than the cap on its own: returned, not kept

@@ -105,8 +105,8 @@ class TestSiftCount:
             (IntegerSet([0, 1, 2, 4, 8, 9, 27, 25, 125, 49, 1024, 2187]),
              IntegerSet([0]), PrimeSubset(table_1e4, Interval(2, 3))),
         ]
-        # around 10^12 the spf table cannot cover the differences
-        assert not primes_module.spf_table_fits(10**12)
+        # around 10^12 no multiples mask can cover the differences
+        assert not primes_module.mask_fits(10**12)
         big = IntegerSet(rng.sample(range(10**12 - 10**5, 10**12 + 10**5), 60))
         cases += [
             (big, IntegerSet(rng.sample(range(0, 10**12), 3)),
@@ -117,7 +117,7 @@ class TestSiftCount:
         for s, shifts, ps in cases:
             expected = sift_count_elementwise(s, shifts, ps)
             assert sift_count(s, shifts, ps) == expected
-            # a memory cap below every spf table forces the per-prime sweep
+            # a memory cap below every multiples mask forces the per-prime sweep
             with monkeypatch.context() as patch:
                 patch.setattr(primes_module, "MEMORY_CAP", 0)
                 assert sift_count(s, shifts, ps) == expected

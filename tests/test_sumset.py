@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +105,23 @@ class TestSumset:
                 else:
                     assert sumset(a, b).elements == brute
 
+    def test_marked_range_and_blocked_merge_agree(self, monkeypatch):
+        # sums spanning at most BLOCK_BYTES integers are marked in a bool
+        # range, wider ones merged block by block
+        rng = random.Random(7)
+        monkeypatch.setattr(primes, "BLOCK_BYTES", 1000)
+        spans = []
+        for _ in range(40):
+            a = rng.sample(range(0, 600), rng.randrange(1, 40))
+            b = rng.sample(range(0, 600), rng.randrange(1, 40))
+            spans.append(max(a) + max(b) - min(a) - min(b) + 1)
+            assert sumset(a, b).elements == tuple(sorted({x + y for x in a for y in b}))
+        assert min(spans) <= 1000 < max(spans)
+        monkeypatch.setattr(primes, "MEMORY_CAP", 800)  # 100 values
+        assert len(sumset(range(50), range(51))) == 100
+        with pytest.raises(CapacityError):
+            sumset(range(60), range(60))  # 119 sums in a span of 119
+
     def test_commutative_associative(self):
         rng = random.Random(2)
         for _ in range(100):
@@ -197,6 +216,19 @@ class TestDecomposeBinary:
         with pytest.raises(CapacityError) as err:
             decompose_binary(s, max_nodes=0)
         assert err.value.nodes_explored >= 1
+
+    def test_search_depth_is_not_bounded_by_the_stack(self):
+        # A grows by one offset per level, about 200 levels deep, under a
+        # recursion limit of 100 frames beyond the caller's
+        s = list(range(201)) + [10**5]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            with pytest.raises(CapacityError) as err:
+                decompose_binary(s, max_nodes=300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert err.value.nodes_explored == 301
 
     def test_size_cap(self):
         with pytest.raises(CapacityError):
