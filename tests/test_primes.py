@@ -417,7 +417,7 @@ class TestCache:
             assert cache.nbytes <= cap
         smooth._primes_up_to(5300)
         table = cache["smooth-primes"][1]
-        assert table.limit == 10600  # rebuilt to the reach its builder asked for
+        assert table.limit == 10600  # rebuilt to the reach it was built for
         smooth._primes_up_to(10600)
         assert cache["smooth-primes"][1] is table
         # a checks table is kept by its exact limit
