@@ -6,9 +6,11 @@ table with an immutable selector; every sieve formula in the package draws
 its primes and its partial sums (theta, Mertens-type) from here.
 ``multiples_mask`` (which n <= top a prime of a subset divides, one byte
 each, built per call) is the one prime-factor kernel behind divisibility
-scans and sifted counts, ``residue_counts`` the one residue-occupancy kernel,
-and ``cached`` the package's one cache (tables and masks), bounded in bytes
-by the memory cap.
+scans and sifted counts, ``shift_class_hits`` the one shift-class test
+(v = a_i mod p, from a bool table over [0, p)) behind the sifted-count sweep
+and Selberg's remainder, ``residue_counts`` the one residue-occupancy kernel,
+and ``cached`` the package's one cache (tables, masks and the density ratio
+c), bounded in bytes by the memory cap, a fixed per-entry overhead included.
 """
 
 from __future__ import annotations
@@ -343,7 +345,17 @@ def density_ratio_c(
     The returned value is a mesh infimum: the windows actually consumed
     downstream are exactly these.  Windows containing no primes at all carry
     no information and are skipped.
+
+    Memoised in ``cached`` under (table limit, selector, x, exponent): the
+    value depends on nothing else, since tables of one limit hold the same
+    primes and selectors compare by value.  An error is raised on every call
+    and never kept.
     """
+    key = ("density_c", ps.base.limit, ps.selector, x, window_floor_exponent)
+    return cached(key, lambda: _density_ratio_c(ps, x, window_floor_exponent))
+
+
+def _density_ratio_c(ps: PrimeSubset, x: int, window_floor_exponent: float) -> float:
     if x < 100:
         raise DomainError(f"need x >= 100, got {x}")
     if math.isqrt(x) > ps.base.limit:
@@ -375,19 +387,24 @@ def density_ratio_c(
 class _ByteCache(OrderedDict):
     """key -> (reach, value, nbytes), least recently used first."""
 
-    nbytes = 0  # the values' total bytes
+    nbytes = 0  # the entries' total bytes
 
 
 _CACHE = _ByteCache()
+# bytes counted for each entry beyond its value's nbytes: the key, the entry
+# tuple, the dict slot and a scalar value (about 360 for a density memo entry)
+ENTRY_BYTES = 512
 
 
 def cached(key: Hashable, build: Callable, need: int = 0, reach: Optional[int] = None):
     """build(), or the value the package's one cache holds under key.
 
     The entry serves every need up to the reach it was built for (`reach`,
-    default `need`); a larger need rebuilds it.  The values' bytes stay within
-    MEMORY_CAP: the least recently used entries make way for a new one, and a
-    value larger than the cap on its own is returned without being kept.
+    default `need`); a larger need rebuilds it.  An entry counts ENTRY_BYTES
+    plus its value's nbytes (0 for a scalar without one), and the entries'
+    bytes stay within MEMORY_CAP: the least recently used make way for a new
+    one, and an entry larger than the cap on its own is returned without
+    being kept.  An exception from build() propagates and nothing is kept.
     """
     cache = _CACHE
     entry = cache.get(key)
@@ -397,7 +414,7 @@ def cached(key: Hashable, build: Callable, need: int = 0, reach: Optional[int] =
     if entry is not None:
         cache.nbytes -= cache.pop(key)[2]
     value = build()
-    size = int(value.nbytes)
+    size = ENTRY_BYTES + int(getattr(value, "nbytes", 0))
     if size <= MEMORY_CAP:
         while cache.nbytes + size > MEMORY_CAP:
             cache.nbytes -= cache.popitem(last=False)[1][2]
@@ -495,6 +512,17 @@ def divisibility_hits(
             if len(hits) >= max_pairs:
                 return hits
     return hits
+
+
+def shift_class_hits(values: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:
+    """Bool mask over values: v = a (mod p) for some a in shifts (int64 arrays).
+
+    One bool table over [0, p) marks the shift classes; values index it by
+    v - (v // p) * p, which numpy computes faster than v % p.
+    """
+    table = np.zeros(p, dtype=bool)
+    table[shifts % p] = True
+    return table[values - (values // p) * p]
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .primes import (
     mask_fits,
     multiples_mask,
     residue_counts,
+    shift_class_hits,
     subset_sums,
 )
 from .profiles import STRICT, ConstantsProfile
@@ -128,9 +129,7 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
         return int(arr.size - np.count_nonzero(sifted.any(axis=1)))
     live = arr
     for p in ps.primes_in(0, min(top, limit)).tolist():
-        forbidden = np.zeros(p, dtype=bool)
-        forbidden[shift_arr % p] = True
-        live = live[~forbidden[live - (live // p) * p]]
+        live = live[~shift_class_hits(live, shift_arr, p)]
         if live.size == 0:
             return 0
     # s = a_i: every prime divides 0, so any prime of ps sifts s out
@@ -241,7 +240,8 @@ def selberg_bound(
     size_c = len(c_set)
     main = size_c / L
 
-    hit_masks = {p: np.isin(c_arr % p, shift_arr % p) for p in plist}
+    d_bound = q_limit**2  # the lattice below takes no prime beyond it
+    hit_masks = {p: shift_class_hits(c_arr, shift_arr, p) for p in plist if p <= d_bound}
 
     def step(state, p):
         mask, density, r = state
@@ -249,7 +249,7 @@ def selberg_bound(
         return hits, density * omega.get(p) / p, r + 1
 
     remainder = 0.0
-    for d, (mask, density, r) in squarefree_lattice(plist, q_limit**2, (None, 1.0, 0), step):
+    for d, (mask, density, r) in squarefree_lattice(plist, d_bound, (None, 1.0, 0), step):
         if d > 1:
             remainder += (3**r) * abs(int(mask.sum()) - size_c * density)
 

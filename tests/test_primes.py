@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumsieve import checks, smooth
+from sumsieve import checks, sieves, smooth
 from sumsieve import primes as primes_module
+from sumsieve.arith import squarefree_lattice
 from sumsieve.errors import CapacityError, DegenerateInputError, DomainError
 from sumsieve.primes import (
     And,
@@ -22,9 +23,10 @@ from sumsieve.primes import (
     divisibility_hits,
     multiples_mask,
     residue_counts,
+    shift_class_hits,
     subset_sums,
 )
-from sumsieve.sieves import reduced_residues_mask, sift_count
+from sumsieve.sieves import OccupancyProfile, reduced_residues_mask, selberg_bound, sift_count
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -208,6 +210,39 @@ class TestDensityRatio:
         with pytest.raises(DomainError):
             density_ratio_c(all_primes(table_1e6), 99)
 
+    def test_memo(self, table_1e4, monkeypatch):
+        cache = primes_module._ByteCache()
+        monkeypatch.setattr(primes_module, "_CACHE", cache)
+        selectors = [
+            ResidueClass(3, 4),
+            Interval(20, 5000),
+            Excluding(frozenset({101, 103, 107})),
+            And((ResidueClass(1, 3), MinValue(40))),
+        ]
+        keys = [(10**6, 0.3), (10**6, 0.1), (10**8, 0.1)]
+        other_table = build_prime_table(10**4)
+        for sel in selectors:
+            for x, exponent in keys:
+                cold = primes_module._density_ratio_c(PrimeSubset(table_1e4, sel), x, exponent)
+                # the first call fills the memo; an equal selector built anew
+                # and a second table of the same limit are served from it
+                for table, selector in ((table_1e4, sel), (other_table, type(sel)(**vars(sel)))):
+                    memo = density_ratio_c(PrimeSubset(table, selector), x, window_floor_exponent=exponent)
+                    assert memo == cold and repr(memo) == repr(cold)
+        assert len(cache) == len(selectors) * len(keys)
+        # errors are raised on every call and leave no entry
+        cache.clear()
+        cache.nbytes = 0
+        for ps, x, error in (
+            (all_primes(table_1e4), 99, DomainError),
+            (all_primes(table_1e4), 10**8 + 2 * 10**4 + 1, CapacityError),  # sqrt(x) > 10^4
+            (PrimeSubset(table_1e4, Interval(5000, 6000)), 10**4, DegenerateInputError),
+        ):
+            for _ in range(2):
+                with pytest.raises(error):
+                    density_ratio_c(ps, x)
+        assert len(cache) == 0 and cache.nbytes == 0
+
 
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n > 1, ascending, by trial division."""
@@ -365,6 +400,105 @@ class TestMultiplesMaskProperty:
             assert divisibility_hits(values, ps, max_pairs=max_pairs) == expected
 
 
+def _isin_hits(values, shifts, p):
+    """Reference for shift_class_hits: the residues' membership by np.isin."""
+    return np.isin(values % p, shifts % p)
+
+
+_SIFT_VALUES = st.one_of(st.integers(0, 3000), st.integers(10**12, 10**12 + 3000))
+
+
+class TestShiftClassProperty:
+    """shift_class_hits, the sift_count sweep and Selberg's hit masks against
+    trial division and the np.isin reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 31, 397]),
+        data=st.data(),
+    )
+    @example(p=2, data=None)
+    def test_helper(self, p, data):
+        if data is None:  # p = 2, shifts >= p, a shift equal to a value
+            values, shifts = [0, 1, 2, 3, 10**12 + 1], [2, 3, 10**12 + 1]
+        else:
+            values = data.draw(st.lists(_SIFT_VALUES, max_size=40))
+            shifts = data.draw(st.lists(st.one_of(st.sampled_from(values or [0]), _SIFT_VALUES),
+                                        min_size=1, max_size=60, unique=True))
+        v, a = np.array(values, dtype=np.int64), np.array(shifts, dtype=np.int64)
+        got = shift_class_hits(v, a, p)
+        assert got.dtype == np.bool_
+        assert got.tolist() == [any((x - y) % p == 0 for y in shifts) for x in values]
+        assert got.tolist() == _isin_hits(v, a, p).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        limit=st.sampled_from(sorted(_TABLES)),
+        selectors=st.lists(_SELECTORS, min_size=1, max_size=2),
+        data=st.data(),
+    )
+    def test_sift_count_sweep(self, limit, selectors, data):
+        ps = PrimeSubset(_TABLES[limit], selectors[0] if len(selectors) == 1 else And(tuple(selectors)))
+        s = data.draw(st.lists(_SIFT_VALUES, min_size=1, max_size=25, unique=True))
+        # values near 10^12 lie beyond MASK_CAP: the per-prime sweep
+        shifts = data.draw(st.lists(st.one_of(st.sampled_from(s), _SIFT_VALUES),
+                                    min_size=1, max_size=60, unique=True))
+        plist = _oracle_primes(ps, limit)
+        expected = sum(
+            1 for v in s if not any(abs(v - a) % p == 0 for a in shifts for p in plist)
+        )
+        assert sift_count(s, shifts, ps) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "MASK_CAP", 0)  # every top takes the sweep
+            assert sift_count(s, shifts, ps) == expected
+            mp.setattr(sieves, "shift_class_hits", _isin_hits)
+            assert sift_count(s, shifts, ps) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lo=st.integers(0, 40),
+        width=st.integers(1, 60),
+        q_limit=st.integers(1, 10),
+        data=st.data(),
+    )
+    @example(lo=0, width=10, q_limit=5, data=None)  # p = 2, shifts >= p and in C
+    def test_selberg_hit_masks(self, lo, width, q_limit, data):
+        ps = PrimeSubset(_TABLES[500], Interval(lo, lo + width))
+        if data is None:
+            c_set, shifts = [1, 2, 3, 4, 5, 6, 12, 13], [4, 5, 13, 40]
+        else:
+            c_set = data.draw(st.lists(st.integers(0, 3000), min_size=1, max_size=30, unique=True))
+            shifts = data.draw(st.lists(st.one_of(st.sampled_from(c_set), st.integers(0, 3000)),
+                                        min_size=1, max_size=60, unique=True))
+        plist = ps.primes().tolist()
+        omega = OccupancyProfile({p: (p - 1) / 2 for p in plist})
+        seen = []
+
+        def checked(values, shift_arr, p):
+            got = shift_class_hits(values, shift_arr, p)
+            assert got.tolist() == [any((int(v) - a) % p == 0 for a in shifts) for v in values]
+            assert got.tolist() == _isin_hits(values, shift_arr, p).tolist()
+            seen.append(p)
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieves, "shift_class_hits", checked)
+            rep = selberg_bound(c_set, ps, shifts, omega, q_limit)
+        assert seen[: len([p for p in plist if p <= q_limit**2])] == [p for p in plist if p <= q_limit**2]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieves, "shift_class_hits", _isin_hits)
+            reference = selberg_bound(c_set, ps, shifts, omega, q_limit)
+        assert repr(rep.remainder) == repr(reference.remainder)
+        # the remainder from counts by trial division, in the lattice's order
+        remainder = 0.0
+        for d, r in squarefree_lattice(plist, q_limit**2, 0, lambda r, p: r + 1):
+            if d > 1:
+                count = sum(1 for c in c_set if math.prod(c - a for a in shifts) % d == 0)
+                density = math.prod(omega.get(p) / p for p in plist if d % p == 0)
+                remainder += 3**r * abs(count - len(c_set) * density)
+        assert rep.remainder == pytest.approx(remainder, rel=1e-12, abs=1e-9)
+
+
 _SMALL_PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
@@ -415,6 +549,16 @@ class TestCache:
             request()
             assert cache.nbytes == sum(entry[2] for entry in cache.values())
             assert cache.nbytes <= cap
+        # scalar density memo entries count their fixed overhead, and push
+        # the tables out
+        ps = PrimeSubset(build_prime_table(2600), ResidueClass(1, 4))
+        for x in range(10**6, 10**6 + 60):
+            c = density_ratio_c(ps, x)
+            assert cache[("density_c", ps.base.limit, ps.selector, x, 0.1)][1:] == (
+                c, primes_module.ENTRY_BYTES)
+            assert cache.nbytes == sum(entry[2] for entry in cache.values())
+            assert cache.nbytes <= cap
+        assert len(cache) == cap // primes_module.ENTRY_BYTES
         smooth._primes_up_to(5300)
         table = cache["smooth-primes"][1]
         assert table.limit == 10600  # rebuilt to the reach it was built for
