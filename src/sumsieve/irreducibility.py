@@ -15,16 +15,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .arith import (
-    MultiplicativeSpec,
-    restricted_multiplicative_sum,
-    squarefree_lattice,
-    squarefree_weight_sum,
-)
+from .arith import squarefree_weight_sum
 from .errors import DegenerateInputError, DivisibilityError, DomainError
 from .primes import PrimeSubset, PrimeTable, density_ratio_c, divisibility_hits, residue_counts
 from .profiles import STRICT, ConstantsProfile
-from .sieves import OccupancyProfile, max_progression_deviation
+from .sieves import OccupancyProfile, discrepancy_sum, star_sum
 from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .sumset import IntegerSet
 
@@ -152,10 +147,10 @@ class ConditionResult:
 
 def check_scs_condition(ctx: GenThmContext) -> ConditionResult:
     """Sieve-controls-size: sum over 1 < q <= sqrt(x), q squarefree and
-    P0*-supported, of prod 2/p, against the threshold coeff/(sigma0 sigma)."""
+    P0*-supported, of prod 2/p (``star_sum``), against the threshold
+    coeff/(sigma0 sigma).  A prime table below sqrt(x) raises CapacityError."""
     root = math.isqrt(ctx.x)
-    spec = MultiplicativeSpec({int(p): 2.0 for p in ctx.ps_star.primes_in(1, root)})
-    total = restricted_multiplicative_sum(spec, ctx.ps_star, root, mode="squarefree") - 1.0
+    total = star_sum(ctx.ps_star.primes_in(1, root).tolist(), 2.0, root)
     threshold = ctx.profile.condition_coefficient / (ctx.sigma0 * ctx.sigma)
     return ConditionResult(
         "sieve_controls_size",
@@ -176,25 +171,25 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     coeff * sigma0^(-1); discrepancy: sum over squarefree d <= Q^2 of
     tau3(d)^(1 + log K / log 3) * max over (a,d)=1 of
     |#{s in S : s = a mod d} - #S/phi(d)|, against #S sigma0 / (2K).
+
+    The main sum is ``star_sum``; the discrepancy is ``discrepancy_sum`` over
+    the P0* primes up to min(Q^2, table limit), with its default modulus
+    budget.
     """
     s = IntegerSet.coerce(s)
     if q_limit < 1:
         raise DomainError(f"need Q >= 1, got {q_limit}")
     size_s = len(s)
     star = ctx.ps_star
-    q_primes = star.primes_in(1, q_limit).tolist()
-    main_sum = squarefree_weight_sum(q_primes, {p: 1.0 / p for p in q_primes}, q_limit) - 1.0
+    main_sum = star_sum(star.primes_in(1, q_limit).tolist(), 1.0, q_limit)
     main_threshold = ctx.profile.condition_coefficient / ctx.sigma0
 
     d_bound = q_limit**2
     d_primes = star.primes_in(1, min(d_bound, star.base.limit)).tolist()
-    s_arr = s.array()
     disc_sum = 0.0
     if d_primes and math.isfinite(ctx.K):
         weight_base = 3.0 ** (1.0 + math.log(ctx.K) / math.log(3.0))
-        for d, r in squarefree_lattice(d_primes, d_bound, 0, lambda r, p: r + 1):
-            if d > 1:
-                disc_sum += weight_base**r * max_progression_deviation(s_arr, d)
+        disc_sum, _ = discrepancy_sum(s.array(), d_primes, d_bound, weight_base)
     disc_threshold = (
         size_s * ctx.sigma0 / (2.0 * ctx.K) if math.isfinite(ctx.K) else 0.0
     )

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import squarefree_lattice, squarefree_weight_sum
-from .errors import DomainError
+from .arith import factorize, squarefree_lattice, squarefree_weight_sum
+from .errors import CapacityError, DomainError
 from .primes import (
+    MEMORY_CAP,
     PrimeSubset,
     all_primes,
     cached,
@@ -41,8 +42,16 @@ _DEFICIT_BUDGET = math.log(2.0) / 4.0
 
 
 def reduced_residues_mask(d: int) -> np.ndarray:
-    """Boolean mask over [0, d) marking residues coprime to d (cached)."""
-    return cached(("mask", d), lambda: np.gcd(np.arange(d, dtype=np.int64), d) == 1)
+    """Boolean mask over [0, d) marking residues coprime to d (cached), with
+    the multiples of each prime factor of d struck out."""
+
+    def build():
+        mask = np.ones(d, dtype=bool)
+        for p, _ in factorize(d):
+            mask[::p] = False
+        return mask
+
+    return cached(("mask", d), build)
 
 
 def max_progression_deviation(values: np.ndarray, d: int) -> float:
@@ -50,6 +59,59 @@ def max_progression_deviation(values: np.ndarray, d: int) -> float:
     counts = np.bincount(values % d, minlength=d)
     reduced = reduced_residues_mask(d)
     return float(np.abs(counts[reduced] - values.size / int(np.count_nonzero(reduced))).max())
+
+
+# Work budget of every discrepancy sum, a modulus d costing d + #values units;
+# the BV condition of acceptance criterion 9 spends about 1.24e8.
+MODULUS_WORK_CAP = 2 * 10**8
+# An uncached max_progression_deviation scan peaks at about 25 bytes per
+# residue under tracemalloc (mask, bincount, reduced counts, deviations).
+_RESIDUE_BYTES = 32
+
+
+class DiscrepancyBreakdown(NamedTuple):
+    """One modulus of a discrepancy sum (a tuple: cheap to build per modulus)."""
+
+    d: int
+    factors: tuple[int, ...]
+    weight: float
+    max_deviation: float
+    term: float
+
+
+def discrepancy_sum(
+    values: np.ndarray, primes: list, d_bound: int, base: float, *, work_cap=MODULUS_WORK_CAP
+) -> tuple[float, list[DiscrepancyBreakdown]]:
+    """sum over squarefree 1 < d <= d_bound supported on `primes` (ascending)
+    of base^omega(d) * max_progression_deviation(values, d), accumulated in
+    lattice preorder, with one breakdown row per modulus in that order.
+
+    A modulus whose work would take the total past `work_cap`, or whose
+    residue tables would pass MEMORY_CAP, raises CapacityError before its
+    scan, carrying partial_sum, partial_breakdown and last_d.
+    """
+    rows: list[DiscrepancyBreakdown] = []
+    total = 0.0
+    spent = 0
+    for d, factors in squarefree_lattice(primes, d_bound, (), lambda f, p: f + (p,)):
+        if d == 1:
+            continue
+        spent += d + values.size
+        if spent > work_cap or d * _RESIDUE_BYTES > MEMORY_CAP:
+            message = ("modulus enumeration budget exceeded" if spent > work_cap
+                       else f"the residue tables of modulus {d} would pass the memory cap")
+            raise CapacityError(message, partial_sum=total, partial_breakdown=rows, last_d=d)
+        dev = max_progression_deviation(values, d)
+        weight = base ** len(factors)
+        total += weight * dev
+        rows.append(DiscrepancyBreakdown(d, factors, weight, dev, weight * dev))
+    return total, rows
+
+
+def star_sum(primes: list, c: float, bound: int) -> float:
+    """sum over squarefree 1 < q <= bound supported on `primes` (ascending) of prod
+    c/p: the P0* sums of the small-k machines and both irreducibility conditions."""
+    return squarefree_weight_sum(primes, {p: c / p for p in primes}, bound) - 1.0
 
 
 @dataclass(frozen=True)
@@ -341,6 +403,20 @@ def _small_k_shifts(shifts, ctx) -> IntegerSet:
     return shifts
 
 
+def _small_k_hypotheses(shifts: IntegerSet, primes: list) -> dict:
+    """The small-k hypotheses over the machine's P0* primes (ascending): the
+    least is at least 4k, and the occupancy deficit sum of (k - nu(p))/p
+    stays within _DEFICIT_BUDGET."""
+    k = len(shifts)
+    deficit = 0.0
+    for p, nu in zip(primes, residue_counts(shifts.array(), primes).tolist()):
+        deficit += (k - nu) / p
+    return {
+        "star_primes_at_least_4k": bool(not primes or primes[0] >= 4 * k),
+        "occupancy_deficit_within_budget": deficit <= _DEFICIT_BUDGET,
+    }
+
+
 def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
     """Small-k bound driven by the sieve-controls-size denominator.
 
@@ -362,30 +438,20 @@ def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
         "ps_star": star.describe(),
         "set_size": len(s),
     }
-    small = star.primes_in(1, root)
-    small_list = small.tolist()
-    denom_sum = squarefree_weight_sum(small_list, {p: 2.0 / p for p in small_list}, root) - 1.0
+    small = star.primes_in(1, root).tolist()
+    denom_sum = star_sum(small, 2.0, root)
     sifted = sift_count(s, shifts, star)
-    if small.size == 0 or denom_sum <= 0:
+    if not small or denom_sum <= 0:
         reason = "P0* has no prime up to sqrt(x); denominator sum vanishes"
         return _vacuous(params, reason, sifted, ctx.profile.name)
     denominator = (k / 2.0) * denom_sum
-    bound = 4.0 * x / denominator
-
-    deficit = 0.0
-    for p, nu in zip(small_list, residue_counts(shifts.array(), small).tolist()):
-        deficit += (k - nu) / p
-    hyps = {
-        "star_primes_at_least_4k": bool(small.size == 0 or int(small[0]) >= 4 * k),
-        "occupancy_deficit_within_budget": deficit <= _DEFICIT_BUDGET,
-    }
     return SieveBoundReport(
-        bound,
+        4.0 * x / denominator,
         denominator,
         params,
         True,
         sifted_count=sifted,
-        hypotheses=hyps,
+        hypotheses=_small_k_hypotheses(shifts, small),
         profile=ctx.profile.name,
     )
 
@@ -397,7 +463,9 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
           + sum over squarefree d <= Q^2, P0*-supported, of
             tau3(d)^(1 + log k / log 3) * max over (a,d)=1 of
             |#{s in S : s = a mod d} - #S/phi(d)|.
-    Requires that no element of S is divisible by a P0* prime.
+    Requires that no element of S is divisible by a P0* prime.  The
+    discrepancy sum is ``discrepancy_sum`` with base 3k and its default
+    modulus budget; a prime table below Q^2 raises CapacityError.
     """
     s = IntegerSet.coerce(s)
     shifts = _small_k_shifts(shifts, ctx)
@@ -419,38 +487,23 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
     }
     sifted = sift_count(s, shifts, star)
     q_primes = star.primes_in(1, q_limit).tolist()
-    main_den = squarefree_weight_sum(q_primes, {p: 1.0 / p for p in q_primes}, q_limit) - 1.0
+    main_den = star_sum(q_primes, 1.0, q_limit)
     if not q_primes or main_den <= 0:
         reason = "P0* has no prime up to Q; main denominator vanishes"
         return _vacuous(params, reason, sifted, ctx.profile.name)
     main = 2.0 * size_s / ((k - 1) * main_den)
-
     d_bound = q_limit**2
-    d_primes = star.primes_in(1, d_bound).tolist()
-    s_arr = s.array()
-    disc = 0.0
-    for d, r in squarefree_lattice(d_primes, d_bound, 0, lambda r, p: r + 1):
-        if d > 1:
-            # tau3(d)^(1+log k/log 3) for squarefree d
-            disc += (3.0 * k) ** r * max_progression_deviation(s_arr, d)
-    bound = main + disc
-
-    deficit = 0.0
-    for p, nu in zip(q_primes, residue_counts(shifts.array(), q_primes).tolist()):
-        deficit += (k - nu) / p
-    hyps = {
-        "star_primes_at_least_4k": bool(not d_primes or d_primes[0] >= 4 * k),
-        "occupancy_deficit_within_budget": deficit <= _DEFICIT_BUDGET,
-    }
+    # 3k = tau3(d)^(1 + log k / log 3) for a prime d
+    disc, _ = discrepancy_sum(s.array(), star.primes_in(1, d_bound).tolist(), d_bound, 3.0 * k)
     return SieveBoundReport(
-        bound,
+        main + disc,
         (k - 1) * main_den,
         params,
         True,
         main_term=main,
         remainder=disc,
         sifted_count=sifted,
-        hypotheses=hyps,
+        hypotheses=_small_k_hypotheses(shifts, q_primes),
         profile=ctx.profile.name,
     )
 

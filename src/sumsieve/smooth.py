@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import smooth_lattice, squarefree_lattice
+from .arith import smooth_lattice
 from .errors import CapacityError, DomainError
 from .primes import MEMORY_CAP, PrimeSubset, PrimeTable, cached
-from .sieves import coerce_shifts, max_progression_deviation
+from .sieves import MODULUS_WORK_CAP, DiscrepancyBreakdown, coerce_shifts, discrepancy_sum
 from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 
 _X_CAP = 10**9
@@ -203,15 +203,6 @@ def dickman_rho(u: float) -> DickmanValue:
 # discrepancy sums and tuple counts
 
 
-@dataclass(frozen=True)
-class DiscrepancyBreakdown:
-    d: int
-    factors: tuple[int, ...]
-    weight: float
-    max_deviation: float
-    term: float
-
-
 def bv_discrepancy_sum(
     s_y: SmoothQuery,
     ps: PrimeSubset,
@@ -219,16 +210,17 @@ def bv_discrepancy_sum(
     exponent_k: int,
     *,
     work_budget: int = _DEFAULT_WORK_BUDGET,
-    modulus_work_cap: int = 5 * 10**7,
+    modulus_work_cap: int = MODULUS_WORK_CAP,
 ) -> tuple[float, list[DiscrepancyBreakdown]]:
     """sum over squarefree d <= Q^2 supported on ps of
     tau3(d)^(1 + log k / log 3) * max over (a,d)=1 of
     |Psi(x, y; a, d) - Psi_d(x, y)/phi(d)|, by full enumeration.
 
     ps must avoid the primes up to y, so the moduli are coprime to every
-    smooth number.  The residue scan spends O(d) work per modulus; once the
-    accumulated modulus work passes ``modulus_work_cap`` a capacity error is
-    raised carrying the partial sum and breakdown.
+    smooth number.  The sum is ``discrepancy_sum`` with base 3k over the
+    primes of ps up to min(Q^2, table limit), its rows sorted by d; past
+    ``modulus_work_cap`` units of modulus work a capacity error carries the
+    partial sum and breakdown.
     """
     if exponent_k < 1:
         raise DomainError(f"need exponent_k >= 1, got {exponent_k}")
@@ -237,28 +229,9 @@ def bv_discrepancy_sum(
     smooth = enumerate_smooth(s_y.x, s_y.y, work_budget=work_budget)
     d_bound = q_limit**2
     support = ps.primes_in(1, min(d_bound, ps.base.limit)).tolist()
-    breakdown: list[DiscrepancyBreakdown] = []
-    total = 0.0
-    spent = 0
-    for d, factors in squarefree_lattice(support, d_bound, (), lambda f, p: f + (p,)):
-        if d == 1:
-            continue
-        spent += d + smooth.size
-        if spent > modulus_work_cap:
-            raise CapacityError(
-                "modulus enumeration budget exceeded",
-                partial_sum=total,
-                partial_breakdown=list(breakdown),
-                last_d=d,
-            )
-        # every smooth number is coprime to d (ps avoids the primes up to y)
-        dev = max_progression_deviation(smooth, d)
-        weight = (3.0 * exponent_k) ** len(factors)
-        term = weight * dev
-        total += term
-        breakdown.append(DiscrepancyBreakdown(d, factors, weight, dev, term))
-    breakdown.sort(key=lambda b: b.d)
-    return total, breakdown
+    base = 3.0 * exponent_k
+    total, rows = discrepancy_sum(smooth, support, d_bound, base, work_cap=modulus_work_cap)
+    return total, sorted(rows, key=lambda b: b.d)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumsieve
 from sumsieve import cli, primes
 from sumsieve.cli import main, parse_int_set, parse_selector
 from sumsieve.primes import And, Interval, MinValue, ResidueClass
@@ -227,6 +232,27 @@ class TestCommands:
         assert code == 2  # hypotheses fail honestly at this scale
         assert doc["result"]["context"]["ps_star_empty"] is True
         assert doc["profile"] == "strict"
+
+    def test_check_genthm_modulus_budget(self, tmp_path):
+        # the README check-genthm line at Q = 30000: about 6e9 units of
+        # modulus work, which ran for minutes before the budget.  A separate
+        # process, so the reduced-residue masks it caches go with it.
+        path = tmp_path / "set.txt"
+        smooth = sorted(2**i * 3**j for i in range(14) for j in range(9) if 2**i * 3**j <= 10**4)
+        path.write_text("\n".join(map(str, smooth)) + "\n")
+        argv = ["check-genthm", "--s", f"@{path}", "--x", "10000", "--selector", "interval:3,100",
+                "--profile", "scaled", "--scale", "k_coefficient=0.002",
+                "--scale", "star_exponent=1.2", "--scale", "condition_coefficient=0.0015",
+                "--scale", "c_floor_exponent=0.25", "--q", "30000"]
+        src = str(Path(sumsieve.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "sumsieve.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"] == {"message": "modulus enumeration budget exceeded",
+                                "type": "CapacityError"}
 
     def test_verify_all_zero_budget(self, capsys):
         code, doc = run_json(capsys, "verify-all", "--budget", "0")

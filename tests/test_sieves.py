@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sumsieve import primes as primes_module
-from sumsieve.errors import DomainError
+from sumsieve import sieves
+from sumsieve.errors import CapacityError, DomainError
 from sumsieve.irreducibility import build_context
 from sumsieve.primes import (
     And,
@@ -29,6 +30,7 @@ from sumsieve.sieves import (
     occupancy,
     prop_smallkbv_bound,
     prop_smallkscs_bound,
+    reduced_residues_mask,
     selberg_bound,
     sift_count,
 )
@@ -383,6 +385,70 @@ class TestInverseSieve:
             inverse_sieve_lower_bound(IntegerSet([1]), all_primes(table_1e4), 50, 100)
         with pytest.raises(DomainError):
             inverse_sieve_lower_bound(IntegerSet([1, 2]), all_primes(table_1e4), 5, 100)
+
+
+class TestDiscrepancySum:
+    VALUES = np.arange(1, 3000, 2, dtype=np.int64)
+    # preorder of the squarefree d <= 200 over these primes:
+    # 3, 15, 105, 165, 195, 21, 33, 39, 5, 35, 55, 65, 7, 77, 91, 11, 143, 13
+    PRIMES = [3, 5, 7, 11, 13]
+
+    def run(self, **kwargs):
+        return sieves.discrepancy_sum(self.VALUES, self.PRIMES, 200, 2.0, **kwargs)
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        """The moduli the kernel scans, in order."""
+        seen = []
+        scan = sieves.max_progression_deviation
+        monkeypatch.setattr(
+            sieves, "max_progression_deviation", lambda v, d: seen.append(d) or scan(v, d)
+        )
+        return seen
+
+    def test_reduced_residues_mask_is_the_gcd_test(self):
+        for d in [*range(1, 400), 2 * 3 * 5 * 7 * 11 * 13, 2**12, 3**7 * 5, 9973 * 3]:
+            expected = np.gcd(np.arange(d, dtype=np.int64), d) == 1
+            assert np.array_equal(reduced_residues_mask(d), expected), d
+
+    def test_rows_in_preorder_with_weights_base_to_the_omega(self):
+        total, rows = self.run()
+        assert [r.d for r in rows] == [
+            3, 15, 105, 165, 195, 21, 33, 39, 5, 35, 55, 65, 7, 77, 91, 11, 143, 13
+        ]
+        expected = 0.0
+        for r in rows:
+            assert math.prod(r.factors) == r.d and r.weight == 2.0 ** len(r.factors)
+            assert r.max_deviation == sieves.max_progression_deviation(self.VALUES, r.d)
+            expected += r.weight * r.max_deviation
+        assert total == expected
+
+    def test_work_cap_counts_d_plus_values_before_each_scan(self, scanned):
+        total, rows = self.run()
+        work = sum(r.d + self.VALUES.size for r in rows)
+        assert self.run(work_cap=work) == (total, rows)
+        scanned.clear()
+        with pytest.raises(CapacityError, match="budget") as err:
+            self.run(work_cap=work - 1)
+        assert scanned == [r.d for r in rows[:-1]]
+        assert err.value.last_d == 13 and err.value.partial_breakdown == rows[:-1]
+        partial = 0.0
+        for r in rows[:-1]:
+            partial += r.term
+        assert err.value.partial_sum == partial
+
+    def test_tables_past_the_memory_cap_raise_before_the_scan(self, monkeypatch, scanned):
+        total, rows = self.run()
+        scanned.clear()
+        monkeypatch.setattr(sieves, "MEMORY_CAP", 104 * sieves._RESIDUE_BYTES)
+        with pytest.raises(CapacityError, match="memory cap") as err:
+            self.run()
+        assert scanned == [3, 15]
+        assert err.value.last_d == 105 and err.value.partial_breakdown == rows[:2]
+        assert err.value.partial_sum == rows[0].term + rows[1].term
+        # tables of exactly the cap fit
+        monkeypatch.setattr(sieves, "MEMORY_CAP", 195 * sieves._RESIDUE_BYTES)
+        assert self.run() == (total, rows)
 
 
 def make_scaled_context(table, rng, x=10**4, set_size=1500, k=3):

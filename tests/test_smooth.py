@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from sumsieve.errors import CapacityError, DomainError
+from sumsieve.irreducibility import build_context, check_bv_condition
 from sumsieve.primes import Interval, PrimeSubset
+from sumsieve.profiles import scaled
+from sumsieve.sieves import prop_smallkbv_bound
 from sumsieve.smooth import (
     SmoothQuery,
     bv_discrepancy_sum,
@@ -16,6 +19,7 @@ from sumsieve.smooth import (
     regularity_ratio,
     smooth_tuple_count,
 )
+from sumsieve.sumset import IntegerSet
 
 
 def smooth_numbers_by_factoring(x: int, y: int) -> list:
@@ -282,7 +286,10 @@ class TestDiscrepancySum:
             bv_discrepancy_sum(SmoothQuery(10**4, 10), ps, 20, 2)
 
     def test_exact_value_cross_checked(self, table_1e4):
-        # second pass with the loop order swapped: residues outermost
+        # one brute-force pass with the loop order swapped (residues
+        # outermost) checks all three callers of the discrepancy kernel: the
+        # smooth-number sum, and the small-k remainder and the BV condition's
+        # discrepancy with S the same smooth numbers and P0* = ps
         x, y, q_limit, k_hat = 10**5, 20, 90, 2
         ps = PrimeSubset(table_1e4, Interval(50, 100))
         total, rows = bv_discrepancy_sum(SmoothQuery(x, y), ps, q_limit, k_hat)
@@ -300,7 +307,7 @@ class TestDiscrepancySum:
                 build(j + 1, d * p, r + 1)
 
         build(0, 1, 0)
-        expected = 0.0
+        deviations = []
         for d, r in sorted(d_values):
             best = 0.0
             psi_d = int(np.count_nonzero(np.gcd(smooth, d) == 1))
@@ -310,9 +317,29 @@ class TestDiscrepancySum:
                     continue
                 cnt = int(np.count_nonzero(smooth % d == a))
                 best = max(best, abs(cnt - psi_d / phi))
-            expected += (3.0 * k_hat) ** r * best
-        assert total == pytest.approx(expected, rel=1e-12)
+            deviations.append((r, best))
+
+        def expected(base):
+            return sum(base**r * best for r, best in deviations)
+
+        assert total == pytest.approx(expected(3.0 * k_hat), rel=1e-12)
         assert len(rows) == len(d_values)
+
+        s = IntegerSet(smooth.tolist())
+        big_k = 30.0  # and K**star_exponent = 40, so P0* is all of ps
+        profile = scaled(
+            k_coefficient=big_k * (len(s) / x) * 0.25 / math.log(x) ** 2,
+            star_exponent=math.log(40.0) / math.log(big_k),
+            c_override=0.5,
+        )
+        ctx = build_context(s, s, ps, x, profile)
+        assert ctx.K == pytest.approx(big_k, rel=1e-12)
+        assert ctx.ps_star.primes().tolist() == ps.primes().tolist()
+        shifts = [0, 2, 6]
+        rep = prop_smallkbv_bound(s, shifts, ctx, q_limit)
+        assert rep.remainder == pytest.approx(expected(3.0 * len(shifts)), rel=1e-12)
+        disc = check_bv_condition(ctx, s, q_limit).values["disc_sum"]
+        assert disc == pytest.approx(expected(3.0 ** (1 + math.log(ctx.K) / math.log(3))), rel=1e-12)
 
     def test_rows_sorted_and_consistent(self, table_1e4):
         ps = PrimeSubset(table_1e4, Interval(40, 80))
