@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, DomainError
-from .primes import PrimeSubset, PrimeTable, all_primes
+from .primes import PrimeSubset, PrimeTable, all_primes, prime_table
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -76,14 +76,11 @@ def tau3(n: int) -> int:
 
 @dataclass(frozen=True)
 class MultiplicativeSpec:
-    """Non-negative multiplicative function given by its prime values.
-
-    Off the support the prime value is 0.  ``completely_multiplicative``
-    means f(p^a) = f(p)^a; otherwise f is supported on squarefree numbers.
-    """
+    """Non-negative multiplicative function given by its prime values (0 off
+    the support); ``restricted_multiplicative_sum``'s mode says how it
+    extends past the primes."""
 
     prime_values: Mapping[int, float]
-    completely_multiplicative: bool = True
 
     def __post_init__(self):
         for p, v in self.prime_values.items():
@@ -248,8 +245,6 @@ def check_comparison_inequality(
     Both sums run over n <= bound, both products over primes p <= bound.
     Requires 0 <= f(p) <= g(p) < p for every prime p <= bound.
     """
-    if table is None:
-        table = PrimeTable(max(bound, 2))
     union = sorted(set(f.support()) | set(g.support()))
     for p in union:
         if p > bound:
@@ -257,7 +252,7 @@ def check_comparison_inequality(
         fp, gp = f.at_prime(p), g.at_prime(p)
         if not (0.0 <= fp <= gp < p):
             raise DomainError(f"need 0 <= f(p) <= g(p) < p at p={p}: f={fp}, g={gp}")
-    everything = all_primes(table)
+    everything = all_primes(prime_table(max(bound, 2)) if table is None else table)
     lhs = restricted_multiplicative_sum(f, everything, bound, mode="complete")
     sum_g = restricted_multiplicative_sum(g, everything, bound, mode="complete")
     log_ratio = 0.0

@@ -18,11 +18,6 @@ from . import arith, primes, semigroup, sieves, smooth
 from .sumset import IntegerSet, decompose_binary, ruzsa_check, sumset
 
 
-def _table(limit: int) -> primes.PrimeTable:
-    # keyed by the exact limit: PrimeSubset results depend on base.limit
-    return primes.cached(("table", limit), lambda: primes.PrimeTable(limit))
-
-
 def _random_subset(rng: random.Random, table) -> primes.PrimeSubset:
     kind = rng.randrange(4)
     if kind == 0:
@@ -39,7 +34,7 @@ def _random_subset(rng: random.Random, table) -> primes.PrimeSubset:
 
 
 def check_theta_dominance(rng: random.Random, cases: int) -> int:
-    table = _table(10**5)
+    table = primes.prime_table(10**5)
     everything = primes.all_primes(table)
     for _ in range(cases):
         ps = _random_subset(rng, table)
@@ -54,7 +49,7 @@ def check_theta_dominance(rng: random.Random, cases: int) -> int:
 
 
 def check_range_splitting(rng: random.Random, cases: int) -> int:
-    table = _table(10**5)
+    table = primes.prime_table(10**5)
     for _ in range(cases):
         ps = _random_subset(rng, table)
         lo = rng.uniform(1, 3000)
@@ -80,7 +75,7 @@ def check_mobius_convolution(rng: random.Random, cases: int) -> int:
 
 
 def check_squarefree_enumeration(rng: random.Random, cases: int) -> int:
-    table = _table(10**5)
+    table = primes.prime_table(10**5)
     for _ in range(cases):
         ps = _random_subset(rng, table)
         bound = rng.randrange(10, 2000)
@@ -97,7 +92,7 @@ def check_squarefree_enumeration(rng: random.Random, cases: int) -> int:
 
 
 def check_comparison_inequality(rng: random.Random, cases: int) -> int:
-    table = _table(10**4)
+    table = primes.prime_table(10**4)
     small_primes = table.primes_between(1, 100).tolist()
     for _ in range(cases):
         support = rng.sample(small_primes, rng.randrange(1, 8))
@@ -114,7 +109,7 @@ def check_comparison_inequality(rng: random.Random, cases: int) -> int:
 
 
 def check_larger_sieve(rng: random.Random, cases: int) -> int:
-    table = _table(10**5)
+    table = primes.prime_table(10**5)
     for _ in range(cases):
         n_limit = rng.randrange(200, 5000)
         k = rng.randrange(3, 60)
@@ -130,7 +125,7 @@ def check_larger_sieve(rng: random.Random, cases: int) -> int:
 
 
 def check_large_sieve(rng: random.Random, cases: int) -> int:
-    table = _table(10**5)
+    table = primes.prime_table(10**5)
     candidates = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for _ in range(cases):
         x = rng.randrange(500, 20000)
@@ -175,7 +170,7 @@ def check_large_sieve_monotone(rng: random.Random, cases: int) -> int:
 
 
 def check_selberg(rng: random.Random, cases: int) -> int:
-    table = _table(10**5)
+    table = primes.prime_table(10**5)
     for _ in range(cases):
         size = rng.randrange(100, 2000)
         start = rng.randrange(1, 5000)
@@ -197,7 +192,7 @@ def check_selberg(rng: random.Random, cases: int) -> int:
 
 
 def check_inverse_sieve(rng: random.Random, cases: int) -> int:
-    table = _table(10**6)
+    table = primes.prime_table(10**6)
     for _ in range(cases):
         x = rng.randrange(100, 10**5)
         k = rng.randrange(2, 30)
@@ -255,7 +250,7 @@ def check_dickman_identity(rng: random.Random, cases: int) -> int:
 
 
 def check_semigroup_enumeration(rng: random.Random, cases: int) -> int:
-    table = _table(10**6)
+    table = primes.prime_table(10**6)
     for _ in range(cases):
         ps = _random_subset(rng, table)
         x = rng.randrange(50, 20000)
@@ -271,7 +266,7 @@ def check_semigroup_enumeration(rng: random.Random, cases: int) -> int:
 
 
 def check_semigroup_nesting(rng: random.Random, cases: int) -> int:
-    table = _table(10**5)
+    table = primes.prime_table(10**5)
     for _ in range(cases):
         lo = rng.randrange(2, 50)
         mid = lo + rng.randrange(10, 200)

@@ -37,8 +37,8 @@ from .primes import (
     PrimeSubset,
     ResidueClass,
     Selector,
-    build_prime_table,
     density_ratio_c,
+    prime_table,
     subset_sums,
 )
 from .profiles import STRICT, ConstantsProfile, scaled
@@ -223,8 +223,7 @@ def _emit_plain(command, params, result, diagnostics):
 
 
 def _subset(args, limit: int) -> PrimeSubset:
-    table = build_prime_table(limit)
-    return PrimeSubset(table, parse_selector(args.selector))
+    return PrimeSubset(prime_table(limit), parse_selector(args.selector))
 
 
 # --------------------------------------------------------------------------
@@ -687,6 +686,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     head = argv[:idx]
     tail = argv[idx + 2 :]

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .arith import squarefree_weight_sum
 from .errors import DegenerateInputError, DivisibilityError, DomainError
-from .primes import PrimeSubset, PrimeTable, density_ratio_c, divisibility_hits, residue_counts
+from .primes import PrimeSubset, density_ratio_c, divisibility_hits, primes_up_to, residue_counts
 from .profiles import STRICT, ConstantsProfile
 from .sieves import OccupancyProfile, discrepancy_sum, star_sum
 from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
@@ -274,7 +274,7 @@ def ostmann_epsilon_profile(a, x: int, y_limit: float) -> EpsilonProfile:
     linear = 0.0
     large = 0.0
     log_x = math.log(x)
-    plist = PrimeTable(max(int(y_limit) + 1, 3)).primes_between(1, y_limit)
+    plist = primes_up_to(y_limit)
     for p, nu in zip(plist.tolist(), residue_counts(a.array(), plist).tolist()):
         eps = nu - p / 2.0
         entries[p] = eps

@@ -1,9 +1,10 @@
 """Prime tables, selector-defined prime subsets and prime partial sums.
 
 A ``PrimeTable`` is an exact Eratosthenes sieve up to a limit (odd-only byte
-mask, built in segments of 2^21 odd numbers).  A ``PrimeSubset`` pairs a
-table with an immutable selector; every sieve formula in the package draws
-its primes and its partial sums (theta, Mertens-type) from here.
+mask, built in segments of 2^21 odd numbers); the package builds its tables
+only through ``prime_table`` and ``primes_up_to``, cached and cap-checked.  A
+``PrimeSubset`` pairs a table with an immutable selector; every sieve formula
+draws its primes and its partial sums (theta, Mertens-type) from here.
 ``multiples_mask`` (which n <= top a prime of a subset divides, one byte
 each, built per call) is the one prime-factor kernel behind divisibility
 scans and sifted counts, ``shift_class_hits`` the one shift-class test
@@ -19,7 +20,7 @@ import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -136,6 +137,21 @@ class PrimeTable:
 
 def build_prime_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
     return PrimeTable(limit, limit_cap=limit_cap)
+
+
+def prime_table(limit: int) -> PrimeTable:
+    """The table of exactly `limit`, from the one cache; one whose odd mask and
+    int64 prime list would pass MEMORY_CAP (by pi(n) < 1.25506 n / log n,
+    Rosser & Schoenfeld 1962) raises CapacityError before it is built."""
+    if limit >= 2 and (limit + 1) // 2 + 8 * 1.25506 * limit / math.log(limit) > MEMORY_CAP:
+        raise CapacityError(f"prime table limit {limit} would pass the memory cap", limit=limit)
+    return cached(("table", limit), lambda: PrimeTable(limit))
+
+
+def primes_up_to(n: float) -> np.ndarray:
+    """The primes <= n (read-only), from the cached table of the next power
+    of two (at least 1024), so that nearby n share one table."""
+    return prime_table(max(1024, 1 << max(int(n) - 1, 0).bit_length())).primes_between(1, n)
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +401,7 @@ def _density_ratio_c(ps: PrimeSubset, x: int, window_floor_exponent: float) -> f
 
 
 class _ByteCache(OrderedDict):
-    """key -> (reach, value, nbytes), least recently used first."""
+    """key -> (value, nbytes), least recently used first."""
 
     nbytes = 0  # the entries' total bytes
 
@@ -396,29 +412,26 @@ _CACHE = _ByteCache()
 ENTRY_BYTES = 512
 
 
-def cached(key: Hashable, build: Callable, need: int = 0, reach: Optional[int] = None):
+def cached(key: Hashable, build: Callable):
     """build(), or the value the package's one cache holds under key.
 
-    The entry serves every need up to the reach it was built for (`reach`,
-    default `need`); a larger need rebuilds it.  An entry counts ENTRY_BYTES
-    plus its value's nbytes (0 for a scalar without one), and the entries'
-    bytes stay within MEMORY_CAP: the least recently used make way for a new
-    one, and an entry larger than the cap on its own is returned without
-    being kept.  An exception from build() propagates and nothing is kept.
+    An entry counts ENTRY_BYTES plus its value's nbytes (0 for a scalar
+    without one), and the entries' bytes stay within MEMORY_CAP: the least
+    recently used make way for a new one, and an entry larger than the cap on
+    its own is returned without being kept.  An exception from build()
+    propagates and nothing is kept.
     """
     cache = _CACHE
     entry = cache.get(key)
-    if entry is not None and entry[0] >= need:
-        cache.move_to_end(key)
-        return entry[1]
     if entry is not None:
-        cache.nbytes -= cache.pop(key)[2]
+        cache.move_to_end(key)
+        return entry[0]
     value = build()
     size = ENTRY_BYTES + int(getattr(value, "nbytes", 0))
     if size <= MEMORY_CAP:
         while cache.nbytes + size > MEMORY_CAP:
-            cache.nbytes -= cache.popitem(last=False)[1][2]
-        cache[key] = (need if reach is None else reach, value, size)
+            cache.nbytes -= cache.popitem(last=False)[1][1]
+        cache[key] = (value, size)
         cache.nbytes += size
     return value
 
@@ -495,7 +508,8 @@ def divisibility_hits(
         at = np.maximum(arr, 0)
         qualify = inside = multiples_mask(ps, max(top, 0))[at] & (arr > 1)
         if top > limit:  # a prime factor beyond the table also qualifies
-            beyond = PrimeTable(top).primes_between(limit, top)
+            beyond = primes_up_to(top)
+            beyond = beyond[beyond > limit]
             qualify = inside | _multiples(beyond, top)[at]
         for i in np.flatnonzero(qualify)[:max_pairs].tolist():
             v = int(arr[i])

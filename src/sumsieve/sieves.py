@@ -422,8 +422,8 @@ def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
 
     bound = 4x / ((k/2) * sum over 1 < q <= sqrt(x), q squarefree and
     P0*-supported, of prod 2/p).  Hypotheses verified: every P0* prime up to
-    sqrt(x) is at least 4k, and the occupancy deficit sum stays under the
-    exp(-1/2) budget; both hold automatically under the strict constants.
+    sqrt(x) is at least 4k, and the occupancy deficit sum is at most log 2 / 4,
+    so prod (1 - t_p) >= 1/2; both hold automatically under the strict constants.
     """
     s = IntegerSet.coerce(s)
     shifts = _small_k_shifts(shifts, ctx)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import smooth_lattice
 from .errors import CapacityError, DomainError
-from .primes import MEMORY_CAP, PrimeSubset, PrimeTable, cached
+from .primes import MEMORY_CAP, PrimeSubset, primes_up_to
 from .sieves import MODULUS_WORK_CAP, DiscrepancyBreakdown, coerce_shifts, discrepancy_sum
 from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 
@@ -30,13 +30,6 @@ _TUPLE_X_CAP = 10**8
 # the memory cap bounds the memo/enumeration work; roughly 100 bytes per
 # retained entry
 _DEFAULT_WORK_BUDGET = MEMORY_CAP // 100
-
-
-def _primes_up_to(y: int) -> list[int]:
-    key = max(int(y), 2)
-    limit = max(2 * key, 1000)
-    table = cached("smooth-primes", lambda: PrimeTable(limit), need=key, reach=limit)
-    return table.primes_between(1, key).tolist()
 
 
 @dataclass(frozen=True)
@@ -99,8 +92,9 @@ def psi(q: SmoothQuery, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
     if q.d is None:
         if q.y >= q.x:
             return q.x
-        return _count_smooth(q.x, _primes_up_to(q.y), work_budget)
-    values, _ = smooth_lattice(_primes_up_to(q.y), q.x, budget=work_budget)
+        return _count_smooth(q.x, primes_up_to(q.y).tolist(), work_budget)
+    # a prime above x divides no n <= x
+    values, _ = smooth_lattice(primes_up_to(min(q.y, q.x)).tolist(), q.x, budget=work_budget)
     return sum(n % q.d == q.a for n in values)
 
 
@@ -110,7 +104,7 @@ def psi_coprime(q: SmoothQuery, d: int, *, work_budget: int = _DEFAULT_WORK_BUDG
         raise DomainError(f"need d >= 1, got {d}")
     if q.x > _X_CAP:
         raise CapacityError(f"x = {q.x} exceeds exact-mode cap {_X_CAP}")
-    primes = [p for p in _primes_up_to(q.y) if d % p != 0]
+    primes = [p for p in primes_up_to(min(q.y, q.x)).tolist() if d % p != 0]
     return _count_smooth(q.x, primes, work_budget)
 
 
@@ -120,7 +114,8 @@ def enumerate_smooth(
     """All y-smooth n <= x, sorted ascending."""
     if x > _X_CAP:
         raise CapacityError(f"x = {x} exceeds exact-mode cap {_X_CAP}")
-    arr = np.asarray(smooth_lattice(_primes_up_to(y), x, budget=work_budget)[0], dtype=np.int64)
+    primes = primes_up_to(min(y, x)).tolist()
+    arr = np.asarray(smooth_lattice(primes, x, budget=work_budget)[0], dtype=np.int64)
     arr.sort()
     return arr
 
@@ -258,7 +253,7 @@ def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
     top = x + shifts.max
-    primes = _primes_up_to(y)
+    primes = primes_up_to(min(y, top)).tolist()
     block = 1 << 20
     smooth_mask = np.zeros(top + 1, dtype=bool)
     for lo in range(1, top + 1, block):

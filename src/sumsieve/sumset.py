@@ -216,12 +216,12 @@ def _search(s, target, anchors, min_part, max_nodes, collected=None, max_witness
             return None
         b_set = set(b_new)
         a_new = a_sofar + [a]
-        # covered: A + a reaches every u; pruned if a u is out of reach of later offsets too
+        # covered: A + a reaches every u; pruned if no u - b (b in B) is a later offset either
         covered = True
         for u in goal:
             if not _reaches(u, a_new, b_set):
                 covered = False
-                if not _reaches(u, t[idx + 1 :], b_set):
+                if not any(u - b > a and u - b in t_set for b in b_new):
                     return None
         return a_new, b_new, covered
 

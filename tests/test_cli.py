@@ -303,6 +303,20 @@ class TestReportDiscipline:
         assert code == 0
         assert doc["result"]["psi"] == 20
 
+    @pytest.mark.parametrize("path", [None, "missing.cfg"])
+    def test_config_errors_are_error_objects(self, capsys, tmp_path, path):
+        # --config as the last argument, or naming no file
+        argv = ["--config"] + ([str(tmp_path / path)] if path else [])
+        code, doc = run_json(capsys, *argv)
+        assert code == 1
+        assert doc["error"]["type"] == "config"
+
+    def test_prime_table_past_the_memory_cap(self, capsys):
+        # refused before numpy is asked for the mask
+        code, doc = run_json(capsys, "primes", "--limit", "100000000000")
+        assert code == 1
+        assert doc["error"]["type"] == "CapacityError"
+
     def test_config_overridden_by_argv(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("command=smooth-count\nx=100\ny=3\n")

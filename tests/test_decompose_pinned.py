@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from sumsieve.errors import CapacityError
+from sumsieve.smooth import enumerate_smooth
 from sumsieve.sumset import decompose_binary, decompose_binary_relative, sumset
 
 
@@ -109,6 +110,21 @@ class TestRelativePinned:
         assert capacity_nodes(decompose_binary_relative, *HARD_RELATIVE, max_nodes=0) == 1
         assert capacity_nodes(decompose_binary_relative, *HARD_RELATIVE, max_nodes=100) == 101
         assert capacity_nodes(decompose_binary_relative, *HARD_RELATIVE, max_nodes=348) == 349
+
+
+class TestSmoothSetsPinned:
+    # the paper's sparse sets: the y-smooth numbers up to x, which the search
+    # refutes; verdicts and node counts recorded while the coverage test
+    # still scanned the later offsets instead of B
+    @pytest.mark.parametrize("x, y, size, nodes", [
+        (10**7, 5, 768, 47),
+        (10**8, 5, 1105, 47),
+        (10**6, 7, 1273, 526),
+    ])
+    def test_refuted(self, x, y, size, nodes):
+        s = enumerate_smooth(x, y).tolist()
+        assert len(s) == size
+        assert describe(decompose_binary(s)) == (False, nodes, True, None, None)
 
 
 def _subsets(top, shift):

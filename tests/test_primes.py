@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumsieve import checks, sieves, smooth
+from sumsieve import sieves
 from sumsieve import primes as primes_module
 from sumsieve.arith import squarefree_lattice
 from sumsieve.errors import CapacityError, DegenerateInputError, DomainError
@@ -22,11 +22,14 @@ from sumsieve.primes import (
     density_ratio_c,
     divisibility_hits,
     multiples_mask,
+    prime_table,
+    primes_up_to,
     residue_counts,
     shift_class_hits,
     subset_sums,
 )
 from sumsieve.sieves import OccupancyProfile, reduced_residues_mask, selberg_bound, sift_count
+from sumsieve.smooth import SmoothQuery, psi, psi_coprime, smooth_tuple_count
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -524,51 +527,92 @@ class TestResidueCounts:
 
 
 class TestCache:
-    def test_bytes_stay_under_the_cap(self, monkeypatch):
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        """An empty cache of the package under a 20,000-byte memory cap."""
         cache = primes_module._ByteCache()
-        cap = 20_000
         monkeypatch.setattr(primes_module, "_CACHE", cache)
-        monkeypatch.setattr(primes_module, "MEMORY_CAP", cap)
-        smooth._primes_up_to(1500)
-        table = cache["smooth-primes"][1]
-        smooth._primes_up_to(100)
-        assert cache["smooth-primes"][1] is table  # a smaller need builds nothing
+        monkeypatch.setattr(primes_module, "MEMORY_CAP", 20_000)
+        return cache
+
+    def test_bytes_stay_under_the_cap(self, cache):
+        cap = primes_module.MEMORY_CAP
+        table = prime_table(2000)
+        assert cache[("table", 2000)] == (table, primes_module.ENTRY_BYTES + table.nbytes)
+        assert prime_table(2000) is table  # kept by its exact limit
         requests = [
-            lambda: smooth._primes_up_to(2000),
+            lambda: primes_up_to(2000),
             lambda: reduced_residues_mask(3000),
-            lambda: checks._table(10**4),
-            lambda: smooth._primes_up_to(50),
+            lambda: prime_table(10**4),
+            lambda: primes_up_to(50),
             lambda: reduced_residues_mask(3000),
-            lambda: smooth._primes_up_to(100),
+            lambda: primes_up_to(100),
             lambda: reduced_residues_mask(4999),
-            lambda: smooth._primes_up_to(700),
-            lambda: checks._table(2000),
-            lambda: smooth._primes_up_to(2600),
+            lambda: primes_up_to(700),
+            lambda: prime_table(2000),
+            lambda: primes_up_to(2600),
         ]
         for request in requests:
             request()
-            assert cache.nbytes == sum(entry[2] for entry in cache.values())
+            assert cache.nbytes == sum(entry[1] for entry in cache.values())
             assert cache.nbytes <= cap
         # scalar density memo entries count their fixed overhead, and push
         # the tables out
         ps = PrimeSubset(build_prime_table(2600), ResidueClass(1, 4))
         for x in range(10**6, 10**6 + 60):
             c = density_ratio_c(ps, x)
-            assert cache[("density_c", ps.base.limit, ps.selector, x, 0.1)][1:] == (
+            assert cache[("density_c", ps.base.limit, ps.selector, x, 0.1)] == (
                 c, primes_module.ENTRY_BYTES)
-            assert cache.nbytes == sum(entry[2] for entry in cache.values())
+            assert cache.nbytes == sum(entry[1] for entry in cache.values())
             assert cache.nbytes <= cap
         assert len(cache) == cap // primes_module.ENTRY_BYTES
-        smooth._primes_up_to(5300)
-        table = cache["smooth-primes"][1]
-        assert table.limit == 10600  # rebuilt to the reach it was built for
-        smooth._primes_up_to(10600)
-        assert cache["smooth-primes"][1] is table
-        # a checks table is kept by its exact limit
-        assert checks._table(2000).limit == 2000
         # larger than the cap on its own: returned, not kept
-        table = checks._table(10**5)
-        assert table.limit == 10**5 and table.nbytes > cap
-        assert ("table", 10**5) not in cache
-        assert checks._table(10**5) is not table
+        mask = reduced_residues_mask(30000)
+        assert mask.nbytes > cap
+        assert ("mask", 30000) not in cache
+        assert reduced_residues_mask(30000) is not mask
         assert cache.nbytes <= cap
+
+    def test_nearby_limits_share_a_power_of_two_table(self, cache):
+        primes_up_to(1500)
+        primes_up_to(1025)
+        primes_up_to(2048)
+        assert list(cache) == [("table", 2048)]
+        primes_up_to(-3)
+        primes_up_to(100.5)
+        assert list(cache) == [("table", 2048), ("table", 1024)]
+
+    def test_primes_up_to_matches_trial_division(self, monkeypatch):
+        monkeypatch.setattr(primes_module, "_CACHE", primes_module._ByteCache())
+        for n in [2**k + d for k in (10, 11, 12, 16) for d in (-1, 0, 1)] + [-1, 0, 1, 2, 3, 30.5]:
+            expected = [p for p in range(math.floor(n) + 1) if trial_division_is_prime(p)]
+            assert primes_up_to(n).tolist() == expected, n
+
+    def test_table_past_the_cap_is_refused_before_it_is_built(self, cache, monkeypatch):
+        def never(limit):
+            raise AssertionError(f"a table to {limit} was built")
+
+        monkeypatch.setattr(primes_module, "PrimeTable", never)
+        for request in (lambda: prime_table(16384), lambda: primes_up_to(10**4),
+                        lambda: prime_table(10**11)):
+            with pytest.raises(CapacityError):
+                request()
+        assert len(cache) == 0 and cache.nbytes == 0
+
+    @pytest.mark.parametrize("limit", [2, 3, 10, 1000, 10**4, 10**5])
+    def test_refused_whenever_the_table_passes_the_cap(self, monkeypatch, limit):
+        # the prime-count bound never undercounts: one byte less than the
+        # table holds is refused
+        monkeypatch.setattr(primes_module, "_CACHE", primes_module._ByteCache())
+        monkeypatch.setattr(primes_module, "MEMORY_CAP", build_prime_table(limit).nbytes - 1)
+        with pytest.raises(CapacityError):
+            prime_table(limit)
+
+    def test_smooth_counts_with_y_far_above_x(self, cache):
+        # only the primes up to x (or x + the largest shift) are built
+        for y in (10**8, 10**12):
+            assert psi(SmoothQuery(100, y, 3, 1)) == 34
+            assert psi_coprime(SmoothQuery(100, y), 6) == 33
+            assert smooth_tuple_count(100, y, [0, 2]).count == 100
+            assert smooth_tuple_count(1000, y, [0, 1]).count == 1000
+        assert list(cache) == [("table", 1024)]
