@@ -1,6 +1,6 @@
 """Multiplicative arithmetic: Mobius, totient, triple-divisor counts, the
-squarefree and smooth lattice walks over a prime list, squarefree supported
-enumeration and restricted multiplicative sums.
+lattice walk over a prime list (squarefree or with powers) and its weight
+sums, squarefree supported enumeration and restricted multiplicative sums.
 
 The comparison inequality implemented by ``check_comparison_inequality`` is a
 finite theorem for completely multiplicative 0 <= f(p) <= g(p) < p; any
@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .primes import PrimeSubset, PrimeTable, all_primes, prime_table
 
 EULER_GAMMA = 0.57721566490153286061
@@ -94,96 +94,55 @@ class MultiplicativeSpec:
         return sorted(p for p, v in self.prime_values.items() if v != 0.0)
 
 
-def squarefree_lattice(
-    primes: Sequence[int], bound: int, root, step: Callable
+def lattice(
+    primes: Sequence[int], bound: int, root, step: Callable, *, powers: bool = False
 ) -> Iterator[tuple[int, object]]:
-    """Every squarefree d <= bound whose prime factors lie in `primes`
-    (ascending), as (d, state) pairs, in preorder: d, then for each larger
-    prime p in turn, d * p followed by its own subtree over the primes above
-    p; this is the lexicographic order of the factor tuples.  1 carries
-    `root`; d * p carries step(state of d, p).  Lazy: nothing past the last
-    pair taken is visited.
+    """Every n <= bound whose prime factors all lie in `primes` (ascending),
+    squarefree unless `powers`, as (n, state) pairs in preorder: n, then for
+    each larger prime p and e >= 1 in turn (e = 1 only without `powers`),
+    n * p^e followed by its own subtree over the primes above p; this is the
+    lexicographic order of the (p, e) factorisations.  1 carries `root`;
+    n * p carries step(state of n, p).  A child n * p with n * p^2 > bound
+    has no children of its own; those leaf children come last, as one run
+    over a slice of `primes`.  Lazy: nothing past the last pair taken is
+    visited.
     """
     if bound < 1:
         return
     yield 1, root
-    stack = [[0, 1, root]]  # [next prime index, d, state] down the current path
+    # [n, state, next prime index, first leaf index, first prime index of n's subtree]
+    stack = [[1, root, 0, bisect_right(primes, math.isqrt(bound)), 0]]
     while stack:
-        j, d, state = frame = stack[-1]
-        if j == len(primes) or d * primes[j] > bound:
+        frame = stack[-1]
+        n, state, j, leaves, first = frame
+        if j < leaves:
+            frame[2] = j + 1
+        else:
             stack.pop()
-            continue
-        frame[0] = j + 1
+            for p in primes[leaves : bisect_right(primes, bound // n, leaves)]:
+                yield n * p, step(state, p)
+            # with powers, n = m * p^e is followed by its sibling m * p^(e + 1)
+            j = first - 1
+            if not (powers and first and n * primes[j] <= bound):
+                continue
         p = primes[j]
-        child = step(state, p)
-        yield d * p, child
-        stack.append([j + 1, d * p, child])
+        child, child_state = n * p, step(state, p)
+        yield child, child_state
+        stack.append([child, child_state, j + 1,
+                      bisect_right(primes, math.isqrt(bound // child), j + 1), j + 1])
 
 
-def squarefree_weight_sum(primes: Sequence[int], weights: Mapping[int, float], bound: int) -> float:
-    """sum over squarefree d <= bound supported on `primes` of prod_{p|d} weights[p].
+def lattice_sum(primes: Sequence[int], weights: Mapping[int, float], bound: int, *,
+                powers: bool = False) -> float:
+    """sum over the `lattice` of n <= bound of prod weights[p] over the prime
+    factors of n, with multiplicity when `powers`.
 
-    Includes d = 1 (term 1); accumulated in lattice preorder.
+    Includes n = 1 (term 1); accumulated in lattice preorder.
     """
     total = 0.0
-    for _, term in squarefree_lattice(primes, bound, 1.0, lambda t, p: t * weights[p]):
+    for _, term in lattice(primes, bound, 1.0, lambda t, p: t * weights[p], powers=powers):
         total += term
     return total
-
-
-def smooth_lattice(
-    primes: Sequence[int],
-    bound: int,
-    *,
-    weights: Mapping[int, float] | None = None,
-    budget: float = math.inf,
-) -> tuple[list[int], list[float]]:
-    """Every n <= bound whose prime factors all lie in `primes` (ascending),
-    n = 1 included, in preorder: n, then for each larger prime p and e >= 1
-    in turn, n * p^e followed by its own subtree over the primes above p.
-
-    Returns (values, products).  With `weights`, products[i] is the product
-    of weights[p] over the prime factors of values[i] with multiplicity,
-    multiplied along the walk from 1; without, products is empty.  Raises a
-    CapacityError once more than `budget` numbers have been produced.
-
-    The walk is eager and uses an explicit stack.  A node's children n * p
-    with n * p^2 > bound have no children of their own, so they are appended
-    as one run over a slice of `primes`.
-    """
-    values: list[int] = []
-    products: list[float] = []
-    if bound < 1:
-        return values, products
-    stack = [(1, 0, 1.0)]  # (n, next prime index, product), or a run (n, ~first index, product)
-    while stack:
-        n, i, t = stack.pop()
-        if i < 0:
-            run = primes[~i : bisect_right(primes, bound // n, ~i)]
-            values += [n * p for p in run]
-            if weights is not None:
-                products += [t * weights[p] for p in run]
-        else:
-            values.append(n)
-            if weights is not None:
-                products.append(t)
-            squares_end = bisect_right(primes, math.isqrt(bound // n), i)
-            kids = []
-            for j in range(i, squares_end):
-                p = primes[j]
-                w = 1.0 if weights is None else weights[p]
-                m, u = n * p, t * w
-                while True:
-                    kids.append((m, j + 1, u))
-                    if m * p > bound:
-                        break
-                    m, u = m * p, u * w
-            kids.append((n, ~squares_end, t))
-            kids.reverse()
-            stack += kids
-        if len(values) > budget:
-            raise CapacityError("smooth-number work budget exceeded")
-    return values, products
 
 
 def enumerate_squarefree_supported(
@@ -196,7 +155,7 @@ def enumerate_squarefree_supported(
     if bound < 1:
         raise DomainError(f"need bound >= 1, got {bound}")
     support = ps.primes_in(1, min(bound, ps.base.limit)).tolist()
-    return iter(sorted(squarefree_lattice(support, bound, (), lambda f, p: f + (p,))))
+    return iter(sorted(lattice(support, bound, (), lambda f, p: f + (p,))))
 
 
 def restricted_multiplicative_sum(
@@ -222,12 +181,7 @@ def restricted_multiplicative_sum(
         if spec.at_prime(p) != 0.0
     ]
     weights = {p: spec.at_prime(p) / p for p in support}
-    if mode == "squarefree":
-        return squarefree_weight_sum(support, weights, bound)
-    total = 0.0
-    for term in smooth_lattice(support, bound, weights=weights)[1]:
-        total += term
-    return total
+    return lattice_sum(support, weights, bound, powers=mode == "complete")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .arith import squarefree_weight_sum
+from .arith import lattice_sum
 from .errors import DegenerateInputError, DivisibilityError, DomainError
 from .primes import PrimeSubset, density_ratio_c, divisibility_hits, primes_up_to, residue_counts
 from .profiles import STRICT, ConstantsProfile
@@ -269,6 +269,8 @@ def ostmann_epsilon_profile(a, x: int, y_limit: float) -> EpsilonProfile:
         raise DomainError("A must be non-empty")
     if a.max > x:
         raise DomainError(f"A must lie in [1, {x}]")
+    if not math.isfinite(y_limit):
+        raise DomainError(f"need a finite y_limit, got {y_limit}")
     entries = {}
     quad = 0.0
     linear = 0.0
@@ -348,8 +350,7 @@ def ostmann_multiplicative_diagnostic(a, x: int, y_limit: float) -> dict:
         if abs(eps) <= p / 4.0:
             weights[p] = (p / 2.0 + eps) / (p / 2.0 - eps)
     root = math.isqrt(x)
-    support = sorted(p for p in weights if p <= root)
-    total = squarefree_weight_sum(support, weights, root)
+    total = lattice_sum(sorted(p for p in weights if p <= root), weights, root)
     bound = 2.0 * x / total if total > 0 else math.inf
     reference = math.sqrt(x) / math.log(math.log(x))
     return {

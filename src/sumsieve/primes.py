@@ -71,7 +71,7 @@ def _odd_sieve_segmented(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Exact primality over [2, limit] with cached ascending enumeration."""
+    """Exact primality over [2, limit] with the ascending list of its primes."""
 
     __slots__ = ("limit", "_odd_mask", "_primes")
 
@@ -83,8 +83,14 @@ class PrimeTable:
                 f"prime table limit {limit} exceeds cap {limit_cap}", limit=limit
             )
         self.limit = int(limit)
-        self._odd_mask = _odd_sieve_segmented(self.limit)
-        self._primes = None
+        self._odd_mask = mask = _odd_sieve_segmented(self.limit)
+        # built in place, at the table's own size: the slot of 1 stands in for 2
+        mask[0] = True
+        self._primes = primes = np.flatnonzero(mask)
+        mask[0] = False
+        primes *= 2
+        primes += 1
+        primes[0] = 2
 
     def is_prime(self, n: int) -> bool:
         if n > self.limit:
@@ -99,10 +105,7 @@ class PrimeTable:
 
     @property
     def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending (int64, cached)."""
-        if self._primes is None:
-            odd = 2 * np.flatnonzero(self._odd_mask).astype(np.int64) + 1
-            self._primes = np.concatenate(([np.int64(2)], odd))
+        """All primes <= limit, ascending (int64)."""
         return self._primes
 
     def primes_between(self, lo: float, hi: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import EULER_GAMMA, gamma_function, smooth_lattice
+from .arith import EULER_GAMMA, gamma_function, lattice
 from .errors import CapacityError, DegenerateInputError, DomainError
 from .primes import PrimeSubset
 from .sumset import IntegerSet
@@ -35,7 +35,7 @@ def enumerate_q(ps: PrimeSubset, x: int) -> IntegerSet:
     if x > _ENUM_X_CAP:
         raise CapacityError(f"x = {x} exceeds enumeration cap {_ENUM_X_CAP}")
     support = ps.primes_in(1, min(x, ps.base.limit)).tolist()
-    return IntegerSet(smooth_lattice(support, x)[0])
+    return IntegerSet(n for n, _ in lattice(support, x, None, lambda s, p: s, powers=True))
 
 
 def estimate_tau(ps: PrimeSubset, x: int) -> SemigroupStats:

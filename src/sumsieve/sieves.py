@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import factorize, squarefree_lattice, squarefree_weight_sum
+from .arith import factorize, lattice, lattice_sum
 from .errors import CapacityError, DomainError
 from .primes import (
     MEMORY_CAP,
@@ -93,7 +93,7 @@ def discrepancy_sum(
     rows: list[DiscrepancyBreakdown] = []
     total = 0.0
     spent = 0
-    for d, factors in squarefree_lattice(primes, d_bound, (), lambda f, p: f + (p,)):
+    for d, factors in lattice(primes, d_bound, (), lambda f, p: f + (p,)):
         if d == 1:
             continue
         spent += d + values.size
@@ -111,7 +111,7 @@ def discrepancy_sum(
 def star_sum(primes: list, c: float, bound: int) -> float:
     """sum over squarefree 1 < q <= bound supported on `primes` (ascending) of prod
     c/p: the P0* sums of the small-k machines and both irreducibility conditions."""
-    return squarefree_weight_sum(primes, {p: c / p for p in primes}, bound) - 1.0
+    return lattice_sum(primes, {p: c / p for p in primes}, bound) - 1.0
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def _sieve_denominator(omega: OccupancyProfile, primes: list, q_limit: int):
             raise DomainError(f"need 0 <= omega(p) < p at p={p}, got {w}")
     support = [p for p in primes if omega.get(p) > 0 and p <= q_limit]
     weights = {p: omega.get(p) / (p - omega.get(p)) for p in support}
-    return support, squarefree_weight_sum(support, weights, q_limit)
+    return support, lattice_sum(support, weights, q_limit)
 
 
 def larger_sieve_bound(
@@ -311,7 +311,7 @@ def selberg_bound(
         return hits, density * omega.get(p) / p, r + 1
 
     remainder = 0.0
-    for d, (mask, density, r) in squarefree_lattice(plist, d_bound, (None, 1.0, 0), step):
+    for d, (mask, density, r) in lattice(plist, d_bound, (None, 1.0, 0), step):
         if d > 1:
             remainder += (3**r) * abs(int(mask.sum()) - size_c * density)
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import smooth_lattice
+from .arith import lattice
 from .errors import CapacityError, DomainError
 from .primes import MEMORY_CAP, PrimeSubset, primes_up_to
 from .sieves import MODULUS_WORK_CAP, DiscrepancyBreakdown, coerce_shifts, discrepancy_sum
@@ -93,9 +94,7 @@ def psi(q: SmoothQuery, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
         if q.y >= q.x:
             return q.x
         return _count_smooth(q.x, primes_up_to(q.y).tolist(), work_budget)
-    # a prime above x divides no n <= x
-    values, _ = smooth_lattice(primes_up_to(min(q.y, q.x)).tolist(), q.x, budget=work_budget)
-    return sum(n % q.d == q.a for n in values)
+    return int(np.count_nonzero(enumerate_smooth(q.x, q.y, work_budget=work_budget) % q.d == q.a))
 
 
 def psi_coprime(q: SmoothQuery, d: int, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
@@ -111,11 +110,14 @@ def psi_coprime(q: SmoothQuery, d: int, *, work_budget: int = _DEFAULT_WORK_BUDG
 def enumerate_smooth(
     x: int, y: int, *, work_budget: int = _DEFAULT_WORK_BUDGET
 ) -> np.ndarray:
-    """All y-smooth n <= x, sorted ascending."""
+    """All y-smooth n <= x, sorted ascending; more than `work_budget` raise CapacityError."""
     if x > _X_CAP:
         raise CapacityError(f"x = {x} exceeds exact-mode cap {_X_CAP}")
-    primes = primes_up_to(min(y, x)).tolist()
-    arr = np.asarray(smooth_lattice(primes, x, budget=work_budget)[0], dtype=np.int64)
+    # a prime above x divides no n <= x
+    walk = lattice(primes_up_to(min(y, x)).tolist(), x, None, lambda s, p: s, powers=True)
+    arr = np.fromiter((n for n, _ in islice(walk, work_budget + 1)), dtype=np.int64)
+    if arr.size > work_budget:
+        raise CapacityError("smooth-number work budget exceeded")
     arr.sort()
     return arr
 

@@ -4,6 +4,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsieve.arith import (
     EULER_GAMMA,
@@ -13,13 +15,13 @@ from sumsieve.arith import (
     euler_phi,
     factorize,
     gamma_function,
+    lattice,
+    lattice_sum,
     mobius,
     restricted_multiplicative_sum,
-    smooth_lattice,
-    squarefree_lattice,
     tau3,
 )
-from sumsieve.errors import CapacityError, DomainError
+from sumsieve.errors import DomainError
 from sumsieve.primes import Interval, PrimeSubset, all_primes
 
 
@@ -167,18 +169,30 @@ def random_prime_lists(rng, count):
         yield sorted(rng.sample(small, rng.randrange(1, 12)))
 
 
+def factor_tuple(n: int, powers: bool) -> tuple:
+    """The prime factors of n, ascending, with multiplicity when `powers`."""
+    return tuple(p for p, e in factorize(n) for _ in range(e if powers else 1))
+
+
+def collect(primes, bound, powers):
+    return list(lattice(primes, bound, (), lambda f, p: f + (p,), powers=powers))
+
+
+_SMALL_PRIMES = [p for p in range(2, 60) if factorize(p) == [(p, 1)]]
+
+
 class TestLatticeEnumerators:
     def test_squarefree_matches_brute_force_in_preorder(self):
         rng = random.Random(21)
         for primes in random_prime_lists(rng, 30):
             for bound in (1, 2, rng.randrange(1, 300), rng.randrange(300, 5000)):
-                walk = list(squarefree_lattice(primes, bound, (), lambda f, p: f + (p,)))
+                walk = collect(primes, bound, powers=False)
                 brute = [
                     d for d in range(1, bound + 1) if mobius(d) != 0 and supported(d, primes)
                 ]
                 assert sorted(d for d, _ in walk) == brute
                 for d, factors in walk:
-                    assert factors == tuple(p for p, _ in factorize(d))
+                    assert factors == factor_tuple(d, powers=False)
                 tuples = [factors for _, factors in walk]
                 assert tuples == sorted(tuples)  # preorder = lexicographic order
 
@@ -186,60 +200,66 @@ class TestLatticeEnumerators:
         rng = random.Random(22)
         for primes in random_prime_lists(rng, 30):
             for bound in (1, 2, rng.randrange(1, 300), rng.randrange(300, 20000)):
-                values, products = smooth_lattice(primes, bound)
-                assert products == []
+                walk = list(lattice(primes, bound, "root", lambda s, p: s, powers=True))
+                assert {s for _, s in walk} <= {"root"}
+                values = [n for n, _ in walk]
                 assert sorted(values) == [n for n in range(1, bound + 1) if supported(n, primes)]
                 factorisations = [tuple(factorize(n)) for n in values]
                 assert factorisations == sorted(factorisations)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(_SMALL_PRIMES), max_size=8, unique=True),
+           st.integers(-3, 3000))
+    def test_power_states_are_factorisations(self, primes, bound):
+        primes.sort()
+        walk = collect(primes, bound, powers=True)
+        for n, factors in walk:
+            assert factors == factor_tuple(n, powers=True)
+        assert sorted(n for n, _ in walk) == [n for n in range(1, bound + 1) if supported(n, primes)]
+
     def test_bound_equal_to_a_product(self):
         primes = [2, 3, 5, 7]
         step = lambda r, p: r + 1  # noqa: E731
-        assert 210 in dict(squarefree_lattice(primes, 210, 0, step))
-        assert 210 not in dict(squarefree_lattice(primes, 209, 0, step))
-        assert dict(squarefree_lattice(primes, 210, 0, step))[210] == 4
-        assert 2**10 in smooth_lattice(primes, 2**10)[0]
-        assert 2**10 not in smooth_lattice(primes, 2**10 - 1)[0]
+        for powers in (False, True):
+            assert 210 in dict(lattice(primes, 210, 0, step, powers=powers))
+            assert 210 not in dict(lattice(primes, 209, 0, step, powers=powers))
+            assert dict(lattice(primes, 210, 0, step, powers=powers))[210] == 4
+            assert (2**10 in dict(lattice(primes, 2**10, 0, step, powers=powers))) == powers
+            assert 2**10 not in dict(lattice(primes, 2**10 - 1, 0, step, powers=powers))
+        assert dict(lattice(primes, 2**10, 0, step, powers=True))[2**10] == 10
 
     def test_small_bounds_and_empty_prime_list(self):
-        for bound in (0, -3, 0.5):
-            assert list(squarefree_lattice([2, 3], bound, (), lambda f, p: f + (p,))) == []
-            assert smooth_lattice([2, 3], bound, weights={2: 1.0, 3: 1.0}) == ([], [])
-        assert list(squarefree_lattice([], 100, "root", lambda s, p: s)) == [(1, "root")]
-        assert smooth_lattice([], 100, weights={}) == ([1], [1.0])
-        assert list(squarefree_lattice([2, 3], 1, 0, lambda r, p: r + 1)) == [(1, 0)]
+        for powers in (False, True):
+            for bound in (0, -3, 0.5):
+                assert collect([2, 3], bound, powers) == []
+                assert lattice_sum([2, 3], {2: 1.0, 3: 1.0}, bound, powers=powers) == 0.0
+            assert list(lattice([], 100, "root", lambda s, p: s, powers=powers)) == [(1, "root")]
+            assert lattice_sum([], {}, 100, powers=powers) == 1.0
+            assert list(lattice([2, 3], 1, 0, lambda r, p: r + 1, powers=powers)) == [(1, 0)]
 
     def test_weighted_path_products(self):
         rng = random.Random(23)
         for primes in random_prime_lists(rng, 10):
             weights = {p: rng.uniform(0.01, 3.0) for p in primes}
-            values, products = smooth_lattice(primes, 5000, weights=weights)
-            assert len(products) == len(values)
-            for n, t in zip(values, products):
-                assert t == factor_chain_product(n, weights)  # same chain, same float
-            walk = squarefree_lattice(primes, 5000, 1.0, lambda t, p: t * weights[p])
-            for d, t in walk:
-                assert t == factor_chain_product(d, weights)
-
-    def test_work_budget(self):
-        primes = [2, 3, 5, 7, 11]
-        count = len(smooth_lattice(primes, 10**4)[0])
-        assert len(smooth_lattice(primes, 10**4, budget=count)[0]) == count
-        with pytest.raises(CapacityError, match="smooth-number work budget exceeded"):
-            smooth_lattice(primes, 10**4, budget=count - 1)
-        with pytest.raises(CapacityError):
-            smooth_lattice(list(range(2, 3)), 10**6, budget=0)
+            for powers in (False, True):
+                total = 0.0
+                walk = lattice(primes, 5000, 1.0, lambda t, p: t * weights[p], powers=powers)
+                for n, t in walk:
+                    assert t == factor_chain_product(n, weights)  # same chain, same float
+                    total += t
+                assert lattice_sum(primes, weights, 5000, powers=powers) == total
 
     def test_squarefree_walk_is_lazy(self):
-        steps = []
+        for powers in (False, True):
+            steps = []
 
-        def step(state, p):
-            steps.append(p)
-            return state
+            def step(state, p):
+                steps.append(p)
+                return state
 
-        walk = squarefree_lattice([2, 3, 5, 7, 11, 13], 10**6, None, step)
-        assert [d for d, _ in itertools.islice(walk, 4)] == [1, 2, 6, 30]
-        assert steps == [2, 3, 5]
+            walk = lattice([2, 3, 5, 7, 11, 13], 10**6, None, step, powers=powers)
+            assert [d for d, _ in itertools.islice(walk, 4)] == [1, 2, 6, 30]
+            assert steps == [2, 3, 5]
 
 
 class TestRestrictedSums:

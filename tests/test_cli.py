@@ -130,6 +130,9 @@ class TestCommands:
         *(("check-genthm", "--s", "1,2,3,4", "--x", "100", "--selector", "interval:3,50",
            "--profile", "scaled", "--scale", scale)
           for scale in ("bogus=1", "k_coefficient=x", "k_coefficient", "name=foo")),
+        # a non-finite y limit: a ValueError or OverflowError traceback
+        *(("ostmann-diag", "--set", "1..100", "--x", "100", f"--y-limit={y}")
+          for y in ("nan", "inf", "-inf")),
         # values and sums outside int64: an OverflowError traceback, or a
         # wrapped negative element
         ("sumset", "--a", "0,100000000000000000000", "--b", "0,1"),

@@ -3,8 +3,8 @@
 Each sum is accumulated over its squarefree or smooth lattice in preorder with
 plain ``+=``; a different walk order, a numpy reduction or a compensated
 ``sum()`` changes the last bits and so the reports' bytes.  The expected
-strings are the values' ``repr`` before the walks moved onto the shared
-enumerators in ``sumsieve.arith``.
+strings are the values' ``repr`` from before every walk moved onto the one
+lattice walk in ``sumsieve.arith``; they must not change with it.
 """
 
 import hashlib

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from sumsieve import sieves
 from sumsieve import primes as primes_module
-from sumsieve.arith import squarefree_lattice
+from sumsieve.arith import lattice
 from sumsieve.errors import CapacityError, DegenerateInputError, DomainError
 from sumsieve.primes import (
     And,
@@ -79,6 +80,19 @@ class TestPrimeTable:
             build_prime_table(1)
         with pytest.raises(CapacityError):
             build_prime_table(10**7, limit_cap=10**6)
+
+    def test_build_peaks_at_the_table_size(self):
+        # the prime list is built in place: a copy per step (bit positions,
+        # int64 cast, doubling, prepending 2) peaked at 1.52x the table
+        tracemalloc.start()
+        try:
+            table = build_prime_table(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * table.nbytes
+        # the odd mask still marks exactly the odd primes
+        assert np.count_nonzero(table._odd_mask) + 1 == table.count() == 664579
 
     def test_range_query_beyond_limit(self, table_1e4):
         with pytest.raises(CapacityError):
@@ -494,7 +508,7 @@ class TestShiftClassProperty:
         assert repr(rep.remainder) == repr(reference.remainder)
         # the remainder from counts by trial division, in the lattice's order
         remainder = 0.0
-        for d, r in squarefree_lattice(plist, q_limit**2, 0, lambda r, p: r + 1):
+        for d, r in lattice(plist, q_limit**2, 0, lambda r, p: r + 1):
             if d > 1:
                 count = sum(1 for c in c_set if math.prod(c - a for a in shifts) % d == 0)
                 density = math.prod(omega.get(p) / p for p in plist if d % p == 0)

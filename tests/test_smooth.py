@@ -99,6 +99,20 @@ class TestPsi:
         with pytest.raises(CapacityError):
             psi(SmoothQuery(10**8, 1000), work_budget=10)
 
+    def test_enumeration_work_budget(self):
+        # the budget counts the numbers listed, 1 included; psi with a
+        # modulus lists the same numbers
+        count = int(enumerate_smooth(10**4, 11).size)
+        q = SmoothQuery(10**4, 11, 7, 3)
+        assert enumerate_smooth(10**4, 11, work_budget=count).size == count
+        assert psi(q, work_budget=count) == psi(q)
+        for over in (lambda: enumerate_smooth(10**4, 11, work_budget=count - 1),
+                     lambda: psi(q, work_budget=count - 1)):
+            with pytest.raises(CapacityError, match="smooth-number work budget exceeded"):
+                over()
+        with pytest.raises(CapacityError):
+            enumerate_smooth(10**6, 2, work_budget=0)
+
     def test_query_validation(self):
         with pytest.raises(DomainError):
             SmoothQuery(10, 1)
