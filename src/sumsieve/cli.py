@@ -322,6 +322,8 @@ def _cmd_smooth_count(args) -> int:
                     {"x": x_val, "y": y_val, "psi": psi(SmoothQuery(x_val, y_val))}
                 )
         return _emit(args, "smooth-count", {"grid": args.grid}, {"rows": rows})
+    if args.x is None or args.y is None:
+        raise DomainError("smooth-count needs --x and --y, or --grid")
     query = SmoothQuery(args.x, args.y, args.mod, args.res)
     value = psi(query)
     result = {"psi": value}
@@ -348,6 +350,8 @@ def _cmd_dickman(args) -> int:
             rows.append({"u": round(u, 12), "rho": val.rho, "log_rho": val.log_rho})
             u += step
         return _emit(args, "dickman", {"table": args.table}, {"rows": rows})
+    if args.u is None:
+        raise DomainError("dickman needs --u or --table")
     val = dickman_rho(args.u)
     return _emit(
         args, "dickman", {"u": args.u}, {"rho": val.rho, "log_rho": val.log_rho}

@@ -342,8 +342,10 @@ def ostmann_multiplicative_diagnostic(a, x: int, y_limit: float) -> dict:
     """Ratio diagnostic for the closing large-sieve step of the
     half-occupancy analysis: f(p) = (p/2 + eps_p)/(p/2 - eps_p) when
     |eps_p| <= p/4 (0 otherwise), summed over squarefree supported
-    n <= sqrt(x) and compared against sqrt(x)/log log x.  Diagnostic only.
+    n <= sqrt(x) and compared against sqrt(x)/log log x, x >= 3.  Diagnostic only.
     """
+    if x < 3:
+        raise DomainError(f"need x >= 3, got {x}")
     prof = ostmann_epsilon_profile(a, x, y_limit)
     weights = {}
     for p, eps in prof.entries.items():

@@ -5,11 +5,12 @@ mask, built in segments of 2^21 odd numbers); the package builds its tables
 only through ``prime_table`` and ``primes_up_to``, cached and cap-checked.  A
 ``PrimeSubset`` pairs a table with an immutable selector; every sieve formula
 draws its primes and its partial sums (theta, Mertens-type) from here.
-``multiples_mask`` (which n <= top a prime of a subset divides, one byte
-each, built per call) is the one prime-factor kernel behind divisibility
-scans and sifted counts, ``shift_class_hits`` the one shift-class test
-(v = a_i mod p, from a bool table over [0, p)) behind the sifted-count sweep
-and Selberg's remainder, ``residue_counts`` the one residue-occupancy kernel,
+The one prime-factor kernel, behind divisibility scans, sifted counts and
+tuple counts, is ``multiples`` (which n <= top some listed prime divides, one
+byte each, built per call) with ``survivors`` (a sweep over the primes for
+values beyond the mask).  ``shift_class_hits`` is the one shift-class test
+(v = a_i mod p, from a bool table over [0, p)) behind that sweep and
+Selberg's remainder, ``residue_counts`` the one residue-occupancy kernel,
 and ``cached`` the package's one cache (tables, masks and the density ratio
 c), bounded in bytes by the memory cap, a fixed per-entry overhead included.
 """
@@ -453,14 +454,15 @@ def mask_fits(top: int) -> bool:
     return top <= MASK_CAP and top + 1 <= MEMORY_CAP
 
 
-def _multiples(primes: np.ndarray, top: int) -> np.ndarray:
-    """Bool mask over [0, top]: n >= 1 is a multiple of a prime in primes
-    (ascending, none above top).
+def multiples(primes: np.ndarray, top: int) -> np.ndarray:
+    """Bool mask over [0, top]: a prime in primes (ascending, none above top)
+    divides n, so m[0] holds for any primes; one byte each, capped by the caller.
 
     Primes with many multiples take one slice each; the rest share index
     arrays of at most BLOCK_BYTES (or of one prime's multiples, if larger).
     """
     m = np.zeros(top + 1, dtype=bool)
+    m[0] = primes.size > 0
     split = int(np.searchsorted(primes, top // _SLICE_MULTIPLES, side="right"))
     for p in primes[:split].tolist():
         m[p::p] = True
@@ -476,6 +478,17 @@ def _multiples(primes: np.ndarray, top: int) -> np.ndarray:
     return m
 
 
+def survivors(values: np.ndarray, classes: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """The values v != a (mod p) for every a in classes and p in primes (int64
+    arrays), swept p by p in the given (ascending) order by ``shift_class_hits``
+    and stopped once no value is left: the scan beyond a multiples mask."""
+    for p in primes.tolist():
+        values = values[~shift_class_hits(values, classes, p)]
+        if values.size == 0:
+            break
+    return values
+
+
 def multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray:
     """m[n] for 0 <= n <= top: a prime of ps up to min(top, ps.base.limit)
     divides n; m[0] holds when ps has any prime (every prime divides 0).
@@ -485,49 +498,46 @@ def multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray:
     if not mask_fits(top):
         raise CapacityError(f"multiples mask over [0, {top}] exceeds its caps")
     bound = min(top, ps.base.limit)
-    plist = ps.primes_in(0, bound)
-    m = _multiples(plist, top)
-    m[0] = plist.size > 0 or ps.primes_in(bound, ps.base.limit).size > 0
+    m = multiples(ps.primes_in(0, bound), top)
+    m[0] = m[0] or ps.primes_in(bound, ps.base.limit).size > 0
     return m
 
 
 def divisibility_hits(
     values: Sequence[int] | np.ndarray, ps: PrimeSubset, *, max_pairs: int = 20
 ) -> list[tuple[int, int]]:
-    """Up to max_pairs (value, prime) pairs where a prime of ps divides a value.
+    """The first max_pairs values > 1, in value order, that a prime of ps
+    divides, each paired with its smallest prime in ps.
 
-    Within the mask's caps each value > 1 contributes its smallest prime in
-    ps, in value order; a value with no prime of ps up to the table limit
-    but a prime factor beyond it raises CapacityError.  Beyond the caps the
-    primes of ps are swept in ascending order.
+    Within the mask's caps the hits come from ``multiples_mask``, and a value
+    with no prime of ps up to the table limit but a prime factor beyond it
+    raises CapacityError once reached.  Beyond the caps they come from
+    ``survivors`` with the class 0: only primes up to the table limit are tested.
     """
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     if arr.size == 0:
         return []
     top = int(arr.max())
     limit = ps.base.limit
-    hits: list[tuple[int, int]] = []
     if mask_fits(top):
         at = np.maximum(arr, 0)
-        qualify = inside = multiples_mask(ps, max(top, 0))[at] & (arr > 1)
-        if top > limit:  # a prime factor beyond the table also qualifies
+        hit = multiples_mask(ps, max(top, 0))[at]
+        if top > limit:  # a prime factor beyond the table cannot be ruled out
             beyond = primes_up_to(top)
             beyond = beyond[beyond > limit]
-            qualify = inside | _multiples(beyond, top)[at]
-        for i in np.flatnonzero(qualify)[:max_pairs].tolist():
-            v = int(arr[i])
-            found = ps.primes_in(0, min(v, limit)) if inside[i] else beyond
-            p = int(found[v % found == 0][0])
-            if not inside[i]:
-                raise CapacityError(f"{p} exceeds table limit {limit}", limit=limit)
-            hits.append((v, p))
-        return hits
-    for p in ps.primes_in(1, min(top, limit)).tolist():
-        divisible = arr[arr % p == 0]
-        for v in divisible.tolist():
-            hits.append((int(v), p))
-            if len(hits) >= max_pairs:
-                return hits
+            hit |= multiples(beyond, top)[at]
+    else:
+        live = survivors(arr, np.zeros(1, dtype=np.int64), ps.primes_in(0, min(top, limit)))
+        hit = ~np.isin(arr, live)
+    hits: list[tuple[int, int]] = []
+    for i in np.flatnonzero(hit & (arr > 1))[:max_pairs].tolist():
+        v = int(arr[i])
+        found = ps.primes_in(0, min(v, limit))
+        found = found[v % found == 0]
+        if found.size == 0:  # the value's hit is a prime beyond the table
+            p = int(beyond[v % beyond == 0][0])
+            raise CapacityError(f"{p} exceeds table limit {limit}", limit=limit)
+        hits.append((v, int(found[0])))
     return hits
 
 

@@ -32,6 +32,7 @@ from .primes import (
     residue_counts,
     shift_class_hits,
     subset_sums,
+    survivors,
 )
 from .profiles import STRICT, ConstantsProfile
 from .sumset import IntegerSet
@@ -176,7 +177,7 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
 
     s is sifted out exactly when a prime of ps divides |s - a_i| for some i.
     Within the mask's caps that is one gather from ``multiples_mask``; beyond
-    them the primes of ps are swept one by one over the survivors.
+    them one ``survivors`` sweep over the primes of ps.
     """
     s = IntegerSet.coerce(s)
     shifts = coerce_shifts(shifts)
@@ -185,20 +186,12 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
         return 0
     shift_arr = shifts.array()
     top = int(max(arr.max(), shift_arr.max()))
-    limit = ps.base.limit
     if mask_fits(top):
         sifted = multiples_mask(ps, top)[np.abs(arr[:, None] - shift_arr[None, :])]
         return int(arr.size - np.count_nonzero(sifted.any(axis=1)))
-    live = arr
-    for p in ps.primes_in(0, min(top, limit)).tolist():
-        live = live[~shift_class_hits(live, shift_arr, p)]
-        if live.size == 0:
-            return 0
-    # s = a_i: every prime divides 0, so any prime of ps sifts s out
-    equal = np.isin(live, shift_arr)
-    if equal.any() and ps.primes_in(0, limit).size > 0:
-        live = live[~equal]
-    return int(live.size)
+    plist = ps.primes_in(0, ps.base.limit)
+    # the first prime above top sifts out exactly the s equal to a shift
+    return survivors(arr, shift_arr, plist[: np.searchsorted(plist, top, side="right") + 1]).size
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ enumeration over prime-exponent vectors.  The Dickman function comes from
 its exact power series on each unit interval, with positive coefficients
 obtained interval by interval from the delay equation (van de Lune & Wattel,
 Math. Comp. 23 (1969); Marsaglia, Zaman & Marsaglia, Math. Comp. 53 (1989)).
+Tuple counts read one ``primes.multiples`` mask of the n a prime above y divides.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import primes
 from .arith import lattice
 from .errors import CapacityError, DomainError
-from .primes import MEMORY_CAP, PrimeSubset, primes_up_to
 from .sieves import MODULUS_WORK_CAP, DiscrepancyBreakdown, coerce_shifts, discrepancy_sum
 from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 
@@ -30,7 +31,7 @@ _X_CAP = 10**9
 _TUPLE_X_CAP = 10**8
 # the memory cap bounds the memo/enumeration work; roughly 100 bytes per
 # retained entry
-_DEFAULT_WORK_BUDGET = MEMORY_CAP // 100
+_DEFAULT_WORK_BUDGET = primes.MEMORY_CAP // 100
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class SmoothQuery:
                 raise DomainError(f"need 0 <= a < d, got a={self.a}, d={self.d}")
 
 
-def _count_smooth(x: int, primes: Sequence[int], budget: int) -> int:
-    """#{n <= x : all prime factors of n among `primes`} via the largest-
+def _count_smooth(x: int, plist: Sequence[int], budget: int) -> int:
+    """#{n <= x : all prime factors of n among `plist`} via the largest-
     prime-factor recurrence with memoisation on (value, prime index); more
     than `budget` memo misses raise CapacityError."""
     memo: dict[tuple[int, int], int] = {}
@@ -76,14 +77,14 @@ def _count_smooth(x: int, primes: Sequence[int], budget: int) -> int:
             raise CapacityError("smooth-number work budget exceeded")
         total = 1
         for j in range(i + 1):
-            p = primes[j]
+            p = plist[j]
             if p > v:
                 break
             total += rec(v // p, j)
         memo[key] = total
         return total
 
-    return rec(x, len(primes) - 1)
+    return rec(x, len(plist) - 1)
 
 
 def psi(q: SmoothQuery, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
@@ -93,7 +94,7 @@ def psi(q: SmoothQuery, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
     if q.d is None:
         if q.y >= q.x:
             return q.x
-        return _count_smooth(q.x, primes_up_to(q.y).tolist(), work_budget)
+        return _count_smooth(q.x, primes.primes_up_to(q.y).tolist(), work_budget)
     return int(np.count_nonzero(enumerate_smooth(q.x, q.y, work_budget=work_budget) % q.d == q.a))
 
 
@@ -103,8 +104,8 @@ def psi_coprime(q: SmoothQuery, d: int, *, work_budget: int = _DEFAULT_WORK_BUDG
         raise DomainError(f"need d >= 1, got {d}")
     if q.x > _X_CAP:
         raise CapacityError(f"x = {q.x} exceeds exact-mode cap {_X_CAP}")
-    primes = [p for p in primes_up_to(min(q.y, q.x)).tolist() if d % p != 0]
-    return _count_smooth(q.x, primes, work_budget)
+    plist = [p for p in primes.primes_up_to(min(q.y, q.x)).tolist() if d % p != 0]
+    return _count_smooth(q.x, plist, work_budget)
 
 
 def enumerate_smooth(
@@ -114,7 +115,7 @@ def enumerate_smooth(
     if x > _X_CAP:
         raise CapacityError(f"x = {x} exceeds exact-mode cap {_X_CAP}")
     # a prime above x divides no n <= x
-    walk = lattice(primes_up_to(min(y, x)).tolist(), x, None, lambda s, p: s, powers=True)
+    walk = lattice(primes.primes_up_to(min(y, x)).tolist(), x, None, lambda s, p: s, powers=True)
     arr = np.fromiter((n for n, _ in islice(walk, work_budget + 1)), dtype=np.int64)
     if arr.size > work_budget:
         raise CapacityError("smooth-number work budget exceeded")
@@ -202,7 +203,7 @@ def dickman_rho(u: float) -> DickmanValue:
 
 def bv_discrepancy_sum(
     s_y: SmoothQuery,
-    ps: PrimeSubset,
+    ps: primes.PrimeSubset,
     q_limit: int,
     exponent_k: int,
     *,
@@ -246,36 +247,25 @@ class TupleCountReport:
 def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
     """Exact #{n <= x : n + a_i is y-smooth for every shift a_i}.
 
-    The report carries the standard comparators x rho(u)^k, x / u^k and
-    x / u^(u + k - 1) for context.
+    n <= top = x + max a_i is y-smooth when no prime in (y, top] divides it:
+    one ``multiples`` mask, with primes from ``primes_up_to(top)``, refused
+    past MEMORY_CAP before it or its table is built.  The report carries the
+    comparators x rho(u)^k, x / u^k and x / u^(u + k - 1) for context.
     """
     shifts = coerce_shifts(shifts)
     if x > _TUPLE_X_CAP:
         raise CapacityError(f"x = {x} exceeds tuple-count cap {_TUPLE_X_CAP}")
-    if x < 1:
-        raise DomainError(f"need x >= 1, got {x}")
+    if x < 2 or y < 2:
+        raise DomainError(f"need x, y >= 2, got x={x}, y={y}")
     top = x + shifts.max
-    primes = primes_up_to(min(y, top)).tolist()
-    block = 1 << 20
-    smooth_mask = np.zeros(top + 1, dtype=bool)
-    for lo in range(1, top + 1, block):
-        hi = min(lo + block, top + 1)
-        residual = np.arange(lo, hi, dtype=np.int64)
-        for p in primes:
-            if p > top:
-                break
-            start = ((lo + p - 1) // p) * p
-            if start >= hi:
-                continue
-            idx = np.arange(start - lo, hi - lo, p)
-            while idx.size:
-                residual[idx] //= p
-                idx = idx[residual[idx] % p == 0]
-        smooth_mask[lo:hi] = residual == 1
-    keep = np.ones(x, dtype=bool)  # n = 1 .. x
+    if top + 1 > primes.MEMORY_CAP:
+        raise CapacityError(f"a tuple scan over [0, {top}] would pass the memory cap")
+    plist = primes.primes_up_to(top)
+    rough = primes.multiples(plist[np.searchsorted(plist, min(y, top), side="right") :], top)
+    sifted = np.zeros(x, dtype=bool)  # n = 1 .. x
     for a in shifts:
-        keep &= smooth_mask[1 + a : x + a + 1]
-    count = int(keep.sum())
+        sifted |= rough[1 + a : x + a + 1]
+    count = x - int(np.count_nonzero(sifted))
 
     u = math.log(x) / math.log(y)
     k = len(shifts)

@@ -139,6 +139,14 @@ class TestCommands:
         ("ruzsa", "--a", "0,1", "--b", "0,1", "--c", "0,100000000000000000000"),
         ("sumset", "--a", "0,5000000000000000000", "--b", "0,5000000000000000000"),
         ("decompose", "--set", "0,9223372036854775808"),
+        # a missing value: a TypeError traceback
+        ("smooth-count",),
+        ("dickman",),
+        # u = log x / log y needs x, y >= 2, and log log x > 0 needs x >= 3
+        ("tuple-count", "--x", "100", "--y", "1", "--shifts", "0,1"),
+        ("tuple-count", "--x", "100", "--y", "0", "--shifts", "0,1"),
+        ("tuple-count", "--x", "1", "--y", "10", "--shifts", "0,1"),
+        ("ostmann-diag", "--set", "1", "--x", "1", "--y-limit", "10"),
     ])
     def test_malformed_numbers_are_error_objects(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
@@ -162,6 +170,14 @@ class TestCommands:
             assert doc["error"]["type"] == "CapacityError"
         code, doc = run_json(capsys, "sumset", "--a", "0..4", "--b", "0,1")
         assert code == 0 and doc["result"]["size"] == 6
+
+    def test_tuple_scan_past_the_memory_cap_is_an_error_object(self, capsys):
+        # x is capped at 10^8, but the scan runs to x + the largest shift
+        code, doc = run_json(capsys, "tuple-count", "--x", "100", "--y", "10",
+                             "--shifts", "5000000000")
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"]["type"] == "CapacityError"
 
     def test_larger_sieve_needs_the_set_in_1_to_n(self, capsys):
         # |A| = 361 in [2, 362] with N = 11: was reported valid with bound 34.7

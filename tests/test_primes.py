@@ -308,10 +308,17 @@ class TestDivisibility:
         with pytest.raises(CapacityError):
             multiples_mask(ps, 1000)
 
-    def test_hits_found(self, table_1e4):
+    def test_hits_found(self, table_1e4, monkeypatch):
         ps = PrimeSubset(table_1e4, ResidueClass(3, 4))
         hits = divisibility_hits([10, 21, 13], ps)
         assert hits == [(21, 3)]
+        # 0 and 1 are no hits, and each value gets its smallest prime of ps,
+        # on the mask and on the per-prime sweep alike
+        mixed = [0, 1, 21, 10, 77, 3]
+        assert divisibility_hits(mixed, ps) == [(21, 3), (77, 7), (3, 3)]
+        with monkeypatch.context() as mp:
+            mp.setattr(primes_module, "MEMORY_CAP", 0)
+            assert divisibility_hits(mixed, ps) == [(21, 3), (77, 7), (3, 3)]
         rng = random.Random(4)
         selectors = [ResidueClass(3, 4), Interval(10, 100), MinValue(50),
                      Excluding(frozenset({2, 3})), Interval(9000, 10**4)]
@@ -328,6 +335,9 @@ class TestDivisibility:
                     assert got == divisibility_hits_scalar(values, ps, max_pairs)
                     assert len(got) <= max_pairs
                     assert got == divisibility_hits(np.asarray(values), ps, max_pairs=max_pairs)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(primes_module, "MEMORY_CAP", 0)  # the per-prime sweep
+                        assert divisibility_hits(values, ps, max_pairs=max_pairs) == got
 
     def test_clean_set(self, table_1e4):
         ps = PrimeSubset(table_1e4, Interval(10, 100))
@@ -415,6 +425,9 @@ class TestMultiplesMaskProperty:
                 divisibility_hits(values, ps, max_pairs=max_pairs)
         else:
             assert divisibility_hits(values, ps, max_pairs=max_pairs) == expected
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(primes_module, "MEMORY_CAP", 0)  # the per-prime sweep
+                assert divisibility_hits(values, ps, max_pairs=max_pairs) == expected
 
 
 def _isin_hits(values, shifts, p):
@@ -468,7 +481,7 @@ class TestShiftClassProperty:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(primes_module, "MASK_CAP", 0)  # every top takes the sweep
             assert sift_count(s, shifts, ps) == expected
-            mp.setattr(sieves, "shift_class_hits", _isin_hits)
+            mp.setattr(primes_module, "shift_class_hits", _isin_hits)
             assert sift_count(s, shifts, ps) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -611,6 +624,18 @@ class TestCache:
                         lambda: prime_table(10**11)):
             with pytest.raises(CapacityError):
                 request()
+        assert len(cache) == 0 and cache.nbytes == 0
+
+    def test_tuple_scan_past_the_cap_is_refused_before_it_is_built(self, cache, monkeypatch):
+        def never(*args):
+            raise AssertionError(f"a table or a mask was built: {args}")
+
+        monkeypatch.setattr(primes_module, "PrimeTable", never)
+        monkeypatch.setattr(primes_module, "multiples", never)
+        monkeypatch.setattr(primes_module, "MEMORY_CAP", 10**4)
+        # the scan spans [0, x + the largest shift]: 10^4 + 1 bytes
+        with pytest.raises(CapacityError, match="tuple scan"):
+            smooth_tuple_count(100, 10, [0, 10**4 - 100])
         assert len(cache) == 0 and cache.nbytes == 0
 
     @pytest.mark.parametrize("limit", [2, 3, 10, 1000, 10**4, 10**5])

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsieve.errors import CapacityError, DomainError
 from sumsieve.irreducibility import build_context, check_bv_condition
@@ -398,6 +400,28 @@ class TestTupleCount:
     def test_cap(self):
         with pytest.raises(CapacityError):
             smooth_tuple_count(10**8 + 1, 10, [0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.integers(2, 3000),
+        y=st.integers(2, 4000),  # y >= x + the largest shift included
+        others=st.lists(st.integers(1, 500), max_size=3, unique=True),
+    )
+    def test_against_trial_division(self, x, y, others):
+        shifts = [0] + others
+        count = sum(1 for n in range(1, x + 1)
+                    if all(_largest_prime_factor(n + a) <= y for a in shifts))
+        assert smooth_tuple_count(x, y, shifts).count == count
+
+
+def _largest_prime_factor(n: int) -> int:
+    """The largest prime factor of n >= 1 by trial division (1 for n = 1)."""
+    largest, p = 1, 2
+    while p * p <= n:
+        while n % p == 0:
+            largest, n = p, n // p
+        p += 1
+    return max(largest, n)
 
 
 class TestScalingEchoes:
