@@ -173,8 +173,8 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     |#{s in S : s = a mod d} - #S/phi(d)|, against #S sigma0 / (2K).
 
     The main sum is ``star_sum``; the discrepancy is ``discrepancy_sum`` over
-    the P0* primes up to min(Q^2, table limit), with its default modulus
-    budget.
+    the P0* primes up to Q^2, with its default modulus budget.  A prime table
+    below Q^2 raises CapacityError when P0* could hold a prime past it.
     """
     s = IntegerSet.coerce(s)
     if q_limit < 1:
@@ -185,9 +185,9 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     main_threshold = ctx.profile.condition_coefficient / ctx.sigma0
 
     d_bound = q_limit**2
-    d_primes = star.primes_in(1, min(d_bound, star.base.limit)).tolist()
+    d_primes = star.primes_in(1, d_bound).tolist()
     disc_sum = 0.0
-    if d_primes and math.isfinite(ctx.K):
+    if math.isfinite(ctx.K):
         weight_base = 3.0 ** (1.0 + math.log(ctx.K) / math.log(3.0))
         disc_sum, _ = discrepancy_sum(s.array(), d_primes, d_bound, weight_base)
     disc_threshold = (

@@ -171,6 +171,10 @@ class Selector:
     def contains(self, p: int) -> bool:
         return bool(self.mask(np.asarray([p], dtype=np.int64))[0])
 
+    def upper(self) -> float:
+        """A bound no selected prime passes."""
+        return math.inf
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -199,6 +203,9 @@ class Interval(Selector):
 
     def contains(self, p):
         return self.lo < p <= self.hi
+
+    def upper(self):
+        return self.hi
 
     def describe(self):
         return f"interval:{self.lo:g},{self.hi:g}"
@@ -273,6 +280,9 @@ class And(Selector):
     def contains(self, p):
         return all(part.contains(p) for part in self.parts)
 
+    def upper(self):
+        return min((part.upper() for part in self.parts), default=math.inf)
+
     def describe(self):
         return "and(" + ";".join(part.describe() for part in self.parts) + ")"
 
@@ -288,7 +298,9 @@ class PrimeSubset:
     selector: Selector = ALL
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:
-        arr = self.base.primes_between(lo, hi)
+        """The selected primes p with lo < p <= hi; CapacityError when the
+        table stops short of hi and the selector could pass a prime beyond it."""
+        arr = self.base.primes_between(lo, min(hi, self.selector.upper()))
         if isinstance(self.selector, AllPrimes):
             return arr
         return arr[self.selector.mask(arr)]

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .arith import EULER_GAMMA, gamma_function, lattice
 from .errors import CapacityError, DegenerateInputError, DomainError
-from .primes import PrimeSubset
+from .primes import MEMORY_CAP, PrimeSubset
 from .sumset import IntegerSet
 
 _ENUM_X_CAP = 10**9
@@ -29,13 +30,19 @@ class SemigroupStats:
 
 
 def enumerate_q(ps: PrimeSubset, x: int) -> IntegerSet:
-    """All n <= x whose prime factors all lie in ps, ascending; includes 1."""
+    """All n <= x whose prime factors all lie in ps, ascending; includes 1.
+    More than MEMORY_CAP // 8 of them (int64 each) raise CapacityError."""
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
     if x > _ENUM_X_CAP:
         raise CapacityError(f"x = {x} exceeds enumeration cap {_ENUM_X_CAP}")
     support = ps.primes_in(1, min(x, ps.base.limit)).tolist()
-    return IntegerSet(n for n, _ in lattice(support, x, None, lambda s, p: s, powers=True))
+    walk = lattice(support, x, None, lambda s, p: s, powers=True)
+    cap = MEMORY_CAP // 8
+    arr = np.fromiter((n for n, _ in islice(walk, cap + 1)), dtype=np.int64)
+    if arr.size > cap:
+        raise CapacityError(f"Q(T) up to {x} has more than {cap} elements, past the memory cap")
+    return IntegerSet(arr)
 
 
 def estimate_tau(ps: PrimeSubset, x: int) -> SemigroupStats:

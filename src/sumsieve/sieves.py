@@ -8,7 +8,7 @@ record.  The hypothesis checks are the numerically verifiable conditions
 under which each bound is a theorem; with the strict constants they are
 implied by the stated thresholds, with scaled constants they are checked
 directly.  A bound should only be asserted against the sifted count when
-``hypotheses_ok`` holds.
+``valid`` holds: the report gives no reason and every hypothesis holds.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ class SieveBoundReport:
     bound: float
     denominator_L: float
     params: dict
-    valid: bool
     reason: str = ""
     main_term: Optional[float] = None
     remainder: Optional[float] = None
@@ -149,12 +148,21 @@ class SieveBoundReport:
     branch: Optional[str] = None
     profile: Optional[str] = None
 
+    def __post_init__(self):
+        failed = ", ".join(name for name, ok in self.hypotheses.items() if not ok)
+        if failed and not self.reason:
+            self.reason = f"hypotheses not met: {failed}"
+
+    @property
+    def valid(self) -> bool:
+        return not self.reason
+
     @property
     def hypotheses_ok(self) -> bool:
         return all(self.hypotheses.values())
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "hypotheses_ok": self.hypotheses_ok}
+        return {**asdict(self), "valid": self.valid, "hypotheses_ok": self.hypotheses_ok}
 
 
 def occupancy(a, ps: PrimeSubset) -> OccupancyProfile:
@@ -236,7 +244,7 @@ def larger_sieve_bound(
         nu = profile.get(p)
         if nu <= 0:
             return SieveBoundReport(
-                0.0, 0.0, params, False, f"occupancy 0 at p={p}: sifted set empty",
+                0.0, 0.0, params, f"occupancy 0 at p={p}: sifted set empty",
                 hypotheses=hyps,
             )
         lp = math.log(p)
@@ -244,13 +252,10 @@ def larger_sieve_bound(
         den += lp / nu
     if den <= 0:
         return SieveBoundReport(
-            math.inf, den, params, False, "denominator not positive", hypotheses=hyps
+            math.inf, den, params, "denominator not positive", hypotheses=hyps
         )
-    if not all(hyps.values()):
-        return SieveBoundReport(
-            num / den, den, params, False, "the set does not lie in [1, N]", hypotheses=hyps
-        )
-    return SieveBoundReport(num / den, den, params, True, hypotheses=hyps)
+    reason = "" if all(hyps.values()) else "the set does not lie in [1, N]"
+    return SieveBoundReport(num / den, den, params, reason, hypotheses=hyps)
 
 
 def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveBoundReport:
@@ -268,9 +273,8 @@ def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveB
     hyps = {}
     if profile.span is not None:
         hyps["set_within_interval_of_length_x"] = profile.span[1] - profile.span[0] < x
-    valid = all(hyps.values())
-    reason = "" if valid else "the set does not lie in an interval of length x"
-    return SieveBoundReport(bound, L, params, valid, reason, hypotheses=hyps)
+    reason = "" if all(hyps.values()) else "the set does not lie in an interval of length x"
+    return SieveBoundReport(bound, L, params, reason, hypotheses=hyps)
 
 
 def selberg_bound(
@@ -320,7 +324,6 @@ def selberg_bound(
         main + remainder,
         L,
         params,
-        True,
         main_term=main,
         remainder=remainder,
         sifted_count=sifted,
@@ -382,7 +385,7 @@ def inverse_sieve_lower_bound(
 def _vacuous(params, reason, sifted, profile, branch=None) -> SieveBoundReport:
     """The infinite, invalid bound of a machine whose denominator vanished."""
     return SieveBoundReport(
-        math.inf, 0.0, params, False, reason, sifted_count=sifted, branch=branch, profile=profile
+        math.inf, 0.0, params, reason, sifted_count=sifted, branch=branch, profile=profile
     )
 
 
@@ -442,7 +445,6 @@ def prop_smallkscs_bound(s, shifts, ctx) -> SieveBoundReport:
         4.0 * x / denominator,
         denominator,
         params,
-        True,
         sifted_count=sifted,
         hypotheses=_small_k_hypotheses(shifts, small),
         profile=ctx.profile.name,
@@ -492,7 +494,6 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
         main + disc,
         (k - 1) * main_den,
         params,
-        True,
         main_term=main,
         remainder=disc,
         sifted_count=sifted,
@@ -582,7 +583,6 @@ def middlek_bound(
         bound,
         m_factor,
         params,
-        True,
         sifted_count=sifted,
         hypotheses=hyps,
         branch=branch,

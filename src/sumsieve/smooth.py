@@ -216,7 +216,8 @@ def bv_discrepancy_sum(
 
     ps must avoid the primes up to y, so the moduli are coprime to every
     smooth number.  The sum is ``discrepancy_sum`` with base 3k over the
-    primes of ps up to min(Q^2, table limit), its rows sorted by d; past
+    primes of ps up to Q^2, its rows sorted by d; a prime table below Q^2
+    raises CapacityError when ps could hold a prime past it, and past
     ``modulus_work_cap`` units of modulus work a capacity error carries the
     partial sum and breakdown.
     """
@@ -224,9 +225,9 @@ def bv_discrepancy_sum(
         raise DomainError(f"need exponent_k >= 1, got {exponent_k}")
     if ps.primes_in(1, min(s_y.y, ps.base.limit)).size > 0:
         raise DomainError("ps must be disjoint from the primes up to y")
-    smooth = enumerate_smooth(s_y.x, s_y.y, work_budget=work_budget)
     d_bound = q_limit**2
-    support = ps.primes_in(1, min(d_bound, ps.base.limit)).tolist()
+    support = ps.primes_in(1, d_bound).tolist()
+    smooth = enumerate_smooth(s_y.x, s_y.y, work_budget=work_budget)
     base = 3.0 * exponent_k
     total, rows = discrepancy_sum(smooth, support, d_bound, base, work_cap=modulus_work_cap)
     return total, sorted(rows, key=lambda b: b.d)
@@ -248,8 +249,9 @@ def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
     """Exact #{n <= x : n + a_i is y-smooth for every shift a_i}.
 
     n <= top = x + max a_i is y-smooth when no prime in (y, top] divides it:
-    one ``multiples`` mask, with primes from ``primes_up_to(top)``, refused
-    past MEMORY_CAP before it or its table is built.  The report carries the
+    one ``multiples`` mask, with primes from ``primes_up_to(top)``.  The
+    mask's top + 1 bytes and the x bytes of sifted flags are refused past
+    MEMORY_CAP before either or the table is built.  The report carries the
     comparators x rho(u)^k, x / u^k and x / u^(u + k - 1) for context.
     """
     shifts = coerce_shifts(shifts)
@@ -258,7 +260,7 @@ def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
     if x < 2 or y < 2:
         raise DomainError(f"need x, y >= 2, got x={x}, y={y}")
     top = x + shifts.max
-    if top + 1 > primes.MEMORY_CAP:
+    if top + 1 + x > primes.MEMORY_CAP:
         raise CapacityError(f"a tuple scan over [0, {top}] would pass the memory cap")
     plist = primes.primes_up_to(top)
     rough = primes.multiples(plist[np.searchsorted(plist, min(y, top), side="right") :], top)

@@ -89,6 +89,24 @@ class TestCommands:
         assert doc["result"]["valid"] is True
         assert doc["result"]["bound"] >= 5
 
+    def test_sieve_bound_with_failed_hypotheses_gives_exit_two(self, capsys):
+        # four window hypotheses fail: once reported valid, with no reason, and exit 0
+        code, doc = run_json(
+            capsys,
+            "sieve-bound", "--kind", "middlek", "--set", "1..3000",
+            "--shifts", "0,7,11,13,17,19,23,29,31,37", "--x", "1000000",
+            "--y1", "15", "--y2", "40", "--window-coefficient", "0.1",
+            "--selector", "all", "--limit", "10000",
+        )
+        failed = [
+            "window1_error_term_dominated", "window1_mertens_at_least_half",
+            "window2_error_term_dominated", "window2_mertens_at_least_half",
+        ]
+        assert code == 2
+        assert doc["result"]["valid"] is False and doc["result"]["hypotheses_ok"] is False
+        assert [name for name, ok in doc["result"]["hypotheses"].items() if not ok] == failed
+        assert doc["result"]["reason"] == "hypotheses not met: " + ", ".join(failed)
+
     def test_error_exit_one(self, capsys):
         code, doc = run_json(capsys, "dickman", "--u", "-3")
         assert code == 1
@@ -189,6 +207,19 @@ class TestCommands:
         assert code == 2
         assert doc["result"]["valid"] is False
         assert doc["result"]["hypotheses"] == {"set_within_1_to_N": False}
+
+    def test_bv_sum_needs_the_table_to_cover_q_squared(self, capsys):
+        # Q^2 = 14400: a 10^4 table once gave 25888.75 from 3189 of the 3646 moduli
+        argv = ["bv-sum", "--x", "1000", "--y", "5", "--q", "120", "--selector", "min:7",
+                "--exponent-k", "1", "--limit"]
+        code, doc = run_json(capsys, *argv, "10000")
+        assert code == 1
+        assert doc["error"]["type"] == "CapacityError"
+        for limit in ("20000", "100000"):
+            code, doc = run_json(capsys, *argv, limit)
+            assert code == 0
+            assert doc["result"]["total"] == 27249.950649224844
+            assert len(doc["result"]["rows"]) == 3646
 
     def test_large_sieve_omega_counts_avoided_classes(self, capsys, tmp_path):
         # the 228 integers in [1, 1000] coprime to 210: omega was once the

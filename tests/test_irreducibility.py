@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from sumsieve.errors import DivisibilityError, DomainError
+from sumsieve.errors import CapacityError, DivisibilityError, DomainError
 from sumsieve.irreducibility import (
     build_context,
     check_bv_condition,
@@ -15,7 +15,7 @@ from sumsieve.irreducibility import (
     ostmann_epsilon_profile,
     ostmann_multiplicative_diagnostic,
 )
-from sumsieve.primes import Interval, PrimeSubset, ResidueClass
+from sumsieve.primes import Interval, MinValue, PrimeSubset, ResidueClass
 from sumsieve.profiles import STRICT, scaled
 from sumsieve.semigroup import enumerate_q
 from sumsieve.sieves import OccupancyProfile, occupancy
@@ -127,6 +127,14 @@ class TestConditions:
         res = check_bv_condition(ctx, s, 1)
         assert not res.holds
         assert res.values["main_sum"] == 0.0
+
+    def test_bv_table_below_q_squared_is_refused(self, smooth3_context, table_1e4):
+        ctx, s = smooth3_context
+        unbounded = build_context(s, s, PrimeSubset(table_1e4, MinValue(5)), 10**4, ctx.profile)
+        assert check_bv_condition(unbounded, s, 100).values["Q"] == 100
+        # Q^2 = 10201 passes the 10^4 table, and P0* has primes past it
+        with pytest.raises(CapacityError, match="exceeds table limit"):
+            check_bv_condition(unbounded, s, 101)
 
     def test_bv_exact_evaluation_powers_of_two(self, table_1e6):
         # S = powers of two; an interval prime set never covers the dyadic

@@ -138,6 +138,19 @@ class TestSelectors:
             ]
             assert arr.tolist() == direct
 
+    def test_range_past_the_table(self, table_1e4):
+        # a subset bounded inside the table needs no table beyond its bound
+        bounded = [Interval(10, 500), And((Interval(5, 2000), MinValue(97))),
+                   And((ResidueClass(3, 4), Interval(0, 10**4)))]
+        for sel in bounded:
+            ps = PrimeSubset(table_1e4, sel)
+            assert ps.primes_in(1, 10**9).tolist() == ps.primes().tolist()
+        # one that could pass a prime past the table refuses the range
+        for sel in (ResidueClass(3, 4), MinValue(97), Excluding(frozenset({2})),
+                    And((Interval(5, 10**4 + 1), MinValue(97))), And(())):
+            with pytest.raises(CapacityError):
+                PrimeSubset(table_1e4, sel).primes_in(1, 10**9)
+
     def test_star_subset_construction(self, table_1e4):
         base = PrimeSubset(table_1e4, ResidueClass(1, 4))
         k_cubed = 47.0
@@ -636,6 +649,18 @@ class TestCache:
         # the scan spans [0, x + the largest shift]: 10^4 + 1 bytes
         with pytest.raises(CapacityError, match="tuple scan"):
             smooth_tuple_count(100, 10, [0, 10**4 - 100])
+        assert len(cache) == 0 and cache.nbytes == 0
+
+    def test_tuple_scan_counts_its_sifted_flags(self, cache, monkeypatch):
+        def never(*args):
+            raise AssertionError(f"a table or a mask was built: {args}")
+
+        monkeypatch.setattr(primes_module, "PrimeTable", never)
+        monkeypatch.setattr(primes_module, "multiples", never)
+        monkeypatch.setattr(primes_module, "MEMORY_CAP", 10**4)
+        # the mask's 8001 bytes fit, but not with the 3000 bytes of sifted flags
+        with pytest.raises(CapacityError, match="tuple scan"):
+            smooth_tuple_count(3000, 10, [0, 5000])
         assert len(cache) == 0 and cache.nbytes == 0
 
     @pytest.mark.parametrize("limit", [2, 3, 10, 1000, 10**4, 10**5])

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sumsieve import semigroup
 from sumsieve.errors import CapacityError, DomainError
 from sumsieve.primes import Excluding, Interval, PrimeSubset, ResidueClass, all_primes
 from sumsieve.semigroup import (
@@ -72,6 +74,27 @@ class TestEnumerateQ:
     def test_capacity(self, table_1e4):
         with pytest.raises(CapacityError):
             enumerate_q(all_primes(table_1e4), 10**9 + 1)
+
+    def test_memory_cap_bounds_the_element_count(self, table_1e4, monkeypatch):
+        # every n <= 1000 is 10^4-smooth: 1000 int64 elements, 8000 bytes
+        ps = all_primes(table_1e4)
+        monkeypatch.setattr(semigroup, "MEMORY_CAP", 8000)
+        assert np.array_equal(enumerate_q(ps, 1000).array(), np.arange(1, 1001))
+        monkeypatch.setattr(semigroup, "MEMORY_CAP", 7999)
+        with pytest.raises(CapacityError, match="more than 999 elements"):
+            enumerate_q(ps, 1000)
+
+    def test_refused_before_the_whole_set_is_built(self, table_1e4, monkeypatch):
+        # Q(T) up to 10^6 has 628,743 elements here, about 10.7 MB at its peak
+        monkeypatch.setattr(semigroup, "MEMORY_CAP", 8 * 10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                enumerate_q(all_primes(table_1e4), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 10**5
 
     def test_max_gap_diagnostic(self, table_1e4):
         ps = PrimeSubset(table_1e4, Interval(1, 2))

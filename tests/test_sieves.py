@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsieve import primes as primes_module
 from sumsieve import sieves
@@ -524,6 +526,20 @@ class TestSmallK:
         with pytest.raises(DomainError):
             prop_smallkbv_bound(bad, [0, 1], ctx, 50)
 
+    def test_occupancy_deficit_past_its_budget_is_not_valid(self, table_1e6):
+        # all shifts agree mod the two least P0* primes, so nu(p) = 1 at both
+        ctx, s = make_scaled_context(table_1e6, random.Random(9))
+        p1, p2 = ctx.ps_star.primes_in(1, 100).tolist()[:2]
+        shifts = [0, p1 * p2, 2 * p1 * p2]
+        assert 3 * max(4 * p1, p2) <= ctx.x
+        for rep in (prop_smallkscs_bound(s, shifts, ctx), prop_smallkbv_bound(s, shifts, ctx, 50)):
+            assert rep.hypotheses == {
+                "star_primes_at_least_4k": True,
+                "occupancy_deficit_within_budget": False,
+            }
+            assert not rep.valid
+            assert rep.reason == "hypotheses not met: occupancy_deficit_within_budget"
+
     def test_zero_shift_residue_allowed(self, table_1e6):
         # shifts hitting 0 mod a star prime only shrink the nonzero occupancy
         rng = random.Random(13)
@@ -587,3 +603,89 @@ class TestMiddleK:
         # strict 8 k log x is unreachable with these tiny windows
         assert rep.branch in (None, "reduced-k")
         assert not rep.valid or not rep.hypotheses_ok
+
+
+
+class TestValidity:
+    """A report is valid exactly when it gives no reason, and a failed
+    hypothesis always gives one."""
+
+    @pytest.fixture(scope="class")
+    def contexts(self, table_1e6):
+        # the least P0* primes are 19, 23 and 31, 37
+        return [make_scaled_context(table_1e6, random.Random(seed)) for seed in (9, 10)]
+
+    @staticmethod
+    def _larger(draw, table, contexts):
+        a = draw(st.sets(st.integers(0, 300), min_size=1, max_size=40))
+        lo = draw(st.integers(1, 80))
+        ps = PrimeSubset(table, Interval(lo, lo + draw(st.integers(0, 400))))
+        return larger_sieve_bound(occupancy(a, ps), ps, draw(st.integers(1, 400)))
+
+    @staticmethod
+    def _large(draw, table, contexts):
+        a = draw(st.sets(st.integers(0, 300), min_size=1, max_size=40))
+        ps = PrimeSubset(table, Interval(1, draw(st.integers(1, 40))))
+        omega = avoided_classes(occupancy(a, ps))
+        return large_sieve_bound(omega, draw(st.integers(1, 400)), draw(st.integers(1, 12)))
+
+    @staticmethod
+    def _selberg(draw, table, contexts):
+        c_set = draw(st.sets(st.integers(0, 500), min_size=1, max_size=40))
+        shifts = draw(st.sets(st.integers(0, 50), min_size=1, max_size=4))
+        # every prime above 4 misses a class of the shifts: omega(p) < p
+        ps = PrimeSubset(table, Interval(4, draw(st.integers(4, 40))))
+        return selberg_bound(c_set, ps, shifts, occupancy(shifts, ps), draw(st.integers(1, 8)))
+
+    @staticmethod
+    def _small_k(draw, contexts):
+        ctx, s = draw(st.sampled_from(contexts))
+        p1, p2 = ctx.ps_star.primes_in(1, 100).tolist()[:2]
+        step = draw(st.sampled_from([0, p1, p1 * p2]))
+        if step == 0:
+            return ctx, s, draw(st.sets(st.integers(0, ctx.x), min_size=2, max_size=6))
+        return ctx, s, [i * step for i in range(draw(st.integers(2, 6)))]
+
+    @classmethod
+    def _smallkscs(cls, draw, table, contexts):
+        ctx, s, shifts = cls._small_k(draw, contexts)
+        return prop_smallkscs_bound(s, shifts, ctx)
+
+    @classmethod
+    def _smallkbv(cls, draw, table, contexts):
+        ctx, s, shifts = cls._small_k(draw, contexts)
+        return prop_smallkbv_bound(s, shifts, ctx, draw(st.integers(32, 45)))
+
+    @staticmethod
+    def _middlek(draw, table, contexts):
+        y1 = draw(st.integers(10, 20))
+        y2 = draw(st.integers(2 * y1 + 1, 8 * y1))
+        x = draw(st.integers((y1 * y2 + 1) ** 2, 10**8))
+        s = draw(st.sets(st.integers(1, x), min_size=1, max_size=30))
+        shifts = draw(st.sets(st.integers(0, x), min_size=1, max_size=12))
+        lo = draw(st.integers(1, y1))
+        ps = PrimeSubset(table, Interval(lo, lo + draw(st.integers(y1, 400))))
+        w = draw(st.floats(0.01, 2.0))
+        profile = draw(st.sampled_from([STRICT, scaled(window_coefficient=w)]))
+        return middlek_bound(s, shifts, ps, x, y1, y2, profile=profile)
+
+    @staticmethod
+    def _strict_small_k(draw, table, contexts):
+        # under the strict constants P0* is empty: the vacuous report
+        ctx, s = draw(st.sampled_from(contexts))
+        strict_ctx = build_context(s, s, ctx.ps, ctx.x, STRICT)
+        assert strict_ctx.ps_star.is_empty()
+        return prop_smallkscs_bound(s, [0, 1], strict_ctx)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_valid_is_no_reason(self, table_1e4, contexts, data):
+        evaluator = data.draw(st.sampled_from([
+            self._larger, self._large, self._selberg, self._smallkscs,
+            self._smallkbv, self._middlek, self._strict_small_k,
+        ]))
+        rep = evaluator(data.draw, table_1e4, contexts)
+        assert rep.valid == (rep.reason == "")
+        assert rep.hypotheses_ok or not rep.valid
+        doc = rep.to_dict()
+        assert doc["valid"] == rep.valid and doc["hypotheses_ok"] == rep.hypotheses_ok

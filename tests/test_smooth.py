@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sumsieve.errors import CapacityError, DomainError
 from sumsieve.irreducibility import build_context, check_bv_condition
-from sumsieve.primes import Interval, PrimeSubset
+from sumsieve.primes import Interval, MinValue, PrimeSubset
 from sumsieve.profiles import scaled
 from sumsieve.sieves import prop_smallkbv_bound
 from sumsieve.smooth import (
@@ -373,6 +373,16 @@ class TestDiscrepancySum:
             )
         assert err.value.partial_sum >= 0.0
         assert hasattr(err.value, "partial_breakdown")
+
+    def test_table_below_q_squared_is_refused(self, table_1e4, table_1e6):
+        # Q^2 = 10201 passes the 10^4 table, and primes >= 40 run past it
+        with pytest.raises(CapacityError, match="exceeds table limit"):
+            bv_discrepancy_sum(SmoothQuery(10**4, 10), PrimeSubset(table_1e4, MinValue(40)), 101, 2)
+        # no prime of (40, 200] lies past the table: nothing is dropped
+        small, large = (PrimeSubset(t, Interval(40, 200)) for t in (table_1e4, table_1e6))
+        assert bv_discrepancy_sum(SmoothQuery(10**4, 10), small, 150, 2) == bv_discrepancy_sum(
+            SmoothQuery(10**4, 10), large, 150, 2
+        )
 
 
 class TestTupleCount:
