@@ -154,7 +154,7 @@ def enumerate_squarefree_supported(
     """
     if bound < 1:
         raise DomainError(f"need bound >= 1, got {bound}")
-    support = ps.primes_in(1, min(bound, ps.base.limit)).tolist()
+    support = ps.primes_in(1, bound).tolist()
     return iter(sorted(lattice(support, bound, (), lambda f, p: f + (p,))))
 
 
@@ -175,11 +175,7 @@ def restricted_multiplicative_sum(
         raise DomainError(f"need bound >= 1, got {bound}")
     if mode not in ("squarefree", "complete"):
         raise DomainError(f"unknown mode {mode!r}")
-    support = [
-        p
-        for p in ps.primes_in(1, min(bound, ps.base.limit)).tolist()
-        if spec.at_prime(p) != 0.0
-    ]
+    support = [p for p in spec.support() if p <= bound and ps.contains(p)]
     weights = {p: spec.at_prime(p) / p for p in support}
     return lattice_sum(support, weights, bound, powers=mode == "complete")
 
@@ -199,10 +195,8 @@ def check_comparison_inequality(
     Both sums run over n <= bound, both products over primes p <= bound.
     Requires 0 <= f(p) <= g(p) < p for every prime p <= bound.
     """
-    union = sorted(set(f.support()) | set(g.support()))
+    union = [p for p in sorted(set(f.support()) | set(g.support())) if p <= bound]
     for p in union:
-        if p > bound:
-            continue
         fp, gp = f.at_prime(p), g.at_prime(p)
         if not (0.0 <= fp <= gp < p):
             raise DomainError(f"need 0 <= f(p) <= g(p) < p at p={p}: f={fp}, g={gp}")
@@ -211,8 +205,6 @@ def check_comparison_inequality(
     sum_g = restricted_multiplicative_sum(g, everything, bound, mode="complete")
     log_ratio = 0.0
     for p in union:
-        if p > bound:
-            continue
         fp, gp = f.at_prime(p), g.at_prime(p)
         log_ratio += math.log1p(-gp / p) - math.log1p(-fp / p)
     rhs = math.exp(log_ratio) * sum_g

@@ -5,9 +5,9 @@ Reports are JSON objects with a fixed schema:
     {"schema": 1, "command": ..., "params": ..., "profile": ...,
      "result": ..., "diagnostics": ..., "elapsed_ms": ...}
 
-Exit codes: 0 success, 1 error (machine-readable error object on stdout),
-2 for "hypotheses not satisfied" verdicts so batch drivers can tell math
-verdicts from tool failures.
+Exit codes: 0 success, 1 error (machine-readable error object on stdout,
+usage errors included), 2 for "hypotheses not satisfied" verdicts so batch
+drivers can tell math verdicts from tool failures.
 
 Set inputs accept comma lists (``1,2,5``), ranges (``lo..hi``) and files
 (``@path``, one integer per line).  Prime subsets use the selector grammar
@@ -222,8 +222,8 @@ def _emit_plain(command, params, result, diagnostics):
         print(f"  [{key}] {value}")
 
 
-def _subset(args, limit: int) -> PrimeSubset:
-    return PrimeSubset(prime_table(limit), parse_selector(args.selector))
+def _subset(args) -> PrimeSubset:
+    return PrimeSubset(prime_table(args.limit), parse_selector(args.selector))
 
 
 # --------------------------------------------------------------------------
@@ -231,8 +231,7 @@ def _subset(args, limit: int) -> PrimeSubset:
 
 
 def _cmd_primes(args) -> int:
-    limit = args.limit
-    ps = _subset(args, limit)
+    ps = _subset(args)
     result = {"count": int(ps.primes().size), "selector": ps.describe()}
     if args.sums:
         lo, hi = parse_numbers(args.sums, float, "--sums", 2)
@@ -248,12 +247,11 @@ def _cmd_primes(args) -> int:
         result["density_c"] = density_ratio_c(
             ps, args.density_c, window_floor_exponent=args.c_floor
         )
-    return _emit(args, "primes", {"limit": limit, "selector": args.selector}, result)
+    return _emit(args, "primes", {"limit": args.limit, "selector": args.selector}, result)
 
 
 def _cmd_sieve_bound(args) -> int:
-    limit = args.limit
-    ps = _subset(args, limit)
+    ps = _subset(args)
     s = parse_int_set(args.set)
     shifts = coerce_shifts(parse_int_set(args.shifts)) if args.shifts else None
     params = {
@@ -267,18 +265,20 @@ def _cmd_sieve_bound(args) -> int:
         "y1": args.y1,
         "y2": args.y2,
     }
+    q = 10 if args.q is None else args.q
     if args.kind == "larger":
         prof = occupancy(s, ps)
-        report = larger_sieve_bound(prof, ps, args.n_limit or s.max)
+        report = larger_sieve_bound(prof, ps, s.max if args.n_limit is None else args.n_limit)
     elif args.kind == "large":
         omega = avoided_classes(occupancy(s, ps))
         # by default x is the length of the set's span, the least x it meets
-        report = large_sieve_bound(omega, args.x or s.max - s.min + 1, args.q or 10)
+        x = s.max - s.min + 1 if args.x is None else args.x
+        report = large_sieve_bound(omega, x, q)
     elif args.kind == "selberg":
         if shifts is None:
             raise SumsieveError("selberg needs --shifts")
         omega = occupancy(shifts, ps)
-        report = selberg_bound(s, ps, shifts, omega, args.q or 10)
+        report = selberg_bound(s, ps, shifts, omega, q)
     else:  # middlek
         if shifts is None or args.x is None or args.y1 is None or args.y2 is None:
             raise SumsieveError("middlek needs --shifts, --x, --y1 and --y2")
@@ -292,7 +292,7 @@ def _cmd_sieve_bound(args) -> int:
 
 
 def _cmd_inverse_sieve(args) -> int:
-    ps = _subset(args, args.limit)
+    ps = _subset(args)
     a = parse_int_set(args.set)
     rep = inverse_sieve_lower_bound(a, ps, args.y, args.x)
     result = {
@@ -373,7 +373,7 @@ def _cmd_tuple_count(args) -> int:
 
 
 def _cmd_bv_sum(args) -> int:
-    ps = _subset(args, args.limit)
+    ps = _subset(args)
     total, breakdown = bv_discrepancy_sum(
         SmoothQuery(args.x, args.y), ps, args.q, args.exponent_k
     )
@@ -392,7 +392,7 @@ def _cmd_bv_sum(args) -> int:
 
 
 def _cmd_semigroup(args) -> int:
-    ps = _subset(args, args.limit)
+    ps = _subset(args)
     params = {"selector": args.selector, "x": args.x}
     result: dict = {}
     diagnostics: dict = {}
@@ -490,7 +490,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check_genthm(args) -> int:
-    ps = _subset(args, args.limit)
+    ps = _subset(args)
     profile = _profile_from_args(args)
     args._profile_name = profile.name
     s = parse_int_set(args.s)
@@ -558,8 +558,18 @@ def _add_common(sub, limit_default=10**6):
     sub.add_argument("--selector", default="all", help="prime subset selector")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError, its `command` the subparser's name or None,
+    instead of exiting 2 (the "hypotheses not satisfied" code); so do subparsers."""
+
+    def error(self, message):
+        exc = DomainError(message)
+        exc.command = self.prog.partition(" ")[2] or None
+        raise exc
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sumsieve",
         description="Exact sieve bounds, smooth counts and sumset decomposition.",
     )
@@ -727,26 +737,18 @@ def main(argv=None) -> int:
         print(json.dumps({"schema": _SCHEMA, "error": {"type": "config", "message": str(exc)}}))
         return 1
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_help()
-        return 1
-    args._start = time.monotonic()
-    if not hasattr(args, "_profile_name"):
-        args._profile_name = None
+    args = None
     try:
+        args = parser.parse_args(argv)
+        if not args.command:
+            parser.print_help()
+            return 1
+        args._start = time.monotonic()
         return args.func(args)
     except SumsieveError as exc:
-        print(
-            json.dumps(
-                {
-                    "schema": _SCHEMA,
-                    "command": args.command,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                },
-                sort_keys=True,
-            )
-        )
+        command = exc.command if args is None else args.command  # no args: a usage error
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"schema": _SCHEMA, "command": command, "error": error}, sort_keys=True))
         return 1
 
 

@@ -4,7 +4,10 @@ A ``PrimeTable`` is an exact Eratosthenes sieve up to a limit (odd-only byte
 mask, built in segments of 2^21 odd numbers); the package builds its tables
 only through ``prime_table`` and ``primes_up_to``, cached and cap-checked.  A
 ``PrimeSubset`` pairs a table with an immutable selector; every sieve formula
-draws its primes and its partial sums (theta, Mertens-type) from here.
+draws its primes and its partial sums (theta, Mertens-type) from here, through
+``PrimeSubset.primes_in``, the one table-coverage rule: a range past the table
+raises CapacityError unless the selector is bounded inside the table (no other
+module reads a table's limit).
 The one prime-factor kernel, behind divisibility scans, sifted counts and
 tuple counts, is ``multiples`` (which n <= top some listed prime divides, one
 byte each, built per call) with ``survivors`` (a sweep over the primes for
@@ -309,7 +312,8 @@ class PrimeSubset:
         return self.primes_in(0, self.base.limit)
 
     def contains(self, p: int) -> bool:
-        return self.base.is_prime(p) and self.selector.contains(p)
+        """p is a selected prime; only a p the selector passes meets the table."""
+        return self.selector.contains(p) and self.base.is_prime(p)
 
     def restricted(self, selector: Selector) -> "PrimeSubset":
         return PrimeSubset(self.base, And((self.selector, selector)))
@@ -390,11 +394,6 @@ def density_ratio_c(
 def _density_ratio_c(ps: PrimeSubset, x: int, window_floor_exponent: float) -> float:
     if x < 100:
         raise DomainError(f"need x >= 100, got {x}")
-    if math.isqrt(x) > ps.base.limit:
-        raise CapacityError(
-            f"table limit {ps.base.limit} does not cover sqrt({x})",
-            limit=ps.base.limit,
-        )
     everything = all_primes(ps.base)
     floor = x**window_floor_exponent
     y = math.sqrt(x)

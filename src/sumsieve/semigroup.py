@@ -36,7 +36,7 @@ def enumerate_q(ps: PrimeSubset, x: int) -> IntegerSet:
         raise DomainError(f"need x >= 1, got {x}")
     if x > _ENUM_X_CAP:
         raise CapacityError(f"x = {x} exceeds enumeration cap {_ENUM_X_CAP}")
-    support = ps.primes_in(1, min(x, ps.base.limit)).tolist()
+    support = ps.primes_in(1, x).tolist()
     walk = lattice(support, x, None, lambda s, p: s, powers=True)
     cap = MEMORY_CAP // 8
     arr = np.fromiter((n for n, _ in islice(walk, cap + 1)), dtype=np.int64)
@@ -54,8 +54,6 @@ def estimate_tau(ps: PrimeSubset, x: int) -> SemigroupStats:
     """
     if x < 10**4:
         raise DomainError(f"need x >= 10^4, got {x}")
-    if x > ps.base.limit:
-        raise CapacityError(f"table limit {ps.base.limit} below x = {x}")
     mesh = np.exp(np.linspace(math.log(x) / 4.0, math.log(x), _TAU_MESH_POINTS))
     if np.unique(np.floor(mesh)).size < 2:
         raise DegenerateInputError("tau mesh collapsed; x too small")
@@ -92,8 +90,6 @@ def wirsing_estimate(ps: PrimeSubset, x: int, tau: float) -> float:
         raise DomainError(f"need 0 < tau < 1, got {tau}")
     if x < 3:
         raise DomainError(f"need x >= 3, got {x}")
-    if x > ps.base.limit:
-        raise CapacityError(f"table limit {ps.base.limit} below x = {x}")
     log_prod = 0.0
     for p in ps.primes_in(1, x).tolist():
         log_prod += math.log(p / (p - 1.0))

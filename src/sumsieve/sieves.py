@@ -197,7 +197,7 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
     if mask_fits(top):
         sifted = multiples_mask(ps, top)[np.abs(arr[:, None] - shift_arr[None, :])]
         return int(arr.size - np.count_nonzero(sifted.any(axis=1)))
-    plist = ps.primes_in(0, ps.base.limit)
+    plist = ps.primes()
     # the first prime above top sifts out exactly the s equal to a shift
     return survivors(arr, shift_arr, plist[: np.searchsorted(plist, top, side="right") + 1]).size
 
@@ -209,7 +209,9 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
 def _sieve_denominator(omega: OccupancyProfile, primes: list, q_limit: int):
     """(support, L): the primes p <= Q with omega(p) > 0, and L, the sum over
     squarefree q <= Q supported on them of prod omega(p) / (p - omega(p)).
-    Every omega(p) must lie in [0, p)."""
+    Every omega(p) must lie in [0, p), and Q must be at least 1."""
+    if q_limit < 1:
+        raise DomainError(f"need Q >= 1, got {q_limit}")
     for p in primes:
         w = omega.get(p)
         if w < 0 or w >= p:
@@ -230,6 +232,8 @@ def larger_sieve_bound(
     the profile knows its set's range (``occupancy`` records it), A inside
     [1, N] is a hypothesis of the report, and the bound is not valid without it.
     """
+    if n_limit < 1:
+        raise DomainError(f"need N >= 1, got {n_limit}")
     plist = ps.primes().tolist()
     params = {"N": n_limit, "ps": ps.describe(), "primes": len(plist)}
     hyps = {}
@@ -267,6 +271,8 @@ def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveB
     interval of x integers is a hypothesis of the report, and the bound is not
     valid without it.
     """
+    if x < 1:
+        raise DomainError(f"need x >= 1, got {x}")
     support, L = _sieve_denominator(profile, sorted(profile.entries), q_limit)
     bound = (x + q_limit**2) / L
     params = {"x": x, "Q": q_limit, "support": len(support)}

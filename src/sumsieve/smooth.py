@@ -214,19 +214,19 @@ def bv_discrepancy_sum(
     tau3(d)^(1 + log k / log 3) * max over (a,d)=1 of
     |Psi(x, y; a, d) - Psi_d(x, y)/phi(d)|, by full enumeration.
 
-    ps must avoid the primes up to y, so the moduli are coprime to every
-    smooth number.  The sum is ``discrepancy_sum`` with base 3k over the
-    primes of ps up to Q^2, its rows sorted by d; a prime table below Q^2
-    raises CapacityError when ps could hold a prime past it, and past
-    ``modulus_work_cap`` units of modulus work a capacity error carries the
-    partial sum and breakdown.
+    The primes of ps up to Q^2, the moduli's support, must lie above y, so
+    the moduli are coprime to every smooth number.  The sum is
+    ``discrepancy_sum`` with base 3k over them, its rows sorted by d; a prime
+    table below Q^2 raises CapacityError when ps could hold a prime past it,
+    and past ``modulus_work_cap`` units of modulus work a capacity error
+    carries the partial sum and breakdown.
     """
     if exponent_k < 1:
         raise DomainError(f"need exponent_k >= 1, got {exponent_k}")
-    if ps.primes_in(1, min(s_y.y, ps.base.limit)).size > 0:
-        raise DomainError("ps must be disjoint from the primes up to y")
     d_bound = q_limit**2
     support = ps.primes_in(1, d_bound).tolist()
+    if support and support[0] <= s_y.y:
+        raise DomainError("ps must be disjoint from the primes up to y")
     smooth = enumerate_smooth(s_y.x, s_y.y, work_budget=work_budget)
     base = 3.0 * exponent_k
     total, rows = discrepancy_sum(smooth, support, d_bound, base, work_cap=modulus_work_cap)

@@ -21,8 +21,18 @@ from sumsieve.arith import (
     restricted_multiplicative_sum,
     tau3,
 )
-from sumsieve.errors import DomainError
-from sumsieve.primes import Interval, PrimeSubset, all_primes
+from sumsieve.errors import CapacityError, DomainError
+from sumsieve.primes import (
+    And,
+    Excluding,
+    Interval,
+    MinValue,
+    PrimeSubset,
+    ResidueClass,
+    all_primes,
+    build_prime_table,
+)
+from sumsieve.semigroup import enumerate_q
 
 
 def tau3_by_enumeration(n: int) -> int:
@@ -336,3 +346,64 @@ class TestComparisonInequality:
                 table=table_1e4,
             )
             assert res.holds, f"violated at {f_vals} vs {g_vals}: {res}"
+
+
+class TestTableCoverage:
+    """Q(T), the squarefree enumeration and both restricted sums on a short
+    table: the answer of a table that covers the bound, or CapacityError, and
+    the error only when the selector could pass a needed prime past the table."""
+
+    def test_short_table_refuses(self):
+        short, covering = build_prime_table(100), build_prime_table(1000)
+        spec = MultiplicativeSpec({3: 1, 101: 50})
+        # the 100 table once gave 310 elements and the sum 1.333...
+        with pytest.raises(CapacityError, match="range end 1000 exceeds table limit 100"):
+            enumerate_squarefree_supported(all_primes(short), 1000)
+        with pytest.raises(CapacityError, match="101 exceeds table limit 100"):
+            restricted_multiplicative_sum(spec, all_primes(short), 1000)
+        assert len(list(enumerate_squarefree_supported(all_primes(covering), 1000))) == 608
+        assert restricted_multiplicative_sum(spec, all_primes(covering), 1000) == pytest.approx(
+            1 + 1 / 3 + 50 / 101 + 50 / 303, rel=1e-15)
+        # a selector bounded inside the table needs no prime past it
+        for table in (short, covering):
+            assert restricted_multiplicative_sum(
+                spec, PrimeSubset(table, Interval(0, 50)), 1000) == 4 / 3
+
+    _TABLES = {limit: build_prime_table(limit) for limit in (60, 500, 4096)}
+    _SELECTORS = st.one_of(
+        st.builds(Interval, st.integers(0, 700), st.integers(0, 700)),
+        st.integers(1, 6).flatmap(
+            lambda m: st.builds(ResidueClass, st.integers(0, m - 1), st.just(m))),
+        st.builds(Excluding, st.frozensets(st.integers(2, 60), max_size=6)),
+        st.builds(MinValue, st.integers(0, 700)),
+    )
+    _PRIMES = [p for p in range(2, 2100) if factorize(p) == [(p, 1)]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        limit=st.sampled_from([60, 500]),
+        selectors=st.lists(_SELECTORS, min_size=1, max_size=2),
+        bound=st.integers(1, 2000),
+        values=st.dictionaries(st.sampled_from(_PRIMES), st.floats(0, 5), max_size=6),
+    )
+    def test_equal_to_a_covering_table_or_refused(self, limit, selectors, bound, values):
+        selector = selectors[0] if len(selectors) == 1 else And(tuple(selectors))
+        spec = MultiplicativeSpec(values)
+        # the primes a run needs: all up to the bound, or the sum's support
+        past_all = min(bound, selector.upper()) > limit
+        past_support = any(limit < p <= bound and selector.contains(p) for p in spec.support())
+        runs = {
+            "Q(T)": (lambda ps: enumerate_q(ps, bound).elements, past_all),
+            "squarefree": (lambda ps: list(enumerate_squarefree_supported(ps, bound)), past_all),
+            **{mode: (lambda ps, mode=mode: restricted_multiplicative_sum(spec, ps, bound, mode),
+                      past_support)
+               for mode in ("squarefree", "complete")},
+        }
+        for name, (run, may_raise) in runs.items():
+            expected = run(PrimeSubset(self._TABLES[4096], selector))
+            try:
+                got = run(PrimeSubset(self._TABLES[limit], selector))
+            except CapacityError:
+                assert may_raise, name
+            else:
+                assert got == expected, name

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sumsieve
 from sumsieve import cli, primes
@@ -165,12 +169,74 @@ class TestCommands:
         ("tuple-count", "--x", "100", "--y", "0", "--shifts", "0,1"),
         ("tuple-count", "--x", "1", "--y", "10", "--shifts", "0,1"),
         ("ostmann-diag", "--set", "1", "--x", "1", "--y-limit", "10"),
+        # N, x and Q below 1: computed from other values, or a math domain
+        # error or ZeroDivisionError traceback
+        *(("sieve-bound", "--limit", "100", "--selector", "interval:2,30", "--kind", *rest)
+          for rest in (("larger", "--set", "1..50", "--n-limit", "0"),
+                       ("larger", "--set", "1..50", "--n-limit", "-3"),
+                       ("larger", "--set", "0"),
+                       ("large", "--set", "1..50", "--x", "0"),
+                       ("large", "--set", "1..50", "--q", "0"),
+                       ("large", "--set", "1..50", "--q", "-2"),
+                       ("selberg", "--set", "1..50", "--shifts", "0,2", "--q", "0"),
+                       ("selberg", "--set", "1..50", "--shifts", "0,2", "--q", "-1"))),
     ])
     def test_malformed_numbers_are_error_objects(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
         assert code == 1
         assert set(doc) == {"schema", "command", "error"}
         assert doc["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("argv, command", [
+        (("primes", "--limit", "abc"), "primes"),
+        (("semigroup", "--x", "1e5"), "semigroup"),
+        (("decompose",), "decompose"),
+        (("bogus",), None),
+        (("sieve-bound", "--kind", "bogus", "--set", "1..10"), "sieve-bound"),
+    ])
+    def test_usage_errors_are_error_objects(self, capsys, argv, command):
+        # argparse once exited 2, the "hypotheses not satisfied" code, with
+        # usage text on stderr and nothing on stdout
+        code, doc = run_json(capsys, *argv)
+        assert code == 1
+        assert doc == {"schema": 1, "command": command, "error": doc["error"]}
+        assert doc["error"]["type"] == "DomainError"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["primes", "--help"])
+        assert info.value.code == 0
+        assert "usage: sumsieve primes" in capsys.readouterr().out
+
+    def test_q_t_needs_the_table_to_cover_x(self, capsys):
+        # a 10^4 table once gave 4933 of the 9623 elements, with exit 0
+        argv = ["semigroup", "--x", "100000", "--selector", "ap:1,4", "--limit"]
+        code, doc = run_json(capsys, *argv, "10000")
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
+        assert doc["error"]["type"] == "CapacityError"
+        code, doc = run_json(capsys, *argv, "100000")
+        assert code == 0 and doc["result"]["count"] == 9623
+
+    def test_bounded_selector_needs_no_covering_table(self, capsys):
+        # the 10^4 table was once refused for the fit and the estimate
+        argv = ["semigroup", "--x", "100000", "--selector", "interval:2,100", "--tau-fit",
+                "--wirsing", "0.5", "--limit"]
+        outs = []
+        for limit in ("10000", "100000"):
+            code, doc = run_json(capsys, *argv, limit)
+            assert code == 0 and doc["result"]["count"] == 6343
+            doc.pop("elapsed_ms")
+            outs.append(json.dumps(doc, sort_keys=True))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("x", ["10001", "10201"])
+    def test_density_c_past_the_table_is_one_error(self, capsys, x):
+        # 10201 once gave "does not cover sqrt", 10001 "range end"
+        code, doc = run_json(capsys, "primes", "--limit", "100", "--density-c", x)
+        assert code == 1
+        assert doc["error"]["type"] == "CapacityError"
+        assert doc["error"]["message"].startswith("range end")
 
     def test_set_value_count_is_capped(self, capsys, monkeypatch, tmp_path):
         # 10^12 values: used to grow until memory ran out
@@ -245,8 +311,9 @@ class TestCommands:
         code, doc = run_json(capsys, "sieve-bound", "--kind", "large", "--set", "0..100",
                              "--selector", "interval:1,10", "--limit", "1000")
         assert code == 0 and doc["result"]["params"]["x"] == 101
-        with pytest.raises(SystemExit):
-            main(argv + ["--variant", "nonzero"])
+        code, doc = run_json(capsys, *argv, "--variant", "nonzero")
+        assert code == 1
+        assert set(doc) == {"schema", "command", "error"}
 
     def test_sumset_result_is_capped(self, capsys, monkeypatch):
         # 1000 values fit; the blocks hold 400 sums each
@@ -374,3 +441,104 @@ class TestReportDiscipline:
                              "--x", "10", "--y", "2")
         assert code == 0
         assert doc["result"]["psi"] == 4
+
+
+# malformed number tokens: the fuzz puts one in place of an option's value
+_MALFORMED = st.sampled_from(["abc", "1e5", "", "nan"])
+
+
+def _number(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _option(name, value):
+    """--name value, or the option left out."""
+    return st.one_of(st.just([]), value.map(lambda v: [name, v]))
+
+
+def _table(selectors):
+    limits = st.one_of(_number(2, 5000), st.sampled_from(["0", "1000", "10000", "40000"]))
+    return st.tuples(limits, selectors).map(
+        lambda t: ["--limit", t[0], "--selector", t[1]])
+
+
+_SELECTOR = st.one_of(
+    st.just("all"),
+    st.just("ap:1,4"),
+    _number(0, 300).map(lambda v: f"interval:2,{v}"),
+    _number(0, 80).map(lambda v: f"min:{v}"),
+)
+_SET = st.one_of(
+    st.tuples(st.integers(-2, 300), st.integers(0, 300)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),
+    st.lists(st.integers(0, 2000), max_size=30).map(lambda v: ",".join(map(str, v))),
+    st.lists(st.integers(1, 40), min_size=1, max_size=30).map(  # few classes per prime
+        lambda v: ",".join(str(n * n) for n in v)),
+)
+_VALID_ARGVS = st.one_of(
+    st.tuples(st.just(["primes", "--density-c"]), _number(90, 10**7).map(lambda v: [v]),
+              _table(_SELECTOR)),
+    st.tuples(
+        st.just(["semigroup", "--tau-fit", "--x"]),
+        st.tuples(_number(10**4, 30000), st.floats(0, 1.1).map(repr)).map(
+            lambda t: [t[0], "--wirsing", t[1]]),
+        _table(_SELECTOR),
+    ),
+    st.tuples(
+        st.just(["bv-sum", "--x"]),
+        st.tuples(_number(1, 3000), _number(2, 12), _number(1, 35), _number(1, 3)).map(
+            lambda t: [t[0], "--y", t[1], "--q", t[2], "--exponent-k", t[3]]),
+        _table(st.one_of(_SELECTOR, _number(13, 80).map(lambda v: f"min:{v}"))),
+    ),
+    st.tuples(
+        st.sampled_from([["sieve-bound", "--kind", "larger"], ["sieve-bound", "--kind", "large"]]),
+        st.tuples(
+            _SET,
+            _option("--n-limit", _number(-3, 3000)),
+            _option("--x", _number(-3, 3000)),
+            _option("--q", _number(-3, 40)),
+        ).map(lambda t: ["--set", t[0], *t[1], *t[2], *t[3]]),
+        _table(_SELECTOR),
+    ),
+).map(lambda t: [*t[0], *t[1], *t[2]])
+
+
+def _corrupt(argv, at, token):
+    """argv with the value of its at-th option (mod their number) replaced."""
+    values = [i + 1 for i, a in enumerate(argv[:-1]) if a.startswith("--")
+              and not argv[i + 1].startswith("--")]
+    argv = list(argv)
+    argv[values[at % len(values)]] = token
+    return argv
+
+
+_ARGVS = st.one_of(
+    _VALID_ARGVS, _VALID_ARGVS, _VALID_ARGVS,
+    st.builds(_corrupt, _VALID_ARGVS, st.integers(0, 20), _MALFORMED),
+)
+
+
+class TestCliFuzz:
+    """Every argv of the fuzz exits 0, 1 or 2 with one schema-1 JSON line:
+    exit 1 with exactly the error object, and a valid larger- or large-sieve
+    bound at least |S|, as the lemmas promise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_ARGVS)
+    @example(argv=["semigroup", "--x", "100000", "--selector", "ap:1,4", "--limit", "10000"])
+    @example(argv=["sieve-bound", "--kind", "larger", "--set", "0"])
+    @example(argv=["sieve-bound", "--kind", "large", "--set", "1..50", "--q", "-2"])
+    @example(argv=["primes", "--limit", "100", "--density-c", "10201"])
+    def test_reports(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert out.getvalue().count("\n") == 1
+        doc = json.loads(out.getvalue())
+        assert doc["schema"] == 1
+        if code == 1:
+            assert set(doc) == {"schema", "command", "error"}
+            return
+        result = doc["result"]
+        if argv[0] == "sieve-bound" and result["valid"]:
+            assert result["bound"] >= doc["params"]["set_size"]

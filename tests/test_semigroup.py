@@ -89,8 +89,8 @@ class TestEnumerateQ:
         monkeypatch.setattr(semigroup, "MEMORY_CAP", 8 * 10**5)
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError):
-                enumerate_q(all_primes(table_1e4), 10**6)
+            with pytest.raises(CapacityError, match="past the memory cap"):
+                enumerate_q(PrimeSubset(table_1e4, Interval(0, 10**4)), 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
