@@ -23,10 +23,10 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import checks
 from .errors import CapacityError, DomainError, SumsieveError
 from .primes import (
     ALL,
@@ -42,49 +42,9 @@ from .primes import (
     subset_sums,
 )
 from .profiles import STRICT, ConstantsProfile, scaled
-from .irreducibility import (
-    build_context,
-    check_bv_condition,
-    check_scs_condition,
-    conclusion_bounds,
-    half_occupancy_identity_gap,
-    ostmann_epsilon_profile,
-    ostmann_multiplicative_diagnostic,
-)
-from .semigroup import (
-    enumerate_q,
-    estimate_tau,
-    max_gap,
-    verify_hypotheses_wirsing,
-    wirsing_estimate,
-)
-from .sieves import (
-    avoided_classes,
-    coerce_shifts,
-    inverse_sieve_lower_bound,
-    large_sieve_bound,
-    larger_sieve_bound,
-    middlek_bound,
-    occupancy,
-    selberg_bound,
-)
-from .smooth import (
-    RHO_U_CAP,
-    SmoothQuery,
-    bv_discrepancy_sum,
-    dickman_rho,
-    psi,
-    psi_coprime,
-    smooth_tuple_count,
-)
-from .sumset import (
-    IntegerSet,
-    decompose_binary,
-    decompose_binary_relative,
-    decompose_ternary_via_ruzsa,
-    ruzsa_check,
-    sumset,
-)
+
+if TYPE_CHECKING:
+    from .sumset import IntegerSet
 
 _SCHEMA = 1
 # keys `--scale` may set: every constant of a profile but its name
@@ -98,6 +58,8 @@ _SET_VALUE_CAP = MEMORY_CAP // 8
 def parse_int_set(text: str) -> IntegerSet:
     """Comma list, lo..hi range, or @file with one integer per line; at most
     _SET_VALUE_CAP values, counted before they are built."""
+    from .sumset import IntegerSet
+
     text = text.strip()
     try:
         if text.startswith("@"):
@@ -251,6 +213,10 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_sieve_bound(args) -> int:
+    from .sieves import (avoided_classes, large_sieve_bound, larger_sieve_bound, middlek_bound,
+                         occupancy, selberg_bound)
+    from .sumset import coerce_shifts
+
     ps = _subset(args)
     s = parse_int_set(args.set)
     shifts = coerce_shifts(parse_int_set(args.shifts)) if args.shifts else None
@@ -292,6 +258,8 @@ def _cmd_sieve_bound(args) -> int:
 
 
 def _cmd_inverse_sieve(args) -> int:
+    from .sieves import inverse_sieve_lower_bound
+
     ps = _subset(args)
     a = parse_int_set(args.set)
     rep = inverse_sieve_lower_bound(a, ps, args.y, args.x)
@@ -312,6 +280,8 @@ def _cmd_inverse_sieve(args) -> int:
 
 
 def _cmd_smooth_count(args) -> int:
+    from .smooth import SmoothQuery, psi, psi_coprime
+
     if args.grid:
         xs_text, _, ys_text = args.grid.partition("/")
         xs, ys = parse_numbers(xs_text, int, "--grid"), parse_numbers(ys_text, int, "--grid")
@@ -334,6 +304,8 @@ def _cmd_smooth_count(args) -> int:
 
 
 def _cmd_dickman(args) -> int:
+    from .smooth import RHO_U_CAP, dickman_rho
+
     if args.table:
         lo, hi, step = parse_numbers(args.table, float, "--table", 3)
         if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi <= RHO_U_CAP):
@@ -359,6 +331,8 @@ def _cmd_dickman(args) -> int:
 
 
 def _cmd_tuple_count(args) -> int:
+    from .smooth import smooth_tuple_count
+
     shifts = parse_int_set(args.shifts)
     report = smooth_tuple_count(args.x, args.y, shifts)
     result = {
@@ -373,6 +347,8 @@ def _cmd_tuple_count(args) -> int:
 
 
 def _cmd_bv_sum(args) -> int:
+    from .smooth import SmoothQuery, bv_discrepancy_sum
+
     ps = _subset(args)
     total, breakdown = bv_discrepancy_sum(
         SmoothQuery(args.x, args.y), ps, args.q, args.exponent_k
@@ -392,6 +368,9 @@ def _cmd_bv_sum(args) -> int:
 
 
 def _cmd_semigroup(args) -> int:
+    from .semigroup import (enumerate_q, estimate_tau, max_gap, verify_hypotheses_wirsing,
+                            wirsing_estimate)
+
     ps = _subset(args)
     params = {"selector": args.selector, "x": args.x}
     result: dict = {}
@@ -433,6 +412,8 @@ def _cmd_semigroup(args) -> int:
 
 
 def _cmd_sumset(args) -> int:
+    from .sumset import sumset
+
     a = parse_int_set(args.a)
     b = parse_int_set(args.b)
     out = sumset(a, b)
@@ -445,6 +426,8 @@ def _cmd_sumset(args) -> int:
 
 
 def _cmd_ruzsa(args) -> int:
+    from .sumset import ruzsa_check
+
     res = ruzsa_check(parse_int_set(args.a), parse_int_set(args.b), parse_int_set(args.c))
     return _emit(
         args,
@@ -455,6 +438,8 @@ def _cmd_ruzsa(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .sumset import decompose_binary, decompose_binary_relative, decompose_ternary_via_ruzsa
+
     s = parse_int_set(args.set)
     if args.ternary_bound is not None:
         verdict = decompose_ternary_via_ruzsa(s, args.ternary_bound)
@@ -490,6 +475,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check_genthm(args) -> int:
+    from .irreducibility import (build_context, check_bv_condition, check_scs_condition,
+                                 conclusion_bounds)
+
     ps = _subset(args)
     profile = _profile_from_args(args)
     args._profile_name = profile.name
@@ -519,6 +507,9 @@ def _cmd_check_genthm(args) -> int:
 
 
 def _cmd_ostmann_diag(args) -> int:
+    from .irreducibility import (half_occupancy_identity_gap, ostmann_epsilon_profile,
+                                 ostmann_multiplicative_diagnostic)
+
     a = parse_int_set(args.set)
     prof = ostmann_epsilon_profile(a, args.x, args.y_limit)
     diag = ostmann_multiplicative_diagnostic(a, args.x, args.y_limit)
@@ -536,6 +527,8 @@ def _cmd_ostmann_diag(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    from . import checks
+
     results = checks.run_all(args.seed, args.budget, cases_per_check=args.cases)
     failures = [r for r in results if r["status"] == "fail"]
     code = 1 if failures else 0
@@ -696,31 +689,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Merge a key=value config file into argv (explicit argv wins)."""
+    """Merge a key=value config file into argv (explicit argv wins); a missing
+    path, an unreadable file or a line without '=' is a DomainError."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 == len(argv):
-        raise ValueError("--config needs a file path")
+        raise DomainError("--config needs a file path")
     path = argv[idx + 1]
     head = argv[:idx]
     tail = argv[idx + 2 :]
     command = None
     pairs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, value = line.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if key == "command":
-                command = value
-            elif key in ("output", "seed"):
-                head = [f"--{key}", value] + head
-            else:
-                pairs.extend([f"--{key.replace('_', '-')}", value])
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config file: {exc}") from None
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DomainError(f"config line {line!r} is not key=value")
+        key = key.strip()
+        value = value.strip()
+        if key == "command":
+            command = value
+        elif key in ("output", "seed"):
+            head = [f"--{key}", value] + head
+        else:
+            pairs.extend([f"--{key.replace('_', '-')}", value])
     if tail and not tail[0].startswith("-"):
         # explicit subcommand: config pairs become defaults before its args
         return head + [tail[0]] + pairs + tail[1:]
@@ -731,22 +730,18 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _apply_config(argv)
-    except (OSError, ValueError) as exc:
-        print(json.dumps({"schema": _SCHEMA, "error": {"type": "config", "message": str(exc)}}))
-        return 1
     parser = build_parser()
     args = None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config(argv))
         if not args.command:
             parser.print_help()
             return 1
         args._start = time.monotonic()
         return args.func(args)
     except SumsieveError as exc:
-        command = exc.command if args is None else args.command  # no args: a usage error
+        # no args: a usage error (its subcommand, if any) or a config error (none)
+        command = getattr(exc, "command", None) if args is None else args.command
         error = {"type": type(exc).__name__, "message": str(exc)}
         print(json.dumps({"schema": _SCHEMA, "command": command, "error": error}, sort_keys=True))
         return 1

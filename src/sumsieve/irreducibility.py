@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .arith import lattice_sum
+from .arith import discrepancy_sum, lattice_sum
+from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .errors import DegenerateInputError, DivisibilityError, DomainError
 from .primes import PrimeSubset, density_ratio_c, divisibility_hits, primes_up_to, residue_counts
 from .profiles import STRICT, ConstantsProfile
-from .sieves import OccupancyProfile, discrepancy_sum, star_sum
-from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
+from .sieves import OccupancyProfile, star_sum
 from .sumset import IntegerSet
 
 

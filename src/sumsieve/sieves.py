@@ -9,23 +9,23 @@ under which each bound is a theorem; with the strict constants they are
 implied by the stated thresholds, with scaled constants they are checked
 directly.  A bound should only be asserted against the sifted count when
 ``valid`` holds: the report gives no reason and every hypothesis holds.
+The small-k BV machine's remainder is the arith kernel, ``discrepancy_sum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .arith import factorize, lattice, lattice_sum
-from .errors import CapacityError, DomainError
+from .arith import discrepancy_sum, lattice, lattice_sum
+from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
+from .errors import DomainError
 from .primes import (
-    MEMORY_CAP,
     PrimeSubset,
     all_primes,
-    cached,
     divisibility_hits,
     mask_fits,
     multiples_mask,
@@ -35,78 +35,11 @@ from .primes import (
     survivors,
 )
 from .profiles import STRICT, ConstantsProfile
-from .sumset import IntegerSet
+from .sumset import IntegerSet, coerce_shifts
 
 # Product over primes of (1 - t_p) stays >= 1/2 whenever each t_p <= 1/4 and
 # the deficit sum below stays under this threshold (1 - t >= exp(-2t) there).
 _DEFICIT_BUDGET = math.log(2.0) / 4.0
-
-
-def reduced_residues_mask(d: int) -> np.ndarray:
-    """Boolean mask over [0, d) marking residues coprime to d (cached), with
-    the multiples of each prime factor of d struck out."""
-
-    def build():
-        mask = np.ones(d, dtype=bool)
-        for p, _ in factorize(d):
-            mask[::p] = False
-        return mask
-
-    return cached(("mask", d), build)
-
-
-def max_progression_deviation(values: np.ndarray, d: int) -> float:
-    """max over reduced residues a mod d of |#{v : v = a mod d} - #values/phi(d)|."""
-    counts = np.bincount(values % d, minlength=d)
-    reduced = reduced_residues_mask(d)
-    return float(np.abs(counts[reduced] - values.size / int(np.count_nonzero(reduced))).max())
-
-
-# Work budget of every discrepancy sum, a modulus d costing d + #values units;
-# the BV condition of acceptance criterion 9 spends about 1.24e8.
-MODULUS_WORK_CAP = 2 * 10**8
-# An uncached max_progression_deviation scan peaks at about 25 bytes per
-# residue under tracemalloc (mask, bincount, reduced counts, deviations).
-_RESIDUE_BYTES = 32
-
-
-class DiscrepancyBreakdown(NamedTuple):
-    """One modulus of a discrepancy sum (a tuple: cheap to build per modulus)."""
-
-    d: int
-    factors: tuple[int, ...]
-    weight: float
-    max_deviation: float
-    term: float
-
-
-def discrepancy_sum(
-    values: np.ndarray, primes: list, d_bound: int, base: float, *, work_cap=MODULUS_WORK_CAP
-) -> tuple[float, list[DiscrepancyBreakdown]]:
-    """sum over squarefree 1 < d <= d_bound supported on `primes` (ascending)
-    of base^omega(d) * max_progression_deviation(values, d), accumulated in
-    lattice preorder, with one breakdown row per modulus in that order.
-
-    A modulus whose work would take the total past `work_cap`, or whose
-    residue tables would pass MEMORY_CAP, raises CapacityError before its
-    scan, carrying partial_sum, partial_breakdown and last_d.
-    """
-    rows: list[DiscrepancyBreakdown] = []
-    total = 0.0
-    spent = 0
-    for d, factors in lattice(primes, d_bound, (), lambda f, p: f + (p,)):
-        if d == 1:
-            continue
-        spent += d + values.size
-        if spent > work_cap or d * _RESIDUE_BYTES > MEMORY_CAP:
-            message = ("modulus enumeration budget exceeded" if spent > work_cap
-                       else f"the residue tables of modulus {d} would pass the memory cap")
-            raise CapacityError(message, partial_sum=total, partial_breakdown=rows, last_d=d)
-        dev = max_progression_deviation(values, d)
-        weight = base ** len(factors)
-        total += weight * dev
-        rows.append(DiscrepancyBreakdown(d, factors, weight, dev, weight * dev))
-    return total, rows
 
 
 def star_sum(primes: list, c: float, bound: int) -> float:
@@ -125,14 +58,6 @@ class OccupancyProfile:
 
     def get(self, p: int, default: float = 0.0) -> float:
         return self.entries.get(p, default)
-
-
-def coerce_shifts(values) -> IntegerSet:
-    """The shifts a_1 < ... < a_k as an IntegerSet; k >= 1."""
-    shifts = IntegerSet.coerce(values)
-    if len(shifts) == 0:
-        raise DomainError("need at least one shift")
-    return shifts
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Exact smooth-number counting, the Dickman function, progression
-discrepancy sums and shifted-tuple smooth counts.
+discrepancy sums over smooth numbers (the arith kernel, ``discrepancy_sum``)
+and shifted-tuple smooth counts.
 
 Counting is exact only: Psi(x, y) comes from the recurrence
 Psi(x, y) = 1 + sum over p <= y of Psi(x/p, p) with memoisation, and the
@@ -22,10 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import primes
-from .arith import lattice
+from .arith import MODULUS_WORK_CAP, DiscrepancyBreakdown, discrepancy_sum, lattice
+from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .errors import CapacityError, DomainError
-from .sieves import MODULUS_WORK_CAP, DiscrepancyBreakdown, coerce_shifts, discrepancy_sum
-from .sieves import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
+from .sumset import coerce_shifts
 
 _X_CAP = 10**9
 _TUPLE_X_CAP = 10**8

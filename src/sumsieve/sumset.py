@@ -105,6 +105,14 @@ class IntegerSet:
         )
 
 
+def coerce_shifts(values) -> IntegerSet:
+    """The shifts a_1 < ... < a_k as an IntegerSet; k >= 1."""
+    shifts = IntegerSet.coerce(values)
+    if len(shifts) == 0:
+        raise DomainError("need at least one shift")
+    return shifts
+
+
 def sumset(a, b) -> IntegerSet:
     """{x + y : x in a, y in b}, sorted and deduplicated.
 

@@ -114,6 +114,14 @@ class TestBasics:
         with pytest.raises(DomainError):
             gamma_function(0.0)
 
+    def test_gamma_past_the_float_range_is_a_domain_error(self):
+        # math.gamma raises OverflowError here: Gamma(t) ~ 1/t
+        for t in (5e-324, 1e-309, 172.0):
+            with pytest.raises(DomainError, match="overflows"):
+                gamma_function(t)
+        for t in (1e-308, 0.5, 171.5):
+            assert gamma_function(t) == math.gamma(t)
+
     def test_euler_gamma_literal(self):
         # sanity against the standard 15-digit value
         assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-16)

@@ -2,9 +2,12 @@ import contextlib
 import io
 import json
 import math
+import importlib
 import os
+import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import sumsieve
 from sumsieve import cli, primes
 from sumsieve.cli import main, parse_int_set, parse_selector
 from sumsieve.primes import And, Interval, MinValue, ResidueClass
+from test_readme_cli import _ELAPSED, GOLDEN, readme_commands, write_inputs
 
 
 def run_cli(capsys, *argv):
@@ -426,7 +430,8 @@ class TestReportDiscipline:
         argv = ["--config"] + ([str(tmp_path / path)] if path else [])
         code, doc = run_json(capsys, *argv)
         assert code == 1
-        assert doc["error"]["type"] == "config"
+        assert doc == {"schema": 1, "command": None, "error": doc["error"]}
+        assert doc["error"]["type"] == "DomainError"
 
     def test_prime_table_past_the_memory_cap(self, capsys):
         # refused before numpy is asked for the mask
@@ -528,6 +533,8 @@ class TestCliFuzz:
     @example(argv=["sieve-bound", "--kind", "larger", "--set", "0"])
     @example(argv=["sieve-bound", "--kind", "large", "--set", "1..50", "--q", "-2"])
     @example(argv=["primes", "--limit", "100", "--density-c", "10201"])
+    @example(argv=["semigroup", "--tau-fit", "--x", "10000", "--wirsing", "5e-324",
+                   "--limit", "2", "--selector", "interval:2,0"])
     def test_reports(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -542,3 +549,103 @@ class TestCliFuzz:
         result = doc["result"]
         if argv[0] == "sieve-bound" and result["valid"]:
             assert result["bound"] >= doc["params"]["set_size"]
+
+
+def run_fresh(*args, timeout=120):
+    """A new interpreter with this checkout's package on its path: nothing
+    loaded by the tests above is loaded there."""
+    src = str(Path(sumsieve.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+# runs argv through the CLI, then prints its stdout and the package modules it loaded
+_LOADED = """
+import contextlib, io, json, sys
+import sumsieve.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+    sumsieve.cli.main(sys.argv[1:])
+print(json.dumps({"stdout": out.getvalue(),
+                  "modules": sorted(m[9:] for m in sys.modules if m.startswith("sumsieve."))}))
+"""
+# the modules cli.py imports at its top
+_CLI_CORE = {"cli", "errors", "primes", "profiles"}
+_SUBCOMMANDS = ("primes", "sieve-bound", "inverse-sieve", "smooth-count", "dickman",
+                "tuple-count", "bv-sum", "semigroup", "sumset", "ruzsa", "decompose",
+                "check-genthm", "ostmann-diag", "verify-all")
+# the names the package exports, by defining module
+_EXPORTS = {
+    "errors": "CapacityError DegenerateInputError DivisibilityError DomainError SumsieveError",
+    "primes": "ALL And Excluding Interval MinValue PrimeSubset PrimeSums PrimeTable ResidueClass "
+              "all_primes build_prime_table density_ratio_c subset_sums",
+    "arith": "EULER_GAMMA MultiplicativeSpec check_comparison_inequality "
+             "enumerate_squarefree_supported euler_phi factorize gamma_function mobius "
+             "restricted_multiplicative_sum tau3",
+    "profiles": "STRICT ConstantsProfile scaled",
+    "sumset": "DecompositionResult IntegerSet decompose_binary decompose_binary_relative "
+              "decompose_ternary_via_ruzsa ruzsa_check sumset",
+    "sieves": "OccupancyProfile SieveBoundReport inverse_sieve_lower_bound large_sieve_bound "
+              "larger_sieve_bound middlek_bound occupancy prop_smallkbv_bound "
+              "prop_smallkscs_bound selberg_bound sift_count",
+    "smooth": "SmoothQuery bv_discrepancy_sum dickman_rho enumerate_smooth psi psi_coprime "
+              "smooth_tuple_count",
+    "semigroup": "SemigroupStats enumerate_q estimate_tau verify_hypotheses_wirsing "
+                 "wirsing_estimate",
+    "irreducibility": "GenThmContext build_context check_bv_condition check_scs_condition "
+                      "conclusion_bounds larger_sieve_budget_check ostmann_epsilon_profile",
+}
+
+
+class TestColdStart:
+    """Each command in a fresh process, as a user runs it: the in-process tests
+    above have every layer loaded already, so a handler that forgot to import
+    its layer would pass them."""
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_readme_line_in_a_fresh_process(self, line, tmp_path):
+        files = write_inputs(tmp_path)
+        argv = [files.get(token, token) for token in shlex.split(line)[1:]]
+        proc = run_fresh("-m", "sumsieve.cli", *argv)
+        got = {"exit": proc.returncode, "stdout": _ELAPSED.sub('"elapsed_ms": null', proc.stdout)}
+        assert got == json.loads(GOLDEN.read_text(encoding="utf-8"))[line]
+
+    def test_import_loads_no_layer(self):
+        proc = run_fresh("-c", "import sys, sumsieve; print(sorted(m for m in sys.modules "
+                               "if m.startswith('sumsieve.')))")
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["primes", "--limit", "1000", "--sums", "1,100"], ()),
+        (["sumset", "--a", "0,1,5", "--b", "0,2"], ()),
+        (["ruzsa", "--a", "0,1", "--b", "0,1", "--c", "0,1"], ()),
+        (["decompose", "--set", "0,1,2,3"], ()),
+        (["dickman", "--u", "2.5"], ("smooth",)),
+        (["smooth-count", "--x", "100", "--y", "3"], ("smooth",)),
+        (["tuple-count", "--x", "10000", "--y", "10", "--shifts", "0,1"], ("smooth",)),
+        (["bv-sum", "--x", "1000", "--y", "5", "--q", "10", "--selector", "interval:7,100",
+          "--limit", "1000"], ("smooth",)),
+    ])
+    def test_subcommands_load_only_their_layers(self, argv, unused):
+        proc = run_fresh("-c", _LOADED, *argv)
+        doc = json.loads(proc.stdout)
+        assert json.loads(doc["stdout"])["command"] == argv[0]
+        forbidden = {"sieves", "smooth", "semigroup", "irreducibility", "checks"} - set(unused)
+        assert not forbidden & set(doc["modules"]), doc["modules"]
+
+    def test_help_lists_every_subcommand_and_loads_no_layer(self):
+        doc = json.loads(run_fresh("-c", _LOADED, "--help").stdout)
+        assert set(doc["modules"]) == _CLI_CORE
+        assert "{" + ",".join(_SUBCOMMANDS) + "}" in doc["stdout"]
+
+    def test_export_table(self):
+        expected = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+        for name, module in expected.items():
+            layer = importlib.import_module(f"sumsieve.{module}")
+            assert getattr(sumsieve, name) is getattr(layer, name), name
+        listed = {name for name in dir(sumsieve) if not name.startswith("_")
+                  and not isinstance(getattr(sumsieve, name), types.ModuleType)}
+        assert listed == set(expected)
+        with pytest.raises(AttributeError):
+            sumsieve.no_such_name

@@ -137,6 +137,16 @@ class TestWirsingEstimate:
         with pytest.raises(DomainError):
             wirsing_estimate(all_primes(table_1e4), 10**4, 1.0)
 
+    @pytest.mark.parametrize("tau", [5e-324, 1e-308, 0.5])
+    def test_tiny_tau_is_finite_or_refused(self, table_1e4, tau):
+        # Gamma(5e-324) overflows a float: once an OverflowError traceback
+        try:
+            est = wirsing_estimate(all_primes(table_1e4), 10**4, tau)
+        except DomainError:
+            assert tau == 5e-324
+        else:
+            assert math.isfinite(est) and est > 0
+
 
 class TestWirsingHypotheses:
     def test_residue_class_passes(self, table_1e6):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumsieve import arith
 from sumsieve import primes as primes_module
 from sumsieve import sieves
 from sumsieve.errors import CapacityError, DomainError
@@ -402,9 +403,9 @@ class TestDiscrepancySum:
     def scanned(self, monkeypatch):
         """The moduli the kernel scans, in order."""
         seen = []
-        scan = sieves.max_progression_deviation
+        scan = arith.max_progression_deviation
         monkeypatch.setattr(
-            sieves, "max_progression_deviation", lambda v, d: seen.append(d) or scan(v, d)
+            arith, "max_progression_deviation", lambda v, d: seen.append(d) or scan(v, d)
         )
         return seen
 
@@ -421,7 +422,7 @@ class TestDiscrepancySum:
         expected = 0.0
         for r in rows:
             assert math.prod(r.factors) == r.d and r.weight == 2.0 ** len(r.factors)
-            assert r.max_deviation == sieves.max_progression_deviation(self.VALUES, r.d)
+            assert r.max_deviation == arith.max_progression_deviation(self.VALUES, r.d)
             expected += r.weight * r.max_deviation
         assert total == expected
 
@@ -442,14 +443,14 @@ class TestDiscrepancySum:
     def test_tables_past_the_memory_cap_raise_before_the_scan(self, monkeypatch, scanned):
         total, rows = self.run()
         scanned.clear()
-        monkeypatch.setattr(sieves, "MEMORY_CAP", 104 * sieves._RESIDUE_BYTES)
+        monkeypatch.setattr(arith, "MEMORY_CAP", 104 * arith._RESIDUE_BYTES)
         with pytest.raises(CapacityError, match="memory cap") as err:
             self.run()
         assert scanned == [3, 15]
         assert err.value.last_d == 105 and err.value.partial_breakdown == rows[:2]
         assert err.value.partial_sum == rows[0].term + rows[1].term
         # tables of exactly the cap fit
-        monkeypatch.setattr(sieves, "MEMORY_CAP", 195 * sieves._RESIDUE_BYTES)
+        monkeypatch.setattr(arith, "MEMORY_CAP", 195 * arith._RESIDUE_BYTES)
         assert self.run() == (total, rows)
 
 
