@@ -1,8 +1,11 @@
 """Prime tables, selector-defined prime subsets and prime partial sums.
 
-A ``PrimeTable`` is an exact Eratosthenes sieve up to a limit (odd-only byte
-mask, built in segments of 2^21 odd numbers); the package builds its tables
-only through ``prime_table`` and ``primes_up_to``, cached and cap-checked.  A
+A ``PrimeTable`` is an exact Eratosthenes sieve over [2, limit] (odd-only byte
+mask), sieved only as far as its queries reach: a query past the reach
+extends it, in segments of 2^21 odd numbers, to at least twice the reach and
+never past the limit.  The package builds its tables only through
+``prime_table`` and ``primes_up_to``, cached and cap-checked at the full
+limit before anything is sieved.  A
 ``PrimeSubset`` pairs a table with an immutable selector; every sieve formula
 draws its primes and its partial sums (theta, Mertens-type) from here, through
 ``PrimeSubset.primes_in``, the one table-coverage rule: a range past the table
@@ -15,7 +18,8 @@ values beyond the mask).  ``shift_class_hits`` is the one shift-class test
 (v = a_i mod p, from a bool table over [0, p)) behind that sweep and
 Selberg's remainder, ``residue_counts`` the one residue-occupancy kernel,
 and ``cached`` the package's one cache (tables, masks and the density ratio
-c), bounded in bytes by the memory cap, a fixed per-entry overhead included.
+c), bounded in bytes by the memory cap, a fixed per-entry overhead included
+and each table charged its full-limit bound.
 """
 
 from __future__ import annotations
@@ -39,43 +43,13 @@ BLOCK_BYTES = min(1 << 24, MEMORY_CAP)
 _SEGMENT_ODDS = 1 << 21
 
 
-def _odd_sieve_direct(limit: int) -> np.ndarray:
-    """Mask over odd n in [1, limit]; index i corresponds to n = 2i + 1."""
-    size = (limit + 1) // 2
-    mask = np.ones(size, dtype=bool)
-    mask[0] = False  # n = 1
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if mask[p // 2]:
-            start = (p * p) // 2
-            mask[start::p] = False
-    return mask
-
-
-def _odd_sieve_segmented(limit: int) -> np.ndarray:
-    base_limit = math.isqrt(limit)
-    base_mask = _odd_sieve_direct(base_limit)
-    base_odd_primes = (2 * np.flatnonzero(base_mask) + 1).tolist()
-    size = (limit + 1) // 2
-    mask = np.ones(size, dtype=bool)
-    mask[0] = False
-    lo = 0
-    while lo < size:
-        hi = min(lo + _SEGMENT_ODDS, size)
-        n_lo = 2 * lo + 1
-        seg = mask[lo:hi]
-        for p in base_odd_primes:
-            start = max(p * p, ((n_lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            idx = (start // 2) - lo
-            if idx < hi - lo:
-                seg[idx::p] = False
-        lo = hi
-    return mask
-
-
 class PrimeTable:
-    """Exact primality over [2, limit] with the ascending list of its primes."""
+    """Exact primality over [2, limit] with the ascending list of its primes.
+
+    The table is sieved on demand: a query reaching n first extends it to n.
+    Each extension at least doubles the reach, never passes the limit and
+    allocates only the reach it sieves.
+    """
 
     __slots__ = ("limit", "_odd_mask", "_primes")
 
@@ -87,14 +61,42 @@ class PrimeTable:
                 f"prime table limit {limit} exceeds cap {limit_cap}", limit=limit
             )
         self.limit = int(limit)
-        self._odd_mask = mask = _odd_sieve_segmented(self.limit)
+        # sieved to 2: index i of the odd mask is n = 2i + 1, and 1 is no prime
+        self._odd_mask = np.zeros(1, dtype=bool)
+        self._primes = np.array([2], dtype=np.int64)
+
+    def _extend(self, n: int) -> None:
+        """Sieve on to max(n, twice the reach), never past the limit.  The
+        table first reaches the new reach's root, and the odd primes up to
+        that root strike out the new part in segments of 2^21 odds."""
+        if n <= 2 * self._odd_mask.size:
+            return
+        top = min(self.limit, max(n, 4 * self._odd_mask.size))
+        root = math.isqrt(top)
+        self._extend(root)
+        old = self._odd_mask
+        base = self._primes[1 : np.searchsorted(self._primes, root, side="right")].tolist()
+        size = (top + 1) // 2
+        mask = np.empty(size, dtype=bool)
+        mask[: old.size] = old
+        for lo in range(old.size, size, _SEGMENT_ODDS):
+            seg = mask[lo : lo + _SEGMENT_ODDS]
+            seg[:] = True
+            n_lo = 2 * lo + 1
+            for p in base:
+                start = max(p * p, ((n_lo + p - 1) // p) * p)
+                if start % 2 == 0:
+                    start += p
+                seg[(start // 2) - lo :: p] = False
         # built in place, at the table's own size: the slot of 1 stands in for 2
         mask[0] = True
-        self._primes = primes = np.flatnonzero(mask)
+        primes = np.flatnonzero(mask)
         mask[0] = False
         primes *= 2
         primes += 1
         primes[0] = 2
+        # the prime list first: a reader that sees the new reach sees its primes
+        self._primes, self._odd_mask = primes, mask
 
     def is_prime(self, n: int) -> bool:
         if n > self.limit:
@@ -105,11 +107,13 @@ class PrimeTable:
             return True
         if n % 2 == 0:
             return False
+        self._extend(n)
         return bool(self._odd_mask[n // 2])
 
     @property
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending (int64)."""
+        self._extend(self.limit)
         return self._primes
 
     def primes_between(self, lo: float, hi: float) -> np.ndarray:
@@ -118,10 +122,12 @@ class PrimeTable:
             raise CapacityError(
                 f"range end {hi} exceeds table limit {self.limit}", limit=self.limit
             )
-        ps = self.primes
+        top = self._int_bound(hi)
+        self._extend(self.limit if math.isnan(top) else top)
+        ps = self._primes
         # integer bounds keep searchsorted from casting the table to float
         i = np.searchsorted(ps, self._int_bound(lo), side="right")
-        j = np.searchsorted(ps, self._int_bound(hi), side="right")
+        j = np.searchsorted(ps, top, side="right")
         return ps[i:j]
 
     def _int_bound(self, v: float):
@@ -135,8 +141,8 @@ class PrimeTable:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the odd mask and the ascending prime list."""
-        return int(self._odd_mask.nbytes + self.primes.nbytes)
+        """Bytes held so far: the odd mask and the prime list, as far as sieved."""
+        return int(self._odd_mask.nbytes + self._primes.nbytes)
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit})"
@@ -146,13 +152,21 @@ def build_prime_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> Prim
     return PrimeTable(limit, limit_cap=limit_cap)
 
 
+def table_bytes_bound(limit: int) -> int:
+    """Bytes a table of `limit` (>= 2) holds at most, sieved to its limit: the
+    odd mask and the int64 prime list, by pi(n) < 1.25506 n / log n (Rosser &
+    Schoenfeld 1962)."""
+    return math.ceil((limit + 1) // 2 + 8 * 1.25506 * limit / math.log(limit))
+
+
 def prime_table(limit: int) -> PrimeTable:
-    """The table of exactly `limit`, from the one cache; one whose odd mask and
-    int64 prime list would pass MEMORY_CAP (by pi(n) < 1.25506 n / log n,
-    Rosser & Schoenfeld 1962) raises CapacityError before it is built."""
-    if limit >= 2 and (limit + 1) // 2 + 8 * 1.25506 * limit / math.log(limit) > MEMORY_CAP:
+    """The table of exactly `limit`, from the one cache, which charges it
+    table_bytes_bound(limit) however far it is sieved; a table whose bound
+    passes MEMORY_CAP raises CapacityError before it is built."""
+    charge = table_bytes_bound(limit) if limit >= 2 else 0
+    if charge > MEMORY_CAP:
         raise CapacityError(f"prime table limit {limit} would pass the memory cap", limit=limit)
-    return cached(("table", limit), lambda: PrimeTable(limit))
+    return cached(("table", limit), lambda: PrimeTable(limit), charge)
 
 
 def primes_up_to(n: float) -> np.ndarray:
@@ -427,14 +441,14 @@ _CACHE = _ByteCache()
 ENTRY_BYTES = 512
 
 
-def cached(key: Hashable, build: Callable):
+def cached(key: Hashable, build: Callable, nbytes: int | None = None):
     """build(), or the value the package's one cache holds under key.
 
-    An entry counts ENTRY_BYTES plus its value's nbytes (0 for a scalar
-    without one), and the entries' bytes stay within MEMORY_CAP: the least
-    recently used make way for a new one, and an entry larger than the cap on
-    its own is returned without being kept.  An exception from build()
-    propagates and nothing is kept.
+    An entry counts ENTRY_BYTES plus nbytes, or its value's nbytes when none
+    is given (0 for a scalar without one), and the entries' bytes stay within
+    MEMORY_CAP: the least recently used make way for a new one, and an entry
+    larger than the cap on its own is returned without being kept.  An
+    exception from build() propagates and nothing is kept.
     """
     cache = _CACHE
     entry = cache.get(key)
@@ -442,7 +456,9 @@ def cached(key: Hashable, build: Callable):
         cache.move_to_end(key)
         return entry[0]
     value = build()
-    size = ENTRY_BYTES + int(getattr(value, "nbytes", 0))
+    if nbytes is None:
+        nbytes = getattr(value, "nbytes", 0)
+    size = ENTRY_BYTES + int(nbytes)
     if size <= MEMORY_CAP:
         while cache.nbytes + size > MEMORY_CAP:
             cache.nbytes -= cache.popitem(last=False)[1][1]

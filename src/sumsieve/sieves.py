@@ -22,8 +22,9 @@ import numpy as np
 
 from .arith import discrepancy_sum, lattice, lattice_sum
 from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .primes import (
+    MEMORY_CAP,
     PrimeSubset,
     all_primes,
     divisibility_hits,
@@ -217,7 +218,9 @@ def selberg_bound(
     tau3(d) against the exact divisibility discrepancy
     |#{c : d | prod(c - r_i)} - #C prod omega(p)/p|.  Divisibility is tested
     per prime via residue membership (d squarefree with known factors).
-    Sound for any 0 <= omega(p) < p, so the report is always valid.
+    Sound for any 0 <= omega(p) < p, so the report is always valid.  The
+    per-prime hit masks take |C| bytes each; more than MEMORY_CAP of them
+    raise CapacityError before any is built.
     """
     c_set = IntegerSet.coerce(c_set)
     shifts = coerce_shifts(shifts)
@@ -231,7 +234,11 @@ def selberg_bound(
     main = size_c / L
 
     d_bound = q_limit**2  # the lattice below takes no prime beyond it
-    hit_masks = {p: shift_class_hits(c_arr, shift_arr, p) for p in plist if p <= d_bound}
+    mask_primes = [p for p in plist if p <= d_bound]
+    if len(mask_primes) * size_c > MEMORY_CAP:
+        raise CapacityError(f"Selberg hit masks for {len(mask_primes)} primes x {size_c} "
+                            "values would pass the memory cap")
+    hit_masks = {p: shift_class_hits(c_arr, shift_arr, p) for p in mask_primes}
 
     def step(state, p):
         mask, density, r = state

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sumsieve
-from sumsieve import cli, primes
+from sumsieve import cli, primes, sieves
 from sumsieve.cli import main, parse_int_set, parse_selector
 from sumsieve.primes import And, Interval, MinValue, ResidueClass
 from test_readme_cli import _ELAPSED, GOLDEN, readme_commands, write_inputs
@@ -433,6 +433,15 @@ class TestReportDiscipline:
         assert doc == {"schema": 1, "command": None, "error": doc["error"]}
         assert doc["error"]["type"] == "DomainError"
 
+    def test_selberg_masks_past_the_memory_cap(self, capsys, monkeypatch):
+        # 503 primes up to Q^2 = 3600, one 20,000-byte hit mask each
+        monkeypatch.setattr(sieves, "MEMORY_CAP", 10**6)
+        code, doc = run_json(capsys, "sieve-bound", "--kind", "selberg", "--set", "1..20000",
+                             "--shifts", "0,2", "--q", "60", "--limit", "100000")
+        assert code == 1
+        assert doc["error"]["type"] == "CapacityError"
+        assert "Selberg hit masks" in doc["error"]["message"]
+
     def test_prime_table_past_the_memory_cap(self, capsys):
         # refused before numpy is asked for the mask
         code, doc = run_json(capsys, "primes", "--limit", "100000000000")
@@ -560,14 +569,16 @@ def run_fresh(*args, timeout=120):
                           timeout=timeout)
 
 
-# runs argv through the CLI, then prints its stdout and the package modules it loaded
+# runs argv through the CLI under tracemalloc, then prints its stdout, the
+# package modules it loaded and its traced peak
 _LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, tracemalloc
 import sumsieve.cli
 out = io.StringIO()
+tracemalloc.start()
 with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
     sumsieve.cli.main(sys.argv[1:])
-print(json.dumps({"stdout": out.getvalue(),
+print(json.dumps({"stdout": out.getvalue(), "peak": tracemalloc.get_traced_memory()[1],
                   "modules": sorted(m[9:] for m in sys.modules if m.startswith("sumsieve."))}))
 """
 # the modules cli.py imports at its top
@@ -610,6 +621,16 @@ class TestColdStart:
         proc = run_fresh("-m", "sumsieve.cli", *argv)
         got = {"exit": proc.returncode, "stdout": _ELAPSED.sub('"elapsed_ms": null', proc.stdout)}
         assert got == json.loads(GOLDEN.read_text(encoding="utf-8"))[line]
+
+    def test_readme_semigroup_line_sieves_only_as_far_as_x(self):
+        # --limit 10^7 bounds the table's coverage, but every query stops at
+        # x = 10^6: the table sieved to 10^7 alone is about 10.3 MB
+        line = next(line for line in readme_commands() if line.startswith("sumsieve semigroup"))
+        proc = run_fresh("-c", _LOADED, *shlex.split(line)[1:])
+        doc = json.loads(proc.stdout)
+        expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[line]["stdout"]
+        assert _ELAPSED.sub('"elapsed_ms": null', doc["stdout"]) == expected
+        assert doc["peak"] <= 8 * 10**6
 
     def test_import_loads_no_layer(self):
         proc = run_fresh("-c", "import sys, sumsieve; print(sorted(m for m in sys.modules "

@@ -28,6 +28,7 @@ from sumsieve.primes import (
     residue_counts,
     shift_class_hits,
     subset_sums,
+    table_bytes_bound,
 )
 from sumsieve.sieves import OccupancyProfile, reduced_residues_mask, selberg_bound, sift_count
 from sumsieve.smooth import SmoothQuery, psi, psi_coprime, smooth_tuple_count
@@ -69,11 +70,38 @@ class TestPrimeTable:
         ps = table_1e6.primes
         assert np.all(np.diff(ps) > 0)
 
-    def test_segmented_matches_direct(self):
-        from sumsieve.primes import _odd_sieve_direct, _odd_sieve_segmented
-
+    def test_growth_matches_one_full_build(self):
+        # oracle: the whole odd mask in one pass, index i for n = 2i + 1
         limit = 10**7 + 50_000
-        assert np.array_equal(_odd_sieve_segmented(limit), _odd_sieve_direct(limit))
+        oracle = np.ones((limit + 1) // 2, dtype=bool)
+        oracle[0] = False
+        for p in range(3, math.isqrt(limit) + 1, 2):
+            if oracle[p // 2]:
+                oracle[p * p // 2 :: p] = False
+        oracle_primes = np.concatenate(([2], 2 * np.flatnonzero(oracle) + 1))
+        full = build_prime_table(limit)
+        assert np.array_equal(full.primes, oracle_primes)
+        assert np.array_equal(full._odd_mask, oracle)
+        # each query kind grows the table; 2^22 + 1 is the first odd past the
+        # first 2^21-odd segment
+        grown = build_prime_table(limit)
+        assert grown.is_prime(97) and not grown.is_prime(91)
+        assert grown.is_prime(2**22 + 1) == trial_division_is_prime(2**22 + 1)
+        lo, hi = 2**22 - 0.5, 2**22 + 2**21 + 0.5
+        assert np.array_equal(grown.primes_between(lo, hi),
+                              oracle_primes[(oracle_primes > lo) & (oracle_primes <= hi)])
+        assert grown.count() == oracle_primes.size
+        assert np.array_equal(grown._odd_mask, oracle)
+        assert np.array_equal(grown._primes, oracle_primes)
+
+    def test_a_query_sieves_only_as_far_as_it_reaches(self):
+        table = build_prime_table(10**7)
+        assert table.primes_between(1, 10**6).size == 78498
+        assert 2 * table._odd_mask.size <= 2 * 10**6
+        # one step past the reach doubles it
+        assert table.is_prime(10**6 + 3)
+        assert 2 * table._odd_mask.size == 2 * 10**6
+        assert table._primes.size == 148933
 
     def test_limit_validation(self):
         with pytest.raises(DomainError):
@@ -87,12 +115,15 @@ class TestPrimeTable:
         tracemalloc.start()
         try:
             table = build_prime_table(10**7)
+            count = table.count()  # sieves the whole table
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.01 * table.nbytes
+        built = table._odd_mask.nbytes + table._primes.nbytes
+        assert table._odd_mask.size == (10**7 + 1) // 2 and table.nbytes == built
+        assert peak <= 1.01 * built
         # the odd mask still marks exactly the odd primes
-        assert np.count_nonzero(table._odd_mask) + 1 == table.count() == 664579
+        assert count == 664579 and np.count_nonzero(table._odd_mask) + 1 == count
 
     def test_range_query_beyond_limit(self, table_1e4):
         with pytest.raises(CapacityError):
@@ -578,8 +609,12 @@ class TestCache:
     def test_bytes_stay_under_the_cap(self, cache):
         cap = primes_module.MEMORY_CAP
         table = prime_table(2000)
-        assert cache[("table", 2000)] == (table, primes_module.ENTRY_BYTES + table.nbytes)
+        # charged its full-limit bound on entry, which the sieved table stays within
+        charge = primes_module.ENTRY_BYTES + table_bytes_bound(2000)
+        assert cache[("table", 2000)] == (table, charge)
+        assert table.count() == 303 and table.nbytes <= table_bytes_bound(2000)
         assert prime_table(2000) is table  # kept by its exact limit
+        assert cache[("table", 2000)] == (table, charge)
         requests = [
             lambda: primes_up_to(2000),
             lambda: reduced_residues_mask(3000),
@@ -668,7 +703,9 @@ class TestCache:
         # the prime-count bound never undercounts: one byte less than the
         # table holds is refused
         monkeypatch.setattr(primes_module, "_CACHE", primes_module._ByteCache())
-        monkeypatch.setattr(primes_module, "MEMORY_CAP", build_prime_table(limit).nbytes - 1)
+        table = build_prime_table(limit)
+        table.count()  # sieves the whole table
+        monkeypatch.setattr(primes_module, "MEMORY_CAP", table.nbytes - 1)
         with pytest.raises(CapacityError):
             prime_table(limit)
 

@@ -313,6 +313,18 @@ class TestSelberg:
         )
         assert rep.sifted_count == direct
 
+    def test_hit_masks_past_the_cap_are_refused(self, table_1e4, monkeypatch):
+        # the 7 primes of (10, 31], all up to Q^2: one 20-byte hit mask each
+        ps = PrimeSubset(table_1e4, Interval(10, 31))
+        omega = OccupancyProfile({p: 1.0 for p in ps.primes().tolist()})
+        args = (range(1, 21), ps, [0], omega, 31)
+        monkeypatch.setattr(sieves, "MEMORY_CAP", 7 * 20)
+        assert selberg_bound(*args).sifted_count == 16  # all but 11, 13, 17, 19
+        monkeypatch.setattr(sieves, "MEMORY_CAP", 7 * 20 - 1)
+        monkeypatch.setattr(sieves, "shift_class_hits", None)  # refused before any mask
+        with pytest.raises(CapacityError, match="Selberg hit masks for 7 primes x 20 values"):
+            selberg_bound(*args)
+
     def test_smooth_set_two_shifts(self, table_1e4):
         from sumsieve.smooth import enumerate_smooth
 
