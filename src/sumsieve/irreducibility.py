@@ -3,10 +3,11 @@ plus the half-occupancy diagnostics used in the primes analysis.
 
 ``build_context`` assembles the tuple (x, c, sigma, sigma0, K, P0, P0*) for a
 concrete instance and verifies that no target-set element is divisible by a
-sieving prime.  The two alternative conditions (sieve-controls-size and the
-progression-discrepancy condition) are then evaluated exactly.  With strict
-constants, K is typically so large that P0* is empty at desk scale; that is
-reported honestly, never papered over.
+sieving prime, against the one P0 mask the cache keeps per (P0, x).  The two
+alternative conditions (sieve-controls-size and the progression-discrepancy
+condition) are then evaluated exactly.  With strict constants, K is typically
+so large that P0* is empty at desk scale; that is reported honestly, never
+papered over.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from typing import Optional
 from .arith import discrepancy_sum, lattice_sum
 from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .errors import DegenerateInputError, DivisibilityError, DomainError
-from .primes import PrimeSubset, density_ratio_c, divisibility_hits, primes_up_to, residue_counts
+from .primes import (
+    PrimeSubset,
+    density_ratio_c,
+    divisibility_hits,
+    kept_multiples_mask,
+    primes_up_to,
+    residue_counts,
+)
 from .profiles import STRICT, ConstantsProfile
 from .sieves import OccupancyProfile, star_sum
 from .sumset import IntegerSet
@@ -38,6 +46,9 @@ class GenThmContext:
     s_size: int = 0
     s0_size: int = 0
     c_measured: Optional[float] = None
+    # (S, P0*) as build_context made them: S is clear of P0 primes, so of the
+    # primes of that P0*, a subset of P0; never set from outside, shown or compared
+    _cleared: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def hypotheses_met(self) -> bool:
@@ -71,21 +82,28 @@ def build_context(
     """Assemble the evaluation context for a concrete (S, S0, P0, x) instance.
 
     Verifies s0 subset of s subset of [1, x] and that no element of s is
-    divisible by a prime of ps (raising with witnesses otherwise).  A density
-    ratio c at or below the window floor is recorded as a hypothesis failure
-    in the context, not raised.
+    divisible by a prime of ps (raising with witnesses otherwise).  The scan
+    reads the multiples mask of ps over [0, x] that the one cache keeps
+    (``kept_multiples_mask``), and looks for witnesses only when it shows a
+    hit; without that mask it is ``divisibility_hits``.  The context records
+    the cleared s with its P0*, so that ``prop_smallkbv_bound`` need not scan
+    s again for that P0* (a subset of P0).  A density ratio c at or below the
+    window floor is recorded as a hypothesis failure in the context, not
+    raised.
     """
     s = IntegerSet.coerce(s)
     s0 = IntegerSet.coerce(s0)
     if len(s) == 0 or len(s0) == 0:
         raise DomainError("S and S0 must be non-empty")
-    if not s0.issubset(s):
+    if s0 is not s and not s0.issubset(s):
         raise DomainError("S0 must be a subset of S")
     if s.min < 1 or s.max > x:
         raise DomainError(f"S must lie in [1, {x}]")
-    hits = divisibility_hits(s.array(), ps)
-    if hits:
-        raise DivisibilityError(hits)
+    mask = kept_multiples_mask(ps, x)
+    if mask is None or mask[s.array()].any():
+        hits = divisibility_hits(s.array(), ps)
+        if hits:
+            raise DivisibilityError(hits)
 
     failures = []
     try:
@@ -119,7 +137,7 @@ def build_context(
         big_k = math.inf
         failures.append("c = 0: K is unbounded and P0* is empty")
     star = ps.with_min(big_k**profile.star_exponent if math.isfinite(big_k) else math.inf)
-    return GenThmContext(
+    ctx = GenThmContext(
         x=x,
         ps=ps,
         c=c,
@@ -133,6 +151,8 @@ def build_context(
         s0_size=len(s0),
         c_measured=measured,
     )
+    ctx._cleared = (s, star)
+    return ctx
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ module reads a table's limit).
 The one prime-factor kernel, behind divisibility scans, sifted counts and
 tuple counts, is ``multiples`` (which n <= top some listed prime divides, one
 byte each, built per call) with ``survivors`` (a sweep over the primes for
-values beyond the mask).  ``shift_class_hits`` is the one shift-class test
-(v = a_i mod p, from a bool table over [0, p)) behind that sweep and
-Selberg's remainder, ``residue_counts`` the one residue-occupancy kernel,
+values beyond the mask); its primes, too, come through ``primes_in``.
+``shift_class_hits`` is the one shift-class test (v = a_i mod p, from a bool
+table over [0, p)) behind that sweep and Selberg's remainder,
+``residue_counts`` the one residue-occupancy kernel,
 and ``cached`` the package's one cache (tables, masks and the density ratio
-c), bounded in bytes by the memory cap, a fixed per-entry overhead included
-and each table charged its full-limit bound.
+c: one multiples mask and one ratio per (P0, x), never a mask of a
+per-instance subset such as P0*), bounded in bytes by the memory cap, a
+fixed per-entry overhead included and each table charged its full-limit bound.
 """
 
 from __future__ import annotations
@@ -530,41 +532,46 @@ def multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray:
     return m
 
 
+def kept_multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray | None:
+    """``multiples_mask(ps, top)`` on [1, top], from ``multiples`` over
+    ``ps.primes_in(0, top)``, kept in the one cache under (table limit,
+    selector, top), the density ratio's key shape; None when it does not fit
+    (``mask_fits``) or when ``primes_in`` would refuse top.
+
+    For a subset fixed over many calls, such as P0: a selector that changes
+    per call (a P0* threshold) would fill the cache with masks read once.
+    """
+    if not mask_fits(top) or min(top, ps.selector.upper()) > ps.base.limit:
+        return None
+    key = ("multiples", ps.base.limit, ps.selector, top)
+    return cached(key, lambda: multiples(ps.primes_in(0, top), top))
+
+
 def divisibility_hits(
     values: Sequence[int] | np.ndarray, ps: PrimeSubset, *, max_pairs: int = 20
 ) -> list[tuple[int, int]]:
     """The first max_pairs values > 1, in value order, that a prime of ps
     divides, each paired with its smallest prime in ps.
 
-    Within the mask's caps the hits come from ``multiples_mask``, and a value
-    with no prime of ps up to the table limit but a prime factor beyond it
-    raises CapacityError once reached.  Beyond the caps they come from
-    ``survivors`` with the class 0: only primes up to the table limit are tested.
+    The primes are ``ps.primes_in(0, top)`` for the largest value top, so a
+    table short of top is refused, as every range is, unless the selector is
+    bounded inside it.  Within the mask's caps the hits come from one
+    ``multiples`` mask, beyond them from ``survivors`` with the class 0.
     """
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     if arr.size == 0:
         return []
     top = int(arr.max())
-    limit = ps.base.limit
+    primes = ps.primes_in(0, top)
     if mask_fits(top):
-        at = np.maximum(arr, 0)
-        hit = multiples_mask(ps, max(top, 0))[at]
-        if top > limit:  # a prime factor beyond the table cannot be ruled out
-            beyond = primes_up_to(top)
-            beyond = beyond[beyond > limit]
-            hit |= multiples(beyond, top)[at]
+        hit = multiples(primes, max(top, 0))[np.maximum(arr, 0)]
     else:
-        live = survivors(arr, np.zeros(1, dtype=np.int64), ps.primes_in(0, min(top, limit)))
-        hit = ~np.isin(arr, live)
+        hit = ~np.isin(arr, survivors(arr, np.zeros(1, dtype=np.int64), primes))
     hits: list[tuple[int, int]] = []
     for i in np.flatnonzero(hit & (arr > 1))[:max_pairs].tolist():
         v = int(arr[i])
-        found = ps.primes_in(0, min(v, limit))
-        found = found[v % found == 0]
-        if found.size == 0:  # the value's hit is a prime beyond the table
-            p = int(beyond[v % beyond == 0][0])
-            raise CapacityError(f"{p} exceeds table limit {limit}", limit=limit)
-        hits.append((v, int(found[0])))
+        found = primes[: np.searchsorted(primes, v, side="right")]
+        hits.append((v, int(found[v % found == 0][0])))
     return hits
 
 

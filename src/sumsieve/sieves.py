@@ -396,15 +396,18 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
           + sum over squarefree d <= Q^2, P0*-supported, of
             tau3(d)^(1 + log k / log 3) * max over (a,d)=1 of
             |#{s in S : s = a mod d} - #S/phi(d)|.
-    Requires that no element of S is divisible by a P0* prime.  The
-    discrepancy sum is ``discrepancy_sum`` with base 3k and its default
-    modulus budget; a prime table below Q^2 raises CapacityError.
+    Requires that no element of S is divisible by a P0* prime.  S is scanned
+    for them unless it equals the S that ``build_context`` cleared of P0
+    primes, and ctx.ps_star is still the P0* it built (a subset of P0); a
+    hand-built context always scans.  The discrepancy sum is
+    ``discrepancy_sum`` with base 3k and its default modulus budget; a prime
+    table below Q^2 raises CapacityError.
     """
     s = IntegerSet.coerce(s)
     shifts = _small_k_shifts(shifts, ctx)
     k = len(shifts)
     star = ctx.ps_star
-    hits = divisibility_hits(s.array(), star)
+    hits = [] if ctx._cleared == (s, star) else divisibility_hits(s.array(), star)
     if hits:
         raise DomainError(
             f"S contains elements divisible by P0* primes, e.g. {hits[:3]}"
@@ -457,7 +460,9 @@ def middlek_bound(
     The full-k branch applies when both window theta sums over ps reach
     w * k * log x (w from the profile); otherwise k is reduced to
     k0 = min(k, floor(theta_i / (w log x))) and the bound carries
-    M = max(1/k^2, 4 (w log x)^2 / theta_i^2) in place of 1/k0^2.
+    M = max(1/k^2, 4 (w log x)^2 / theta_i^2) in place of 1/k0^2.  The bound
+    counts a sifted subset of [1, x], so S inside [1, x] is a hypothesis of
+    the report, and the bound is not valid without it.
     """
     s = IntegerSet.coerce(s)
     shifts = coerce_shifts(shifts)
@@ -512,7 +517,10 @@ def middlek_bound(
         ratio *= full.theta / sub.theta
     bound = 128.0 * x * m_factor * math.log(y1) * math.log(y2) * ratio
 
-    hyps = {"windows_at_least_10": y1 >= 10 and y2 >= 10}
+    hyps = {
+        "set_within_1_to_x": not len(s) or (1 <= s.min and s.max <= x),
+        "windows_at_least_10": y1 >= 10 and y2 >= 10,
+    }
     for idx, (y, sub, full) in enumerate(windows, start=1):
         err = (k_eff * k_eff - k_eff) * log_x / ((y / 2) * math.log(y / 2))
         hyps[f"window{idx}_error_term_dominated"] = err <= 0.5 * k_eff * sub.mertens_recip

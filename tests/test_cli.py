@@ -278,6 +278,17 @@ class TestCommands:
         assert doc["result"]["valid"] is False
         assert doc["result"]["hypotheses"] == {"set_within_1_to_N": False}
 
+    def test_middlek_needs_the_set_in_1_to_x(self, capsys):
+        argv = ["sieve-bound", "--kind", "middlek", "--shifts", "0,2", "--x", "10000000000",
+                "--y1", "200", "--y2", "450", "--window-coefficient", "0.5",
+                "--selector", "interval:100,450", "--limit", "10000", "--set"]
+        code, doc = run_json(capsys, *argv, "1,5,9,10000000000")
+        assert code == 0 and doc["result"]["valid"] is True
+        code, doc = run_json(capsys, *argv, "1,5,9,10000000001")
+        assert code == 2
+        assert doc["result"]["valid"] is False
+        assert doc["result"]["reason"] == "hypotheses not met: set_within_1_to_x"
+
     def test_bv_sum_needs_the_table_to_cover_q_squared(self, capsys):
         # Q^2 = 14400: a 10^4 table once gave 25888.75 from 3189 of the 3646 moduli
         argv = ["bv-sum", "--x", "1000", "--y", "5", "--q", "120", "--selector", "min:7",

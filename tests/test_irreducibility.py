@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from sumsieve import primes as primes_module
 from sumsieve.errors import CapacityError, DivisibilityError, DomainError
 from sumsieve.irreducibility import (
     build_context,
@@ -15,10 +16,10 @@ from sumsieve.irreducibility import (
     ostmann_epsilon_profile,
     ostmann_multiplicative_diagnostic,
 )
-from sumsieve.primes import Interval, MinValue, PrimeSubset, ResidueClass
+from sumsieve.primes import Excluding, Interval, MinValue, PrimeSubset, ResidueClass
 from sumsieve.profiles import STRICT, scaled
 from sumsieve.semigroup import enumerate_q
-from sumsieve.sieves import OccupancyProfile, occupancy
+from sumsieve.sieves import OccupancyProfile, occupancy, prop_smallkbv_bound
 from sumsieve.smooth import enumerate_smooth
 from sumsieve.sumset import IntegerSet
 
@@ -94,6 +95,85 @@ class TestBuildContext:
 
         assert k_of(0.1, 0.5) >= k_of(0.2, 0.5)
         assert k_of(0.1, 0.25) >= k_of(0.1, 0.5)
+
+
+def _multiples_keys():
+    return {key for key in primes_module._CACHE if key[0] == "multiples"}
+
+
+def _q_instance(table, x=10**4):
+    """P0 = primes 3 mod 4, and S the integers up to x with no prime factor
+    in P0 (Q(T) for T the other primes): S is clear of P0."""
+    p0 = PrimeSubset(table, ResidueClass(3, 4))
+    s = enumerate_q(PrimeSubset(table, Excluding(frozenset(p0.primes_in(1, x).tolist()))), x)
+    return p0, IntegerSet(s.elements)
+
+
+def _scaled_profile(rng, s, c, x):
+    """A scaled profile with K about 20-60 and its own P0* threshold."""
+    k_target = rng.uniform(20, 60)
+    return scaled(
+        k_coefficient=k_target * (len(s) / x) * c * c / math.log(x) ** 2,
+        star_exponent=math.log(rng.uniform(13, 55)) / math.log(k_target),
+        c_floor_exponent=0.3,
+    )
+
+
+class TestKeptP0Mask:
+    """build_context clears S against the one P0 mask the cache keeps per
+    (P0, x), and never keeps a mask of a per-instance P0*."""
+
+    def test_one_mask_for_many_thresholds(self, table_1e6):
+        x = 10**4
+        p0, s = _q_instance(table_1e6, x)
+        c = primes_module.density_ratio_c(p0, x, window_floor_exponent=0.3)
+        rng = random.Random(21)
+        before = _multiples_keys()
+        thresholds = set()
+        for _ in range(200):
+            ctx = build_context(s, s, p0, x, _scaled_profile(rng, s, c, x))
+            thresholds.add(ctx.ps_star.describe())
+            shifts = IntegerSet(rng.sample(range(0, x), 2))
+            prop_smallkbv_bound(s, shifts, ctx, 30)
+        assert len(thresholds) == 200
+        added = _multiples_keys() - before
+        assert added <= {("multiples", table_1e6.limit, p0.selector, x)}
+
+    def test_cap_below_the_mask_keeps_nothing(self, table_1e6, monkeypatch):
+        x = 10**4
+        p0, s = _q_instance(table_1e6, x)
+        c = primes_module.density_ratio_c(p0, x, window_floor_exponent=0.3)
+        profile = _scaled_profile(random.Random(22), s, c, x)
+        dirty = IntegerSet(list(s.elements) + [21, 77 * 11])  # 3 and 7 are in P0
+        want = build_context(s, s, p0, x, profile).to_dict()
+        with pytest.raises(DivisibilityError) as err:
+            build_context(dirty, s, p0, x, profile)
+        want_pairs = err.value.pairs
+        assert want_pairs[:2] == [(21, 3), (77 * 11, 7)]
+        # the mask over [0, x] takes x + 1 bytes: a cap of x refuses the
+        # mask, and one short of its entry's charge builds it but keeps nothing
+        for cap in (x, x + primes_module.ENTRY_BYTES):
+            with monkeypatch.context() as mp:
+                mp.setattr(primes_module, "MEMORY_CAP", cap)
+                mp.setattr(primes_module, "_CACHE", primes_module._ByteCache())
+                assert build_context(s, s, p0, x, profile).to_dict() == want
+                with pytest.raises(DivisibilityError) as err:
+                    build_context(dirty, s, p0, x, profile)
+                assert err.value.pairs == want_pairs
+                assert not _multiples_keys()
+
+    def test_table_short_of_x_takes_the_scan(self, table_1e4, table_1e6):
+        # P0 unbounded past a 10^4 table and x = 2 * 10^4: no mask is kept,
+        # and the scan up to max S is the one that answers
+        x = 2 * 10**4
+        p0, s = _q_instance(table_1e6, 10**4)
+        short = PrimeSubset(table_1e4, p0.selector)
+        before = _multiples_keys()
+        ctx = build_context(s, s, short, x, scaled(c_floor_exponent=0.3))
+        assert ctx.s_size == len(s)
+        assert _multiples_keys() == before
+        with pytest.raises(CapacityError, match="range end 10007 exceeds table limit 10000"):
+            build_context(IntegerSet([1, 10007]), IntegerSet([1]), short, x, STRICT)
 
 
 class TestConditions:

@@ -321,15 +321,16 @@ def prime_factors(n: int) -> list[int]:
 
 
 def divisibility_hits_scalar(values, ps, max_pairs=20):
-    """Reference: per value > 1, its prime factors upward by trial division;
-    the first one in ps is a hit, and a first one beyond the table limit
-    cannot be decided and raises CapacityError."""
+    """Reference: a table short of the largest value is refused first, unless
+    the selector passes no prime beyond the table; then per value > 1, its
+    prime factors upward by trial division, and the first one in ps is a hit."""
     limit = ps.base.limit
+    end = min(max(values), ps.selector.upper())
+    if end > limit:
+        raise CapacityError(f"range end {end} exceeds table limit {limit}", limit=limit)
     hits = []
     for v in values:
         for p in prime_factors(v) if v > 1 else []:
-            if p > limit:
-                raise CapacityError(f"{p} exceeds table limit {limit}", limit=limit)
             if ps.selector.contains(p):
                 hits.append((v, p))
                 break
@@ -386,12 +387,23 @@ class TestDivisibility:
     def test_clean_set(self, table_1e4):
         ps = PrimeSubset(table_1e4, Interval(10, 100))
         assert divisibility_hits([2, 3, 4, 8, 9], ps) == []
-        # a value whose only prime factor lies beyond the table cannot be
-        # cleared; a hit reached earlier in value order is reported instead
-        small = PrimeSubset(build_prime_table(100), ResidueClass(3, 4))
-        with pytest.raises(CapacityError, match="101 exceeds table limit 100"):
-            divisibility_hits([4, 101, 7], small)
-        assert divisibility_hits([7, 101], small, max_pairs=1) == [(7, 7)]
+        # a table short of the largest value is refused by the one coverage
+        # rule, whatever the value order, unless the selector stops inside it
+        table = build_prime_table(100)
+        small = PrimeSubset(table, ResidueClass(3, 4))
+        for values, max_pairs in (([4, 101, 7], 20), ([7, 101], 1)):
+            with pytest.raises(CapacityError, match="range end 101 exceeds table limit 100"):
+                divisibility_hits(values, small, max_pairs=max_pairs)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(primes_module, "MEMORY_CAP", 0)  # the per-prime sweep
+                with pytest.raises(CapacityError, match="range end 101 exceeds table limit 100"):
+                    divisibility_hits(values, small, max_pairs=max_pairs)
+        bounded = PrimeSubset(table, Interval(3, 50))
+        for cap in (primes_module.MEMORY_CAP, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(primes_module, "MEMORY_CAP", cap)
+                assert divisibility_hits([4, 101, 1009, 7, 2048, 5 * 1009], bounded) == [
+                    (7, 7), (5 * 1009, 5)]
 
 
 _TABLES = {limit: build_prime_table(limit) for limit in (60, 500)}

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from sumsieve import arith
 from sumsieve import primes as primes_module
 from sumsieve import sieves
 from sumsieve.errors import CapacityError, DomainError
-from sumsieve.irreducibility import build_context
+from sumsieve.irreducibility import GenThmContext, build_context
 from sumsieve.primes import (
     And,
     Excluding,
@@ -564,6 +566,61 @@ class TestSmallK:
             assert rep.bound >= rep.sifted_count
 
 
+class TestClearedSet:
+    """prop_smallkbv_bound skips its P0* scan only for the S that
+    build_context cleared of P0 primes, P0* being a subset of P0."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        real = sieves.divisibility_hits
+
+        def spy(values, ps, **kw):
+            calls.append(ps)
+            return real(values, ps, **kw)
+
+        monkeypatch.setattr(sieves, "divisibility_hits", spy)
+        return calls
+
+    def test_only_the_cleared_set_skips_the_scan(self, table_1e6, scans):
+        ctx, s = make_scaled_context(table_1e6, random.Random(12))
+        rep = prop_smallkbv_bound(s, [0, 1], ctx, 50)
+        prop_smallkbv_bound(IntegerSet(s.elements), [0, 1], ctx, 50)  # an equal set
+        assert scans == []
+        other = IntegerSet(s.elements[1:])
+        prop_smallkbv_bound(other, [0, 1], ctx, 50)
+        assert scans == [ctx.ps_star]
+        # a hand-built context, and one made by dataclasses.replace, scan
+        fields = {f.name: getattr(ctx, f.name) for f in dataclasses.fields(ctx) if f.init}
+        for hand in (GenThmContext(**fields), dataclasses.replace(ctx)):
+            scans.clear()
+            assert prop_smallkbv_bound(s, [0, 1], hand, 50).to_dict() == rep.to_dict()
+            assert scans == [ctx.ps_star]
+        assert "_cleared" not in ctx.to_dict() and ctx == GenThmContext(**fields)
+
+    def test_another_set_raises_the_same_pairs(self, table_1e6):
+        ctx, s = make_scaled_context(table_1e6, random.Random(12))
+        star_primes = ctx.ps_star.primes_in(1, 1000).tolist()
+        bad = IntegerSet(list(s.elements[:50]) + [p * 2 for p in star_primes[:4]])
+        pairs = primes_module.divisibility_hits(bad.array(), ctx.ps_star)
+        assert pairs[:3] == [(p * 2, p) for p in star_primes[:3]]
+        with pytest.raises(DomainError, match=re.escape(f"e.g. {pairs[:3]}")):
+            prop_smallkbv_bound(bad, [0, 1], ctx, 50)
+
+    def test_a_p0_star_not_built_from_p0_scans_the_cleared_set(self, table_1e6):
+        # a P0* that is no subset of the P0 that cleared S must be scanned,
+        # in a hand-built context and in one whose ps_star was replaced
+        ctx, s = make_scaled_context(table_1e6, random.Random(12))
+        loose = PrimeSubset(table_1e6, Interval(1, 100))
+        pairs = primes_module.divisibility_hits(s.array(), loose)
+        assert pairs
+        fields = {f.name: getattr(ctx, f.name) for f in dataclasses.fields(ctx) if f.init}
+        ctx.ps_star = loose
+        for other in (GenThmContext(**{**fields, "ps_star": loose}), ctx):
+            with pytest.raises(DomainError, match=re.escape(f"e.g. {pairs[:3]}")):
+                prop_smallkbv_bound(s, [0, 1], other, 50)
+
+
 class TestMiddleK:
     def _sample_set(self, rng, x, size):
         return IntegerSet(sorted(rng.sample(range(1, x), size)))
@@ -606,6 +663,20 @@ class TestMiddleK:
         s = self._sample_set(rng, x, 100)
         rep = middlek_bound(s, [0, 5], ps, x, 200, 450)
         assert not rep.valid
+
+    def test_set_past_x_is_not_valid(self, table_1e4):
+        # the bound counts a sifted subset of [1, x]: S inside it is a hypothesis
+        ps = PrimeSubset(table_1e4, Interval(100, 450))
+        x = 10**10
+        shifts = [0, 2]
+        profile = scaled(window_coefficient=0.5)
+        inside = middlek_bound([1, 5, 9, x], shifts, ps, x, 200, 450, profile=profile)
+        assert inside.valid and inside.hypotheses["set_within_1_to_x"]
+        for s in ([1, 5, 9, x + 1], [0, 5, 9]):
+            rep = middlek_bound(s, shifts, ps, x, 200, 450, profile=profile)
+            assert rep.hypotheses["set_within_1_to_x"] is False
+            assert not rep.valid
+            assert rep.reason == "hypotheses not met: set_within_1_to_x"
 
     def test_strict_profile_at_desk_scale_fails_threshold(self, table_1e6):
         rng = random.Random(17)
