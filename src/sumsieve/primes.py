@@ -11,10 +11,12 @@ draws its primes and its partial sums (theta, Mertens-type) from here, through
 ``PrimeSubset.primes_in``, the one table-coverage rule: a range past the table
 raises CapacityError unless the selector is bounded inside the table (no other
 module reads a table's limit).
-The one prime-factor kernel, behind divisibility scans, sifted counts and
-tuple counts, is ``multiples`` (which n <= top some listed prime divides, one
-byte each, built per call) with ``survivors`` (a sweep over the primes for
-values beyond the mask); its primes, too, come through ``primes_in``.
+The one prime-factor kernel is ``multiples`` (which n <= top some listed
+prime divides, one byte each, built per call), behind tuple counts and
+``survivors``, the one sift: the values v != a (mod p) for every class a and
+prime p of a subset, which alone picks a gather from that mask or, past the
+mask's caps, a sweep prime by prime.  Sifted counts and divisibility scans
+are ``survivors`` calls; its primes, too, come through ``primes_in``.
 ``shift_class_hits`` is the one shift-class test (v = a_i mod p, from a bool
 table over [0, p)) behind that sweep and Selberg's remainder,
 ``residue_counts`` the one residue-occupancy kernel,
@@ -375,7 +377,7 @@ def subset_sums(ps: PrimeSubset, lo: float, hi: float) -> PrimeSums:
     Accumulated in ascending order in double precision; the rounding error is
     far below the 1e-9 relative budget at table scales.
     """
-    if lo < 0 or lo >= hi:
+    if not 0 <= lo < hi:  # a NaN bound fails too
         raise DomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     theta = 0.0
     mlog = 0.0
@@ -470,7 +472,7 @@ def cached(key: Hashable, build: Callable, nbytes: int | None = None):
 
 
 # --------------------------------------------------------------------------
-# divisibility scanning (exact, one multiples mask)
+# the sift (exact: one multiples mask, or one sweep past its caps)
 
 # values up to this bound are scanned through a multiples mask (1 byte each)
 MASK_CAP = 5 * 10**7
@@ -478,7 +480,7 @@ MASK_CAP = 5 * 10**7
 _SLICE_MULTIPLES = 64
 
 
-def mask_fits(top: int) -> bool:
+def _mask_fits(top: int) -> bool:
     """Whether a multiples mask over [0, top] stays within its caps."""
     return top <= MASK_CAP and top + 1 <= MEMORY_CAP
 
@@ -507,41 +509,43 @@ def multiples(primes: np.ndarray, top: int) -> np.ndarray:
     return m
 
 
-def survivors(values: np.ndarray, classes: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """The values v != a (mod p) for every a in classes and p in primes (int64
-    arrays), swept p by p in the given (ascending) order by ``shift_class_hits``
-    and stopped once no value is left: the scan beyond a multiples mask."""
-    for p in primes.tolist():
+def survivors(values: np.ndarray, classes: np.ndarray, ps: PrimeSubset) -> np.ndarray:
+    """The values v != a (mod p) for every a in classes and p in ps (int64
+    arrays, >= 0), in their given order: the one sift.
+
+    For top the largest value or class, within the mask's caps that is one
+    gather at |v - a| from a ``multiples`` mask over the primes of ps up to
+    min(top, table limit), its m[0] set when ps has any prime (every prime
+    sifts out v = a); beyond them a sweep by ``shift_class_hits`` over the
+    primes of ps up to top and the first above it (which sifts out exactly
+    the v equal to a class), ascending and stopped once no value is left.
+    """
+    if values.size == 0:
+        return values
+    top = int(max(values.max(), classes.max()))
+    if _mask_fits(top):
+        bound = min(top, ps.base.limit)
+        m = multiples(ps.primes_in(0, bound), top)
+        m[0] = m[0] or ps.primes_in(bound, ps.base.limit).size > 0
+        return values[~m[np.abs(values[:, None] - classes[None, :])].any(axis=1)]
+    plist = ps.primes()
+    for p in plist[: np.searchsorted(plist, top, side="right") + 1].tolist():
         values = values[~shift_class_hits(values, classes, p)]
         if values.size == 0:
             break
     return values
 
 
-def multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray:
-    """m[n] for 0 <= n <= top: a prime of ps up to min(top, ps.base.limit)
-    divides n; m[0] holds when ps has any prime (every prime divides 0).
-
-    Built per call, 1 byte per entry; top must satisfy mask_fits.
-    """
-    if not mask_fits(top):
-        raise CapacityError(f"multiples mask over [0, {top}] exceeds its caps")
-    bound = min(top, ps.base.limit)
-    m = multiples(ps.primes_in(0, bound), top)
-    m[0] = m[0] or ps.primes_in(bound, ps.base.limit).size > 0
-    return m
-
-
 def kept_multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray | None:
-    """``multiples_mask(ps, top)`` on [1, top], from ``multiples`` over
-    ``ps.primes_in(0, top)``, kept in the one cache under (table limit,
-    selector, top), the density ratio's key shape; None when it does not fit
-    (``mask_fits``) or when ``primes_in`` would refuse top.
+    """m[n] for 1 <= n <= top: a prime of ``ps.primes_in(0, top)`` divides n,
+    from ``multiples``, kept in the one cache under (table limit, selector,
+    top), the density ratio's key shape; None when the mask passes its caps
+    or when ``primes_in`` would refuse top.
 
     For a subset fixed over many calls, such as P0: a selector that changes
     per call (a P0* threshold) would fill the cache with masks read once.
     """
-    if not mask_fits(top) or min(top, ps.selector.upper()) > ps.base.limit:
+    if not _mask_fits(top) or min(top, ps.selector.upper()) > ps.base.limit:
         return None
     key = ("multiples", ps.base.limit, ps.selector, top)
     return cached(key, lambda: multiples(ps.primes_in(0, top), top))
@@ -555,21 +559,19 @@ def divisibility_hits(
 
     The primes are ``ps.primes_in(0, top)`` for the largest value top, so a
     table short of top is refused, as every range is, unless the selector is
-    bounded inside it.  Within the mask's caps the hits come from one
-    ``multiples`` mask, beyond them from ``survivors`` with the class 0.
+    bounded inside it.  The hits are the values > 1 that ``survivors`` with
+    the one class 0 sifts out.
     """
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     if arr.size == 0:
         return []
-    top = int(arr.max())
-    primes = ps.primes_in(0, top)
-    if mask_fits(top):
-        hit = multiples(primes, max(top, 0))[np.maximum(arr, 0)]
-    else:
-        hit = ~np.isin(arr, survivors(arr, np.zeros(1, dtype=np.int64), primes))
+    primes = ps.primes_in(0, int(arr.max()))
+    arr = arr[arr > 1]
+    kept = survivors(arr, np.zeros(1, dtype=np.int64), ps)
+    if kept.size == arr.size:
+        return []
     hits: list[tuple[int, int]] = []
-    for i in np.flatnonzero(hit & (arr > 1))[:max_pairs].tolist():
-        v = int(arr[i])
+    for v in arr[~np.isin(arr, kept)][:max_pairs].tolist():
         found = primes[: np.searchsorted(primes, v, side="right")]
         hits.append((v, int(found[v % found == 0][0])))
     return hits

@@ -7,7 +7,10 @@ individual constants.  Reports always echo the profile so strict and scaled
 verdicts cannot be conflated.
 """
 
+import math
 from dataclasses import asdict, dataclass, replace
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -35,5 +38,13 @@ STRICT = ConstantsProfile()
 
 
 def scaled(**overrides) -> ConstantsProfile:
-    """A user-tuned profile; unspecified constants keep their strict values."""
-    return replace(STRICT, name="scaled", **overrides)
+    """A user-tuned profile; unspecified constants keep their strict values.
+    Every constant must be finite, and c_override, a ratio of theta sums,
+    must lie in [0, 1]; DomainError otherwise."""
+    profile = replace(STRICT, name="scaled", **overrides)
+    for key, value in overrides.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"profile constant {key} must be finite, got {value}")
+    if profile.c_override is not None and not 0 <= profile.c_override <= 1:
+        raise DomainError(f"c_override must lie in [0, 1], got {profile.c_override}")
+    return profile

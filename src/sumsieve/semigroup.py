@@ -26,7 +26,6 @@ class SemigroupStats:
     tau_hat: float
     C_hat: Optional[float] = None
     residual_rms: Optional[float] = None
-    mesh_points: int = 0
 
 
 def enumerate_q(ps: PrimeSubset, x: int) -> IntegerSet:
@@ -72,9 +71,7 @@ def estimate_tau(ps: PrimeSubset, x: int) -> SemigroupStats:
     tau_hat, c_hat = float(coeffs[0]), float(coeffs[1])
     fitted = tau_hat * logt + c_hat
     rms = float(np.sqrt(np.mean((sums - fitted) ** 2)))
-    return SemigroupStats(
-        tau_hat, C_hat=c_hat, residual_rms=rms, mesh_points=_TAU_MESH_POINTS
-    )
+    return SemigroupStats(tau_hat, C_hat=c_hat, residual_rms=rms)
 
 
 def wirsing_estimate(ps: PrimeSubset, x: int, tau: float) -> float:

@@ -18,8 +18,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .arith import discrepancy_sum, lattice, lattice_sum
 from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .errors import CapacityError, DomainError
@@ -28,8 +26,6 @@ from .primes import (
     PrimeSubset,
     all_primes,
     divisibility_hits,
-    mask_fits,
-    multiples_mask,
     residue_counts,
     shift_class_hits,
     subset_sums,
@@ -107,25 +103,9 @@ def avoided_classes(profile: OccupancyProfile) -> OccupancyProfile:
 
 
 def sift_count(s, shifts, ps: PrimeSubset) -> int:
-    """#{s in S : s != a_i mod p for every shift a_i and prime p in ps}.
-
-    s is sifted out exactly when a prime of ps divides |s - a_i| for some i.
-    Within the mask's caps that is one gather from ``multiples_mask``; beyond
-    them one ``survivors`` sweep over the primes of ps.
-    """
-    s = IntegerSet.coerce(s)
-    shifts = coerce_shifts(shifts)
-    arr = s.array()
-    if arr.size == 0:
-        return 0
-    shift_arr = shifts.array()
-    top = int(max(arr.max(), shift_arr.max()))
-    if mask_fits(top):
-        sifted = multiples_mask(ps, top)[np.abs(arr[:, None] - shift_arr[None, :])]
-        return int(arr.size - np.count_nonzero(sifted.any(axis=1)))
-    plist = ps.primes()
-    # the first prime above top sifts out exactly the s equal to a shift
-    return survivors(arr, shift_arr, plist[: np.searchsorted(plist, top, side="right") + 1]).size
+    """#{s in S : s != a_i mod p for every shift a_i and prime p in ps}: the
+    size of the one sift, ``survivors``."""
+    return int(survivors(IntegerSet.coerce(s).array(), coerce_shifts(shifts).array(), ps).size)
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +278,7 @@ def inverse_sieve_lower_bound(
     k = len(a)
     if k < 2:
         raise DomainError(f"need #A >= 2, got {k}")
-    if y < 10:
+    if not y >= 10:  # a NaN y fails too
         raise DomainError(f"need y >= 10, got {y}")
     if a.max > x or a.min < 1:
         raise DomainError("A must lie in [1, x]")

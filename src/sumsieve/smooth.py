@@ -283,14 +283,3 @@ def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
         x / u**k,
         x / u ** (u + k - 1),
     )
-
-
-def regularity_ratio(x: int, y: int) -> float:
-    """Diagnostic ratio Psi(x, y') / Psi(x, y) with y' = y (1 + 100 log y / log x).
-
-    Exposed as a diagnostic only; nothing in the package asserts a bound on it.
-    """
-    y_up = int(y * (1.0 + 100.0 * math.log(y) / math.log(x)))
-    base = psi(SmoothQuery(x, y))
-    upper = psi(SmoothQuery(x, max(y_up, y)))
-    return upper / base if base else math.inf

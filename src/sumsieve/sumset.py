@@ -94,9 +94,6 @@ class IntegerSet:
         """The elements as a read-only int64 array (the stored one, not a copy)."""
         return self._values
 
-    def translate(self, offset: int) -> "IntegerSet":
-        return IntegerSet([v + offset for v in self])
-
     def issubset(self, other: "IntegerSet") -> bool:
         # both ascend, so the last position is the largest
         pos = np.searchsorted(other._values, self._values)

@@ -184,6 +184,10 @@ class TestCommands:
                        ("large", "--set", "1..50", "--q", "-2"),
                        ("selberg", "--set", "1..50", "--shifts", "0,2", "--q", "0"),
                        ("selberg", "--set", "1..50", "--shifts", "0,2", "--q", "-1"))),
+        # NaN range bounds: sums over the whole table, zeros, or lower "nan"
+        ("primes", "--limit", "1000", "--sums", "0,nan"),
+        ("primes", "--limit", "1000", "--sums", "nan,100"),
+        ("inverse-sieve", "--set", "1,2,3", "--y", "nan", "--x", "100", "--limit", "1000"),
     ])
     def test_malformed_numbers_are_error_objects(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
@@ -499,6 +503,17 @@ _SET = st.one_of(
     st.lists(st.integers(1, 40), min_size=1, max_size=30).map(  # few classes per prime
         lambda v: ",".join(str(n * n) for n in v)),
 )
+def _shifts(most):
+    return st.lists(st.integers(0, 60), min_size=1, max_size=most).map(
+        lambda v: ",".join(map(str, v)))
+
+
+# x, y1 and y2: any, or with y1 < y2/2 < y2 < sqrt(x)/y1 as middlek needs
+_MIDDLEK_WINDOWS = st.one_of(
+    st.tuples(st.integers(100, 10**7), st.integers(2, 30), st.integers(5, 200)),
+    st.tuples(st.integers(2, 5), st.integers(10, 40), st.integers(3, 10)).map(
+        lambda t: (t[0] * (t[1] * t[1] * t[2]) ** 2, t[1], t[1] * t[2])),
+).map(lambda t: ["--x", str(t[0]), "--y1", str(t[1]), "--y2", str(t[2])])
 _VALID_ARGVS = st.one_of(
     st.tuples(st.just(["primes", "--density-c"]), _number(90, 10**7).map(lambda v: [v]),
               _table(_SELECTOR)),
@@ -524,7 +539,43 @@ _VALID_ARGVS = st.one_of(
         ).map(lambda t: ["--set", t[0], *t[1], *t[2], *t[3]]),
         _table(_SELECTOR),
     ),
+    st.tuples(
+        st.just(["sieve-bound", "--kind", "selberg"]),
+        st.tuples(_SET, _shifts(4), _option("--q", _number(-1, 40))).map(
+            lambda t: ["--set", t[0], "--shifts", t[1], *t[2]]),
+        _table(_SELECTOR),
+    ),
+    st.tuples(
+        st.just(["sieve-bound", "--kind", "middlek"]),
+        # one or two shifts and a small window coefficient, so that some
+        # reports are valid at these scales
+        st.tuples(_SET, _shifts(2), _MIDDLEK_WINDOWS,
+                  _option("--window-coefficient", st.floats(0, 1).map(repr))).map(
+            lambda t: ["--set", t[0], "--shifts", t[1], *t[2], *t[3]]),
+        _table(_SELECTOR),
+    ),
 ).map(lambda t: [*t[0], *t[1], *t[2]])
+
+
+def _trial_sifted_count(argv):
+    """#{s in S : no prime p <= limit of the selector divides s - a for a
+    shift a}, by trial division; the ps of ``sieve-bound``'s sifted count."""
+    opts = {a: b for a, b in zip(argv, argv[1:]) if a.startswith("--")}
+    s, shifts = parse_int_set(opts["--set"]), parse_int_set(opts["--shifts"])
+    selector, limit = parse_selector(opts["--selector"]), int(opts["--limit"])
+
+    def selected(p):
+        return p <= limit and selector.contains(p) and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    # every prime divides 0: a shift equal to s sifts it out when ps has a prime
+    any_prime = any(selected(p) for p in range(2, int(min(limit, selector.upper())) + 1))
+
+    def sifted(d):
+        if d == 0:
+            return any_prime
+        return any(d % p == 0 and selected(p) for p in range(2, d + 1))
+
+    return sum(1 for v in s if not any(sifted(abs(v - a)) for a in shifts))
 
 
 def _corrupt(argv, at, token):
@@ -544,8 +595,10 @@ _ARGVS = st.one_of(
 
 class TestCliFuzz:
     """Every argv of the fuzz exits 0, 1 or 2 with one schema-1 JSON line:
-    exit 1 with exactly the error object, and a valid larger- or large-sieve
-    bound at least |S|, as the lemmas promise."""
+    exit 1 with exactly the error object, a valid larger- or large-sieve
+    bound at least |S| and a valid Selberg or middle-k bound at least the
+    sifted count, as the lemmas promise; for |S| <= 30 the sifted count is
+    checked by trial division."""
 
     @settings(max_examples=200, deadline=None)
     @given(argv=_ARGVS)
@@ -555,6 +608,18 @@ class TestCliFuzz:
     @example(argv=["primes", "--limit", "100", "--density-c", "10201"])
     @example(argv=["semigroup", "--tau-fit", "--x", "10000", "--wirsing", "5e-324",
                    "--limit", "2", "--selector", "interval:2,0"])
+    @example(argv=["sieve-bound", "--kind", "middlek", "--set", "1..30", "--shifts", "0",
+                   "--x", "100000000", "--y1", "20", "--y2", "100", "--window-coefficient", "0.1",
+                   "--limit", "1000", "--selector", "all"])  # a valid middle-k report
+    # profile constants that ended in a ValueError traceback
+    @example(argv=["sieve-bound", "--kind", "middlek", "--set", "5,7,11", "--shifts", "0,2",
+                   "--x", "1000000", "--y1", "10", "--y2", "40", "--window-coefficient", "nan"])
+    @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
+                   "--limit", "100000", "--profile", "scaled", "--scale", "c_override=inf",
+                   "--q", "5"])
+    @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
+                   "--limit", "100000", "--profile", "scaled", "--scale", "c_override=1e200",
+                   "--q", "5"])
     def test_reports(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -566,9 +631,17 @@ class TestCliFuzz:
         if code == 1:
             assert set(doc) == {"schema", "command", "error"}
             return
+        if argv[0] != "sieve-bound":
+            return
         result = doc["result"]
-        if argv[0] == "sieve-bound" and result["valid"]:
-            assert result["bound"] >= doc["params"]["set_size"]
+        if argv[2] in ("larger", "large"):
+            if result["valid"]:
+                assert result["bound"] >= doc["params"]["set_size"]
+            return
+        if result["valid"]:
+            assert result["bound"] >= result["sifted_count"]
+        if doc["params"]["set_size"] <= 30:
+            assert result["sifted_count"] == _trial_sifted_count(argv)
 
 
 def run_fresh(*args, timeout=120):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ from sumsieve.primes import (
     build_prime_table,
     density_ratio_c,
     divisibility_hits,
-    multiples_mask,
     prime_table,
     primes_up_to,
     residue_counts,
     shift_class_hits,
     subset_sums,
+    survivors,
     table_bytes_bound,
 )
 from sumsieve.sieves import OccupancyProfile, reduced_residues_mask, selberg_bound, sift_count
@@ -339,19 +340,42 @@ def divisibility_hits_scalar(values, ps, max_pairs=20):
     return hits
 
 
+def test_table_limit_and_mask_caps_stay_in_primes():
+    """Only primes reads a table's limit or the multiples mask's caps: every
+    other module goes through primes_in (the coverage rule) and survivors
+    (the mask-or-sweep choice)."""
+    names = (".base.limit", "MASK_CAP", "_mask_fits")
+    package = Path(__file__).resolve().parents[1] / "src" / "sumsieve"
+    found = {(f.name, n) for f in package.glob("*.py") for n in names if n in f.read_text()}
+    assert found == {("primes.py", n) for n in names}
+
+
 class TestDivisibility:
-    def test_multiples_mask(self, table_1e4, monkeypatch):
+    def test_survivors(self, table_1e4, monkeypatch):
         ps = PrimeSubset(table_1e4, ResidueClass(3, 4))
-        m = multiples_mask(ps, 100)
-        assert m.dtype == np.bool_ and m.size == 101
-        for n in range(1, 101):
-            assert m[n] == any(p % 4 == 3 for p in prime_factors(n))
-        assert m[0]  # every prime divides 0
-        assert not multiples_mask(PrimeSubset(table_1e4, Interval(0, 1)), 100)[0]
+        values = np.arange(0, 101, dtype=np.int64)
+        zero = np.zeros(1, dtype=np.int64)
+        # 0 is sifted out by every prime; 1 by none
+        expected = [n for n in range(1, 101) if not any(p % 4 == 3 for p in prime_factors(n))]
+        none = PrimeSubset(table_1e4, Interval(0, 1))
+        for cap in (primes_module.MASK_CAP, 0):  # the gather, then the sweep
+            monkeypatch.setattr(primes_module, "MASK_CAP", cap)
+            got = survivors(values, zero, ps)
+            assert got.dtype == np.int64 and got.tolist() == expected
+            assert survivors(values, zero, none).tolist() == values.tolist()
+        monkeypatch.undo()
+        # the mask spans [0, top] for the largest value or class top, within
+        # the memory cap; one byte past it the same survivors come from the sweep
+        built = []
+        real = primes_module.multiples
+        monkeypatch.setattr(primes_module, "multiples",
+                            lambda primes, top: built.append(top) or real(primes, top))
         monkeypatch.setattr(primes_module, "MEMORY_CAP", 10**3)
-        multiples_mask(ps, 999)
-        with pytest.raises(CapacityError):
-            multiples_mask(ps, 1000)
+        assert survivors(np.array([999, 21]), zero, ps).tolist() == []
+        assert built == [999]
+        assert survivors(np.array([21, 1000]), zero, ps).tolist() == [1000]
+        assert survivors(np.array([999, 21]), np.array([1000]), ps).tolist() == [999]
+        assert built == [999]
 
     def test_hits_found(self, table_1e4, monkeypatch):
         ps = PrimeSubset(table_1e4, ResidueClass(3, 4))
@@ -420,27 +444,43 @@ def _oracle_primes(ps, bound):
     return [p for p in range(2, bound + 1) if trial_division_is_prime(p) and ps.selector.contains(p)]
 
 
+@st.composite
+def _sift_cases(draw):
+    """(values, classes) in [0, 1200], some classes equal to values."""
+    values = draw(st.lists(st.integers(0, 1200), max_size=30))
+    classes = draw(st.lists(st.one_of(st.sampled_from(values or [0]), st.integers(0, 1200)),
+                            min_size=1, max_size=4))
+    return values, classes
+
+
 class TestMultiplesMaskProperty:
-    """multiples_mask, sift_count and divisibility_hits against trial division."""
+    """survivors, sift_count and divisibility_hits against trial division."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         limit=st.sampled_from(sorted(_TABLES)),
         selectors=st.lists(_SELECTORS, min_size=1, max_size=2),
-        top=st.integers(0, 1200),
+        case=_sift_cases(),
         block=st.sampled_from([24, 240, 1 << 24]),
     )
-    @example(limit=500, selectors=[MinValue(700)], top=300, block=24)  # no prime <= top
-    @example(limit=60, selectors=[Interval(59, 600)], top=1000, block=24)  # top beyond limit
-    def test_mask(self, limit, selectors, top, block):
+    # no prime <= top, but some above it: the classes sift out equal values
+    @example(limit=500, selectors=[MinValue(400)], case=([0, 7, 300, 77, 7], [7, 300]), block=24)
+    # no prime at all: nothing is sifted out
+    @example(limit=500, selectors=[MinValue(700)], case=([0, 7, 300], [7, 0]), block=24)
+    # top beyond the table limit
+    @example(limit=60, selectors=[Interval(59, 600)], case=([1000, 59, 118, 3], [0, 1000]),
+             block=24)
+    def test_mask(self, limit, selectors, case, block):
         ps = PrimeSubset(_TABLES[limit], selectors[0] if len(selectors) == 1 else And(tuple(selectors)))
+        values, classes = case
+        plist = _oracle_primes(ps, limit)
+        expected = [v for v in values if not any((v - a) % p == 0 for a in classes for p in plist)]
+        v, a = np.array(values, dtype=np.int64), np.array(classes, dtype=np.int64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(primes_module, "BLOCK_BYTES", block)  # many index blocks
-            got = multiples_mask(ps, top)
-        plist = _oracle_primes(ps, min(top, limit))
-        assert got.tolist() == [bool(_oracle_primes(ps, limit))] + [
-            any(n % p == 0 for p in plist) for n in range(1, top + 1)
-        ]
+            assert survivors(v, a, ps).tolist() == expected
+            mp.setattr(primes_module, "MASK_CAP", 0)  # every top takes the sweep
+            assert survivors(v, a, ps).tolist() == expected
 
     @settings(max_examples=150, deadline=None)
     @given(

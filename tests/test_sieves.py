@@ -113,7 +113,7 @@ class TestSiftCount:
              IntegerSet([0]), PrimeSubset(table_1e4, Interval(2, 3))),
         ]
         # around 10^12 no multiples mask can cover the differences
-        assert not primes_module.mask_fits(10**12)
+        assert 10**12 > primes_module.MASK_CAP
         big = IntegerSet(rng.sample(range(10**12 - 10**5, 10**12 + 10**5), 60))
         cases += [
             (big, IntegerSet(rng.sample(range(0, 10**12), 3)),

@@ -18,7 +18,6 @@ from sumsieve.smooth import (
     enumerate_smooth,
     psi,
     psi_coprime,
-    regularity_ratio,
     smooth_tuple_count,
 )
 from sumsieve.sumset import IntegerSet
@@ -443,7 +442,3 @@ class TestScalingEchoes:
             ratios.append(math.log(psi(SmoothQuery(x, y))) / math.log(x))
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert all(r > 0.5 for r in ratios)
-
-    def test_regularity_ratio_is_finite_diagnostic(self):
-        ratio = regularity_ratio(10**5, 30)
-        assert 1.0 <= ratio < 50.0

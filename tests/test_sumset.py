@@ -27,9 +27,6 @@ class TestIntegerSet:
         with pytest.raises(DomainError):
             IntegerSet([-1, 2])
 
-    def test_translate(self):
-        assert IntegerSet([2, 4]).translate(3).elements == (5, 7)
-
     def test_one_read_only_array(self):
         s = IntegerSet(np.array([9, 2, 9, 4, 2], dtype=np.int32))
         arr = s.array()
