@@ -14,8 +14,7 @@ _EXPORTS = {
     "errors": ("CapacityError", "DegenerateInputError", "DivisibilityError", "DomainError",
                "SumsieveError"),
     "primes": ("ALL", "And", "Excluding", "Interval", "MinValue", "PrimeSubset", "PrimeSums",
-               "PrimeTable", "ResidueClass", "all_primes", "build_prime_table",
-               "density_ratio_c", "subset_sums"),
+               "PrimeTable", "ResidueClass", "all_primes", "density_ratio_c", "subset_sums"),
     "arith": ("EULER_GAMMA", "MultiplicativeSpec", "check_comparison_inequality",
               "enumerate_squarefree_supported", "euler_phi", "factorize", "gamma_function",
               "mobius", "restricted_multiplicative_sum", "tau3"),

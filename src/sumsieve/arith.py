@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -147,6 +148,16 @@ def lattice_sum(primes: Sequence[int], weights: Mapping[int, float], bound: int,
     for _, term in lattice(primes, bound, 1.0, lambda t, p: t * weights[p], powers=powers):
         total += term
     return total
+
+
+def _capped_lattice(primes: Sequence[int], bound: int, cap: int, refusal: str) -> np.ndarray:
+    """The ``lattice`` with powers up to bound (int64, preorder); more than cap
+    raise CapacityError(refusal).  Private, so traced runs count it in its callers."""
+    walk = lattice(primes, bound, None, lambda s, p: s, powers=True)
+    arr = np.fromiter((n for n, _ in islice(walk, cap + 1)), dtype=np.int64)
+    if arr.size > cap:
+        raise CapacityError(refusal)
+    return arr
 
 
 def enumerate_squarefree_supported(

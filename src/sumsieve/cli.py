@@ -30,7 +30,8 @@ import numpy as np
 from .errors import CapacityError, DomainError, SumsieveError
 from .primes import (
     ALL,
-    MEMORY_CAP,
+    ENTRY_CAP,
+    VALUE_CAP,
     And,
     Interval,
     MinValue,
@@ -49,22 +50,18 @@ if TYPE_CHECKING:
 _SCHEMA = 1
 # keys `--scale` may set: every constant of a profile but its name
 _SCALE_KEYS = tuple(f.name for f in dataclasses.fields(ConstantsProfile) if f.name != "name")
-# a table row costs roughly 100 bytes, the estimate the smooth-number budget uses
-_TABLE_ROW_CAP = MEMORY_CAP // 100
-# an integer set holds 8 bytes per value
-_SET_VALUE_CAP = MEMORY_CAP // 8
 
 
 def parse_int_set(text: str) -> IntegerSet:
     """Comma list, lo..hi range, or @file with one integer per line; at most
-    _SET_VALUE_CAP values, counted before they are built."""
+    VALUE_CAP values, counted before they are built."""
     from .sumset import IntegerSet
 
     text = text.strip()
     try:
         if text.startswith("@"):
             with open(text[1:], "r", encoding="utf-8") as handle:
-                lines = itertools.islice(filter(str.strip, handle), _SET_VALUE_CAP + 1)
+                lines = itertools.islice(filter(str.strip, handle), VALUE_CAP + 1)
                 values = [int(line) for line in lines]
         elif ".." in text:
             lo, hi = text.split("..", 1)
@@ -75,8 +72,8 @@ def parse_int_set(text: str) -> IntegerSet:
         raise DomainError(f"cannot read integer set {text!r}: {exc.strerror}") from None
     except ValueError as exc:
         raise DomainError(f"cannot parse integer set {text!r}: {exc}") from None
-    if len(values) > _SET_VALUE_CAP:
-        raise CapacityError(f"integer set {text[:40]!r} has more than {_SET_VALUE_CAP} values")
+    if len(values) > VALUE_CAP:
+        raise CapacityError(f"integer set {text[:40]!r} has more than {VALUE_CAP} values")
     return IntegerSet(values)
 
 
@@ -313,8 +310,8 @@ def _cmd_dickman(args) -> int:
                 f"--table needs finite lo,hi,step with step > 0 and hi <= {RHO_U_CAP:g}, "
                 f"got {args.table!r}"
             )
-        if (hi + 1e-12 - lo) / step >= _TABLE_ROW_CAP:
-            raise CapacityError(f"--table {args.table!r} asks for more than {_TABLE_ROW_CAP} rows")
+        if (hi + 1e-12 - lo) / step >= ENTRY_CAP:
+            raise CapacityError(f"--table {args.table!r} asks for more than {ENTRY_CAP} rows")
         rows = []
         u = lo
         while u <= hi + 1e-12:
@@ -512,7 +509,7 @@ def _cmd_ostmann_diag(args) -> int:
 
     a = parse_int_set(args.set)
     prof = ostmann_epsilon_profile(a, args.x, args.y_limit)
-    diag = ostmann_multiplicative_diagnostic(a, args.x, args.y_limit)
+    diag = ostmann_multiplicative_diagnostic(prof)
     result = {
         "moment_quadratic": prof.moment_quadratic,
         "moment_linear": prof.moment_linear,

@@ -34,12 +34,13 @@ class DegenerateInputError(DomainError):
 class DivisibilityError(DomainError):
     """A target-set element is divisible by a sieving prime.
 
-    ``pairs`` holds up to ``max_pairs`` offending (element, prime) pairs.
+    ``pairs`` holds up to ``primes.HIT_CAP`` offending (element, prime)
+    pairs, and ``total`` counts every offending element.
     """
 
-    def __init__(self, pairs, total=None):
+    def __init__(self, pairs, total):
         self.pairs = list(pairs)
-        self.total = total if total is not None else len(self.pairs)
+        self.total = total
         shown = ", ".join(f"{s} divisible by {p}" for s, p in self.pairs[:5])
         more = "" if self.total <= 5 else f" (+{self.total - 5} more)"
         super().__init__(f"target set hits sieving primes: {shown}{more}")

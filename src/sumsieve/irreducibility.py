@@ -20,6 +20,8 @@ from .arith import discrepancy_sum, lattice_sum
 from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .errors import DegenerateInputError, DivisibilityError, DomainError
 from .primes import (
+    And,
+    MinValue,
     PrimeSubset,
     density_ratio_c,
     divisibility_hits,
@@ -88,8 +90,9 @@ def build_context(
     hit; without that mask it is ``divisibility_hits``.  The context records
     the cleared s with its P0*, so that ``prop_smallkbv_bound`` need not scan
     s again for that P0* (a subset of P0).  A density ratio c at or below the
-    window floor is recorded as a hypothesis failure in the context, not
-    raised.
+    window floor, c = 0 and a K past the float range are recorded as
+    hypothesis failures in the context, not raised; an infinite K, or a P0*
+    threshold K^star_exponent past the float range, leaves P0* empty.
     """
     s = IntegerSet.coerce(s)
     s0 = IntegerSet.coerce(s0)
@@ -101,9 +104,9 @@ def build_context(
         raise DomainError(f"S must lie in [1, {x}]")
     mask = kept_multiples_mask(ps, x)
     if mask is None or mask[s.array()].any():
-        hits = divisibility_hits(s.array(), ps)
+        hits, total = divisibility_hits(s.array(), ps)
         if hits:
-            raise DivisibilityError(hits)
+            raise DivisibilityError(hits, total)
 
     failures = []
     try:
@@ -131,12 +134,21 @@ def build_context(
             )
     sigma = len(s) / x
     sigma0 = len(s0) / len(s)
-    if c > 0:
-        big_k = profile.k_coefficient * math.log(x) ** 2 / (sigma0 * sigma * c * c)
+    # a tiny c can underflow the denominator to 0 or overflow K to inf
+    denominator = sigma0 * sigma * c * c
+    if denominator > 0:
+        big_k = profile.k_coefficient * math.log(x) ** 2 / denominator
     else:
         big_k = math.inf
+    if c == 0:
         failures.append("c = 0: K is unbounded and P0* is empty")
-    star = ps.with_min(big_k**profile.star_exponent if math.isfinite(big_k) else math.inf)
+    elif math.isinf(big_k):
+        failures.append(f"c = {c:g}: K passes the float range and P0* is empty")
+    try:
+        threshold = big_k**profile.star_exponent if math.isfinite(big_k) else math.inf
+    except OverflowError:
+        threshold = math.inf
+    star = PrimeSubset(ps.base, And((ps.selector, MinValue(threshold))))
     ctx = GenThmContext(
         x=x,
         ps=ps,
@@ -207,7 +219,8 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     d_bound = q_limit**2
     d_primes = star.primes_in(1, d_bound).tolist()
     disc_sum = 0.0
-    if math.isfinite(ctx.K):
+    # without a P0* prime there is no modulus, and the weight 3K can overflow
+    if math.isfinite(ctx.K) and d_primes:
         weight_base = 3.0 ** (1.0 + math.log(ctx.K) / math.log(3.0))
         disc_sum, _ = discrepancy_sum(s.array(), d_primes, d_bound, weight_base)
     disc_threshold = (
@@ -250,11 +263,9 @@ def conclusion_bounds(ctx: GenThmContext) -> ConclusionBounds:
     """
     log4 = math.log(ctx.x) ** 4
     root = math.sqrt(ctx.x)
-    if ctx.c > 0:
-        upper = root * log4 / ctx.c**4
-    else:
-        upper = math.inf
-    lower = root * ctx.sigma0 * ctx.sigma * ctx.c**4 / log4
+    c4 = ctx.c**4  # 0 for c = 0 and for a c whose fourth power underflows
+    upper = root * log4 / c4 if c4 > 0 else math.inf
+    lower = root * ctx.sigma0 * ctx.sigma * c4 / log4
     return ConclusionBounds(
         upper,
         lower,
@@ -358,15 +369,16 @@ def half_occupancy_identity_gap(profile: EpsilonProfile) -> float:
     return worst
 
 
-def ostmann_multiplicative_diagnostic(a, x: int, y_limit: float) -> dict:
+def ostmann_multiplicative_diagnostic(prof: EpsilonProfile) -> dict:
     """Ratio diagnostic for the closing large-sieve step of the
-    half-occupancy analysis: f(p) = (p/2 + eps_p)/(p/2 - eps_p) when
-    |eps_p| <= p/4 (0 otherwise), summed over squarefree supported
-    n <= sqrt(x) and compared against sqrt(x)/log log x, x >= 3.  Diagnostic only.
+    half-occupancy analysis, from the profile of A at (x, Y): f(p) =
+    (p/2 + eps_p)/(p/2 - eps_p) when |eps_p| <= p/4 (0 otherwise), summed
+    over squarefree supported n <= sqrt(x) and compared against
+    sqrt(x)/log log x, x >= 3.  Diagnostic only.
     """
+    x = prof.x
     if x < 3:
         raise DomainError(f"need x >= 3, got {x}")
-    prof = ostmann_epsilon_profile(a, x, y_limit)
     weights = {}
     for p, eps in prof.entries.items():
         if abs(eps) <= p / 4.0:

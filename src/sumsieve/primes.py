@@ -38,12 +38,20 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateInputError, DomainError
 
-DEFAULT_LIMIT_CAP = 2**40
+# the largest prime table limit
+LIMIT_CAP = 2**40
 # SUMSIEVE_MEMORY_CAP (approximate bytes, read once at import) bounds the
 # largest table or memo the package builds, and everything `cached` holds
 MEMORY_CAP = int(os.environ.get("SUMSIEVE_MEMORY_CAP", 2 * 10**9))
+# the most int64 values an integer set, a sumset or Q(T) holds
+VALUE_CAP = MEMORY_CAP // 8
+# the most entries of about 100 bytes each: smooth-number memo entries and
+# enumerated smooth numbers, rows of a Dickman table
+ENTRY_CAP = MEMORY_CAP // 100
 # the largest temporary array a blocked kernel builds at once
 BLOCK_BYTES = min(1 << 24, MEMORY_CAP)
+# divisibility_hits pairs at most this many hit values with a prime
+HIT_CAP = 20
 _SEGMENT_ODDS = 1 << 21
 
 
@@ -57,12 +65,12 @@ class PrimeTable:
 
     __slots__ = ("limit", "_odd_mask", "_primes")
 
-    def __init__(self, limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP):
+    def __init__(self, limit: int):
         if limit < 2:
             raise DomainError(f"prime table limit must be >= 2, got {limit}")
-        if limit > limit_cap:
+        if limit > LIMIT_CAP:
             raise CapacityError(
-                f"prime table limit {limit} exceeds cap {limit_cap}", limit=limit
+                f"prime table limit {limit} exceeds cap {LIMIT_CAP}", limit=limit
             )
         self.limit = int(limit)
         # sieved to 2: index i of the odd mask is n = 2i + 1, and 1 is no prime
@@ -140,9 +148,6 @@ class PrimeTable:
             return v
         return math.floor(min(max(v, 0), self.limit))
 
-    def count(self) -> int:
-        return int(self.primes.size)
-
     @property
     def nbytes(self) -> int:
         """Bytes held so far: the odd mask and the prime list, as far as sieved."""
@@ -150,10 +155,6 @@ class PrimeTable:
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit})"
-
-
-def build_prime_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
-    return PrimeTable(limit, limit_cap=limit_cap)
 
 
 def table_bytes_bound(limit: int) -> int:
@@ -332,13 +333,6 @@ class PrimeSubset:
     def contains(self, p: int) -> bool:
         """p is a selected prime; only a p the selector passes meets the table."""
         return self.selector.contains(p) and self.base.is_prime(p)
-
-    def restricted(self, selector: Selector) -> "PrimeSubset":
-        return PrimeSubset(self.base, And((self.selector, selector)))
-
-    def with_min(self, threshold: float) -> "PrimeSubset":
-        """The subset intersected with [threshold, infinity)."""
-        return self.restricted(MinValue(threshold))
 
     def is_empty(self) -> bool:
         return self.primes().size == 0
@@ -552,10 +546,11 @@ def kept_multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray | None:
 
 
 def divisibility_hits(
-    values: Sequence[int] | np.ndarray, ps: PrimeSubset, *, max_pairs: int = 20
-) -> list[tuple[int, int]]:
-    """The first max_pairs values > 1, in value order, that a prime of ps
-    divides, each paired with its smallest prime in ps.
+    values: Sequence[int] | np.ndarray, ps: PrimeSubset
+) -> tuple[list[tuple[int, int]], int]:
+    """The values > 1 that a prime of ps divides: the first HIT_CAP of them,
+    in value order, each paired with its smallest prime in ps, and how many
+    there are.
 
     The primes are ``ps.primes_in(0, top)`` for the largest value top, so a
     table short of top is refused, as every range is, unless the selector is
@@ -564,17 +559,17 @@ def divisibility_hits(
     """
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     if arr.size == 0:
-        return []
+        return [], 0
     primes = ps.primes_in(0, int(arr.max()))
     arr = arr[arr > 1]
     kept = survivors(arr, np.zeros(1, dtype=np.int64), ps)
     if kept.size == arr.size:
-        return []
+        return [], 0
     hits: list[tuple[int, int]] = []
-    for v in arr[~np.isin(arr, kept)][:max_pairs].tolist():
+    for v in arr[~np.isin(arr, kept)][:HIT_CAP].tolist():
         found = primes[: np.searchsorted(primes, v, side="right")]
         hits.append((v, int(found[v % found == 0][0])))
-    return hits
+    return hits, int(arr.size - kept.size)
 
 
 def shift_class_hits(values: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarray:

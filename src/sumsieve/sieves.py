@@ -264,15 +264,13 @@ class InverseSieveReport:
     k: int
 
 
-def inverse_sieve_lower_bound(
-    a, ps: PrimeSubset, y: float, x: int, *, window_coefficient: float = 8.0
-) -> InverseSieveReport:
+def inverse_sieve_lower_bound(a, ps: PrimeSubset, y: float, x: int) -> InverseSieveReport:
     """Lower bound for sum of nu_A(p)/p over the window (y/2, y].
 
     base lower = k * sum 1/p - (k^2 - k) log x / ((y/2) log(y/2)); when the
-    window's theta sum reaches window_coefficient * k * log x the bound is
-    replaced by the strengthened (k/2) * sum 1/p.  The exact left-hand side
-    is returned for verification.
+    window's theta sum reaches STRICT.window_coefficient * k * log x the
+    bound is replaced by the strengthened (k/2) * sum 1/p.  The exact
+    left-hand side is returned for verification.
     """
     a = IntegerSet.coerce(a)
     k = len(a)
@@ -289,7 +287,7 @@ def inverse_sieve_lower_bound(
         lhs += nu / p
     log_x = math.log(x)
     base_lower = k * sums.mertens_recip - (k * k - k) * log_x / ((y / 2) * math.log(y / 2))
-    strengthened = sums.theta >= window_coefficient * k * log_x
+    strengthened = sums.theta >= STRICT.window_coefficient * k * log_x
     lower = (k / 2.0) * sums.mertens_recip if strengthened else base_lower
     return InverseSieveReport(
         lower, strengthened, lhs, sums.mertens_recip, sums.theta, base_lower, (y / 2, y), k
@@ -387,7 +385,7 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
     shifts = _small_k_shifts(shifts, ctx)
     k = len(shifts)
     star = ctx.ps_star
-    hits = [] if ctx._cleared == (s, star) else divisibility_hits(s.array(), star)
+    hits = [] if ctx._cleared == (s, star) else divisibility_hits(s.array(), star)[0]
     if hits:
         raise DomainError(
             f"S contains elements divisible by P0* primes, e.g. {hits[:3]}"

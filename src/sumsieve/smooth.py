@@ -17,22 +17,18 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import primes
-from .arith import MODULUS_WORK_CAP, DiscrepancyBreakdown, discrepancy_sum, lattice
+from .arith import MODULUS_WORK_CAP, DiscrepancyBreakdown, _capped_lattice, discrepancy_sum
 from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .errors import CapacityError, DomainError
 from .sumset import coerce_shifts
 
 _X_CAP = 10**9
 _TUPLE_X_CAP = 10**8
-# the memory cap bounds the memo/enumeration work; roughly 100 bytes per
-# retained entry
-_DEFAULT_WORK_BUDGET = primes.MEMORY_CAP // 100
 
 
 @dataclass(frozen=True)
@@ -56,12 +52,13 @@ class SmoothQuery:
                 raise DomainError(f"need 0 <= a < d, got a={self.a}, d={self.d}")
 
 
-def _count_smooth(x: int, plist: Sequence[int], budget: int) -> int:
+def _count_smooth(x: int, plist: Sequence[int]) -> int:
     """#{n <= x : all prime factors of n among `plist`} via the largest-
     prime-factor recurrence with memoisation on (value, prime index); more
-    than `budget` memo misses raise CapacityError."""
+    than primes.ENTRY_CAP memo misses raise CapacityError."""
     memo: dict[tuple[int, int], int] = {}
     spent = 0
+    budget = primes.ENTRY_CAP
 
     def rec(v: int, i: int) -> int:
         nonlocal spent
@@ -88,38 +85,35 @@ def _count_smooth(x: int, plist: Sequence[int], budget: int) -> int:
     return rec(x, len(plist) - 1)
 
 
-def psi(q: SmoothQuery, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
+def psi(q: SmoothQuery) -> int:
     """Exact Psi(x, y), or Psi(x, y; a, d) when the query carries a modulus."""
     if q.x > _X_CAP:
         raise CapacityError(f"x = {q.x} exceeds exact-mode cap {_X_CAP}")
     if q.d is None:
         if q.y >= q.x:
             return q.x
-        return _count_smooth(q.x, primes.primes_up_to(q.y).tolist(), work_budget)
-    return int(np.count_nonzero(enumerate_smooth(q.x, q.y, work_budget=work_budget) % q.d == q.a))
+        return _count_smooth(q.x, primes.primes_up_to(q.y).tolist())
+    return int(np.count_nonzero(enumerate_smooth(q.x, q.y) % q.d == q.a))
 
 
-def psi_coprime(q: SmoothQuery, d: int, *, work_budget: int = _DEFAULT_WORK_BUDGET) -> int:
+def psi_coprime(q: SmoothQuery, d: int) -> int:
     """Exact count of y-smooth n <= x with gcd(n, d) = 1."""
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     if q.x > _X_CAP:
         raise CapacityError(f"x = {q.x} exceeds exact-mode cap {_X_CAP}")
     plist = [p for p in primes.primes_up_to(min(q.y, q.x)).tolist() if d % p != 0]
-    return _count_smooth(q.x, plist, work_budget)
+    return _count_smooth(q.x, plist)
 
 
-def enumerate_smooth(
-    x: int, y: int, *, work_budget: int = _DEFAULT_WORK_BUDGET
-) -> np.ndarray:
-    """All y-smooth n <= x, sorted ascending; more than `work_budget` raise CapacityError."""
+def enumerate_smooth(x: int, y: int) -> np.ndarray:
+    """All y-smooth n <= x, sorted ascending; more than primes.ENTRY_CAP
+    raise CapacityError."""
     if x > _X_CAP:
         raise CapacityError(f"x = {x} exceeds exact-mode cap {_X_CAP}")
     # a prime above x divides no n <= x
-    walk = lattice(primes.primes_up_to(min(y, x)).tolist(), x, None, lambda s, p: s, powers=True)
-    arr = np.fromiter((n for n, _ in islice(walk, work_budget + 1)), dtype=np.int64)
-    if arr.size > work_budget:
-        raise CapacityError("smooth-number work budget exceeded")
+    plist = primes.primes_up_to(min(y, x)).tolist()
+    arr = _capped_lattice(plist, x, primes.ENTRY_CAP, "smooth-number work budget exceeded")
     arr.sort()
     return arr
 
@@ -208,7 +202,6 @@ def bv_discrepancy_sum(
     q_limit: int,
     exponent_k: int,
     *,
-    work_budget: int = _DEFAULT_WORK_BUDGET,
     modulus_work_cap: int = MODULUS_WORK_CAP,
 ) -> tuple[float, list[DiscrepancyBreakdown]]:
     """sum over squarefree d <= Q^2 supported on ps of
@@ -228,7 +221,7 @@ def bv_discrepancy_sum(
     support = ps.primes_in(1, d_bound).tolist()
     if support and support[0] <= s_y.y:
         raise DomainError("ps must be disjoint from the primes up to y")
-    smooth = enumerate_smooth(s_y.x, s_y.y, work_budget=work_budget)
+    smooth = enumerate_smooth(s_y.x, s_y.y)
     base = 3.0 * exponent_k
     total, rows = discrepancy_sum(smooth, support, d_bound, base, work_cap=modulus_work_cap)
     return total, sorted(rows, key=lambda b: b.d)

@@ -23,7 +23,9 @@ from . import primes
 from .errors import CapacityError, DomainError
 
 _SET_SIZE_CAP = 10_000
-_DEFAULT_NODE_CAP = 1_000_000
+# the most nodes a decomposition search visits, and witnesses it collects
+NODE_CAP = 1_000_000
+WITNESS_CAP = 1000
 # every element is an int64: values lie in [0, 2^63)
 _VALUE_END = 1 << 63
 
@@ -117,8 +119,8 @@ def sumset(a, b) -> IntegerSet:
     one row, if larger).  When the sums span at most BLOCK_BYTES integers the
     blocks mark them in one bool range; otherwise each block's distinct sums
     are merged by sort and adjacent-dedup at the end, or as soon as they pass
-    MEMORY_CAP bytes.  A result of more than MEMORY_CAP bytes raises
-    CapacityError.
+    primes.VALUE_CAP values.  A result of more than primes.VALUE_CAP values
+    raises CapacityError.
     """
     a = IntegerSet.coerce(a)
     b = IntegerSet.coerce(b)
@@ -126,7 +128,7 @@ def sumset(a, b) -> IntegerSet:
         return IntegerSet(())
     if a.max + b.max >= _VALUE_END:
         raise DomainError(f"sum {a.max} + {b.max} does not fit below 2^63")
-    too_many = CapacityError(f"sumset has more than {primes.MEMORY_CAP // 8} values")
+    too_many = CapacityError(f"sumset has more than {primes.VALUE_CAP} values")
     a_arr, b_arr = a.array(), b.array()
     rows = max(1, primes.BLOCK_BYTES // (8 * len(b)))
     span = a.max + b.max - a.min - b.min + 1
@@ -135,15 +137,15 @@ def sumset(a, b) -> IntegerSet:
         a_rel, b_rel = a_arr - a.min, b_arr - b.min
         for lo in range(0, len(a), rows):
             marked[np.add.outer(a_rel[lo : lo + rows], b_rel).ravel()] = True
-        if 8 * np.count_nonzero(marked) > primes.MEMORY_CAP:
+        if np.count_nonzero(marked) > primes.VALUE_CAP:
             raise too_many
         return IntegerSet(np.flatnonzero(marked) + (a.min + b.min))
     parts = []
     for lo in range(0, len(a), rows):
         parts.append(IntegerSet(np.add.outer(a_arr[lo : lo + rows], b_arr).ravel()))
-        if len(parts) > 1 and (lo + rows >= len(a) or 8 * sum(map(len, parts)) > primes.MEMORY_CAP):
+        if len(parts) > 1 and (lo + rows >= len(a) or sum(map(len, parts)) > primes.VALUE_CAP):
             parts = [IntegerSet(np.concatenate([part.array() for part in parts]))]
-            if 8 * len(parts[0]) > primes.MEMORY_CAP:
+            if len(parts[0]) > primes.VALUE_CAP:
                 raise too_many
     return parts[0]
 
@@ -185,7 +187,7 @@ def _reaches(u, offsets, b_set) -> bool:
     return False
 
 
-def _search(s, target, anchors, min_part, max_nodes, collected=None, max_witnesses=0):
+def _search(s, target, anchors, min_part, collected=None):
     """Depth-first search for A + B with target <= A + B <= s and #A, #B >= min_part.
 
     For each anchor (min B, ascending) the search works in coordinates
@@ -195,7 +197,8 @@ def _search(s, target, anchors, min_part, max_nodes, collected=None, max_witness
     pruned unless every target element u is a + b with b in B and a in A or
     a later offset.  Returns ((A, B + anchor), nodes) for the first witness or
     (None, nodes).  With a `collected` list every witness is appended (up to
-    max_witnesses of them) and the search runs on to the end.
+    WITNESS_CAP of them) and the search runs on to the end.  More than
+    NODE_CAP nodes raise CapacityError.
     """
     nodes = 0
 
@@ -203,13 +206,13 @@ def _search(s, target, anchors, min_part, max_nodes, collected=None, max_witness
         """Count a node; return its witness if the search stops there."""
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
-            raise CapacityError(f"decomposition search exceeded {max_nodes} nodes",
+        if nodes > NODE_CAP:
+            raise CapacityError(f"decomposition search exceeded {NODE_CAP} nodes",
                                 nodes_explored=nodes)
         if covered and len(a_part) >= min_part:
             if collected is None:
                 return a_part, b_part
-            if len(collected) < max_witnesses:
+            if len(collected) < WITNESS_CAP:
                 collected.append((a_part, [b + anchor for b in b_part]))
         return None
 
@@ -267,23 +270,21 @@ def decompose_binary(
     s,
     min_part: int = 2,
     *,
-    max_nodes: int = _DEFAULT_NODE_CAP,
     all_witnesses: bool = False,
-    max_witnesses: int = 1000,
 ) -> DecompositionResult:
     """Decide exactly whether s = A + B with #A, #B >= min_part.
 
     Deterministic depth-first search, candidates ascending; the first witness
     found is returned with min(A) = 0 and the original offset folded into B.
     With ``all_witnesses`` the search continues and collects every distinct A
-    together with its maximal partner B (exponential; capped).
+    together with its maximal partner B (exponential; at most WITNESS_CAP).
     """
     s = IntegerSet.coerce(s)
     if len(s) < 2:
         raise DomainError(f"need at least 2 elements, got {len(s)}")
     _check_search_input(s, min_part)
     collected = [] if all_witnesses else None
-    witness, nodes = _search(s, s, [s.min], min_part, max_nodes, collected, max_witnesses)
+    witness, nodes = _search(s, s, [s.min], min_part, collected)
     if collected:
         witnesses = tuple((IntegerSet(a), IntegerSet(b)) for a, b in collected)
         return DecompositionResult(True, witnesses[0], nodes, True, witnesses)
@@ -292,9 +293,7 @@ def decompose_binary(
     return DecompositionResult(True, witness, nodes, True)
 
 
-def decompose_binary_relative(
-    s0, s, min_part: int = 2, *, max_nodes: int = _DEFAULT_NODE_CAP
-) -> DecompositionResult:
+def decompose_binary_relative(s0, s, min_part: int = 2) -> DecompositionResult:
     """Decide whether some A + B sandwiches: s0 subset of A+B subset of s.
 
     This is the finitised inclusion variant: coverage is required only on s0
@@ -309,7 +308,7 @@ def decompose_binary_relative(
         raise DomainError("s0 must be a subset of s")
     _check_search_input(s, min_part)
     anchors = [v for v in s if v <= s0.min]
-    witness, nodes = _search(s, s0, anchors, min_part, max_nodes)
+    witness, nodes = _search(s, s0, anchors, min_part)
     return DecompositionResult(witness is not None, witness, nodes, True)
 
 

@@ -28,9 +28,9 @@ from sumsieve.primes import (
     Interval,
     MinValue,
     PrimeSubset,
+    PrimeTable,
     ResidueClass,
     all_primes,
-    build_prime_table,
 )
 from sumsieve.semigroup import enumerate_q
 
@@ -362,7 +362,7 @@ class TestTableCoverage:
     the error only when the selector could pass a needed prime past the table."""
 
     def test_short_table_refuses(self):
-        short, covering = build_prime_table(100), build_prime_table(1000)
+        short, covering = PrimeTable(100), PrimeTable(1000)
         spec = MultiplicativeSpec({3: 1, 101: 50})
         # the 100 table once gave 310 elements and the sum 1.333...
         with pytest.raises(CapacityError, match="range end 1000 exceeds table limit 100"):
@@ -377,7 +377,7 @@ class TestTableCoverage:
             assert restricted_multiplicative_sum(
                 spec, PrimeSubset(table, Interval(0, 50)), 1000) == 4 / 3
 
-    _TABLES = {limit: build_prime_table(limit) for limit in (60, 500, 4096)}
+    _TABLES = {limit: PrimeTable(limit) for limit in (60, 500, 4096)}
     _SELECTORS = st.one_of(
         st.builds(Interval, st.integers(0, 700), st.integers(0, 700)),
         st.integers(1, 6).flatmap(

@@ -251,7 +251,7 @@ class TestCommands:
         code, doc = run_json(capsys, "sumset", "--a", "0..1000000000000", "--b", "0,1")
         assert code == 1
         assert doc["error"]["type"] == "CapacityError"
-        monkeypatch.setattr(cli, "_SET_VALUE_CAP", 5)
+        monkeypatch.setattr(cli, "VALUE_CAP", 5)
         # reading stops at the sixth value, before the malformed last line
         path = tmp_path / "six.txt"
         path.write_text("\n".join(map(str, range(6))) + "\nnot-a-number\n")
@@ -336,7 +336,7 @@ class TestCommands:
 
     def test_sumset_result_is_capped(self, capsys, monkeypatch):
         # 1000 values fit; the blocks hold 400 sums each
-        monkeypatch.setattr(primes, "MEMORY_CAP", 8000)
+        monkeypatch.setattr(primes, "VALUE_CAP", 1000)
         monkeypatch.setattr(primes, "BLOCK_BYTES", 3200)
         code, doc = run_json(capsys, "sumset", "--a", "0..99", "--b", "0..99", "--max-list", "0")
         assert code == 0 and doc["result"]["size"] == 199
@@ -514,6 +514,14 @@ _MIDDLEK_WINDOWS = st.one_of(
     st.tuples(st.integers(2, 5), st.integers(10, 40), st.integers(3, 10)).map(
         lambda t: (t[0] * (t[1] * t[1] * t[2]) ** 2, t[1], t[1] * t[2])),
 ).map(lambda t: ["--x", str(t[0]), "--y1", str(t[1]), "--y2", str(t[2])])
+# x and S inside [1, x]: any elements, or 3-smooth ones, which some selectors clear
+_GENTHM_SETS = st.integers(100, 30000).flatmap(lambda x: st.tuples(st.just(x), st.one_of(
+    st.lists(st.integers(1, x), min_size=1, max_size=30),
+    st.lists(st.sampled_from([n for n in (2**i * 3**j for i in range(15) for j in range(10))
+                              if n <= x]), min_size=1, max_size=30),
+))).map(lambda t: ["--x", str(t[0]), "--s", ",".join(map(str, t[1]))])
+# an asserted density ratio c: 10^-k down to the subnormals, or any c in [0, 1]
+_C_OVERRIDE = st.one_of(st.integers(0, 320).map(lambda k: f"1e-{k}"), st.floats(0, 1).map(repr))
 _VALID_ARGVS = st.one_of(
     st.tuples(st.just(["primes", "--density-c"]), _number(90, 10**7).map(lambda v: [v]),
               _table(_SELECTOR)),
@@ -552,6 +560,12 @@ _VALID_ARGVS = st.one_of(
         st.tuples(_SET, _shifts(2), _MIDDLEK_WINDOWS,
                   _option("--window-coefficient", st.floats(0, 1).map(repr))).map(
             lambda t: ["--set", t[0], "--shifts", t[1], *t[2], *t[3]]),
+        _table(_SELECTOR),
+    ),
+    st.tuples(
+        st.just(["check-genthm", "--profile", "scaled"]),
+        st.tuples(_GENTHM_SETS, _C_OVERRIDE, _option("--q", _number(1, 40))).map(
+            lambda t: [*t[0], "--scale", f"c_override={t[1]}", *t[2]]),
         _table(_SELECTOR),
     ),
 ).map(lambda t: [*t[0], *t[1], *t[2]])
@@ -598,7 +612,8 @@ class TestCliFuzz:
     exit 1 with exactly the error object, a valid larger- or large-sieve
     bound at least |S| and a valid Selberg or middle-k bound at least the
     sifted count, as the lemmas promise; for |S| <= 30 the sifted count is
-    checked by trial division."""
+    checked by trial division.  check-genthm exits 0 exactly when its
+    hypotheses are met and a condition holds."""
 
     @settings(max_examples=200, deadline=None)
     @given(argv=_ARGVS)
@@ -620,6 +635,20 @@ class TestCliFuzz:
     @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
                    "--limit", "100000", "--profile", "scaled", "--scale", "c_override=1e200",
                    "--q", "5"])
+    # a tiny asserted c: sigma0 sigma c^2 underflowed to 0 (1e-300, 1e-160), K^3
+    # overflowed (1e-80), and the BV weight 3K would overflow (1.4e-150)
+    @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
+                   "--limit", "100000", "--profile", "scaled", "--scale", "c_override=1e-300",
+                   "--q", "5"])
+    @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
+                   "--limit", "100000", "--profile", "scaled", "--scale", "c_override=1e-160",
+                   "--q", "5"])
+    @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
+                   "--limit", "100000", "--profile", "scaled", "--scale", "c_override=1e-80",
+                   "--q", "5"])
+    @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
+                   "--limit", "100000", "--profile", "scaled", "--scale", "c_override=1.4e-150",
+                   "--q", "5"])
     def test_reports(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -631,9 +660,12 @@ class TestCliFuzz:
         if code == 1:
             assert set(doc) == {"schema", "command", "error"}
             return
+        result = doc["result"]
+        if argv[0] == "check-genthm":
+            met = not result["context"]["hypothesis_failures"]
+            assert (code == 0) == (met and result["some_condition_holds"])
         if argv[0] != "sieve-bound":
             return
-        result = doc["result"]
         if argv[2] in ("larger", "large"):
             if result["valid"]:
                 assert result["bound"] >= doc["params"]["set_size"]
@@ -674,7 +706,7 @@ _SUBCOMMANDS = ("primes", "sieve-bound", "inverse-sieve", "smooth-count", "dickm
 _EXPORTS = {
     "errors": "CapacityError DegenerateInputError DivisibilityError DomainError SumsieveError",
     "primes": "ALL And Excluding Interval MinValue PrimeSubset PrimeSums PrimeTable ResidueClass "
-              "all_primes build_prime_table density_ratio_c subset_sums",
+              "all_primes density_ratio_c subset_sums",
     "arith": "EULER_GAMMA MultiplicativeSpec check_comparison_inequality "
              "enumerate_squarefree_supported euler_phi factorize gamma_function mobius "
              "restricted_multiplicative_sum tau3",

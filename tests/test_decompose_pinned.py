@@ -9,12 +9,16 @@ The families at the end are pinned by the sha256 of their rows' ``repr``.
 """
 
 import hashlib
+import importlib
 
 import pytest
 
 from sumsieve.errors import CapacityError
 from sumsieve.smooth import enumerate_smooth
 from sumsieve.sumset import decompose_binary, decompose_binary_relative, sumset
+
+# the layer module: the package's name `sumset` is the function
+sumset_module = importlib.import_module("sumsieve.sumset")
 
 
 def describe(res):
@@ -27,9 +31,12 @@ def describe(res):
     )
 
 
-def capacity_nodes(search, *args, **kwargs):
-    with pytest.raises(CapacityError) as err:
-        search(*args, **kwargs)
+def capacity_nodes(node_cap, search, *args, **kwargs):
+    """nodes_explored of the CapacityError that search raises under node_cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumset_module, "NODE_CAP", node_cap)
+        with pytest.raises(CapacityError) as err:
+            search(*args, **kwargs)
     return err.value.nodes_explored
 
 
@@ -59,7 +66,7 @@ class TestBinaryPinned:
             [[[0, 1], [0, 1, 2]], [[0, 1, 2], [0, 1]], [[0, 2], [0, 1]]],
         )
 
-    def test_all_witnesses_translated(self):
+    def test_all_witnesses_translated(self, monkeypatch):
         every = [
             [[0, 1], [7, 8, 9, 10, 11]], [[0, 1, 2], [7, 8, 9, 10]], [[0, 1, 2, 3], [7, 8, 9]],
             [[0, 1, 2, 3, 4], [7, 8]], [[0, 1, 2, 4], [7, 8]], [[0, 1, 3], [7, 8, 9]],
@@ -68,7 +75,8 @@ class TestBinaryPinned:
         ]
         res = decompose_binary(range(7, 13), all_witnesses=True)
         assert describe(res) == (True, 13, True, every[0], every)
-        capped = decompose_binary(range(7, 13), all_witnesses=True, max_witnesses=2)
+        monkeypatch.setattr(sumset_module, "WITNESS_CAP", 2)
+        capped = decompose_binary(range(7, 13), all_witnesses=True)
         assert describe(capped) == (True, 13, True, every[0], every[:2])
 
     def test_all_witnesses_min_part_three(self):
@@ -78,13 +86,13 @@ class TestBinaryPinned:
             [[[0, 1, 5], [0, 2, 9]], [[0, 2, 9], [0, 1, 5]]],
         )
 
-    def test_capacity_error_nodes(self):
-        assert capacity_nodes(decompose_binary, [0, 1, 2, 3], max_nodes=0) == 1
-        assert capacity_nodes(decompose_binary, HARD, max_nodes=40) == 41
-        assert capacity_nodes(decompose_binary, HARD, max_nodes=145) == 146
-        assert decompose_binary(HARD, max_nodes=146).nodes_explored == 146
-        assert capacity_nodes(decompose_binary, range(7, 13), max_nodes=12,
-                              all_witnesses=True) == 13
+    def test_capacity_error_nodes(self, monkeypatch):
+        assert capacity_nodes(0, decompose_binary, [0, 1, 2, 3]) == 1
+        assert capacity_nodes(40, decompose_binary, HARD) == 41
+        assert capacity_nodes(145, decompose_binary, HARD) == 146
+        assert capacity_nodes(12, decompose_binary, range(7, 13), all_witnesses=True) == 13
+        monkeypatch.setattr(sumset_module, "NODE_CAP", 146)
+        assert decompose_binary(HARD).nodes_explored == 146
 
 
 class TestRelativePinned:
@@ -107,9 +115,9 @@ class TestRelativePinned:
         assert describe(decompose_binary_relative(s0, s, min_part)) == expected
 
     def test_capacity_error_nodes(self):
-        assert capacity_nodes(decompose_binary_relative, *HARD_RELATIVE, max_nodes=0) == 1
-        assert capacity_nodes(decompose_binary_relative, *HARD_RELATIVE, max_nodes=100) == 101
-        assert capacity_nodes(decompose_binary_relative, *HARD_RELATIVE, max_nodes=348) == 349
+        assert capacity_nodes(0, decompose_binary_relative, *HARD_RELATIVE) == 1
+        assert capacity_nodes(100, decompose_binary_relative, *HARD_RELATIVE) == 101
+        assert capacity_nodes(348, decompose_binary_relative, *HARD_RELATIVE) == 349
 
 
 class TestSmoothSetsPinned:

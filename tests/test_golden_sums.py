@@ -22,6 +22,7 @@ from sumsieve.irreducibility import (
     build_context,
     check_bv_condition,
     check_scs_condition,
+    ostmann_epsilon_profile,
     ostmann_multiplicative_diagnostic,
 )
 from sumsieve.primes import (
@@ -105,7 +106,7 @@ def test_condition_sums(scaled_instance):
 
 
 def test_ostmann_sum_f():
-    diag = ostmann_multiplicative_diagnostic(SQUARES, 10**6, 1000)
+    diag = ostmann_multiplicative_diagnostic(ostmann_epsilon_profile(SQUARES, 10**6, 1000))
     assert repr(diag["sum_f"]) == "605.6823249638345"
 
 

@@ -16,7 +16,7 @@ from sumsieve.irreducibility import (
     ostmann_epsilon_profile,
     ostmann_multiplicative_diagnostic,
 )
-from sumsieve.primes import Excluding, Interval, MinValue, PrimeSubset, ResidueClass
+from sumsieve.primes import And, Excluding, Interval, MinValue, PrimeSubset, ResidueClass
 from sumsieve.profiles import STRICT, scaled
 from sumsieve.semigroup import enumerate_q
 from sumsieve.sieves import OccupancyProfile, occupancy, prop_smallkbv_bound
@@ -64,6 +64,41 @@ class TestBuildContext:
                 assert not dirty
             except DivisibilityError:
                 assert dirty
+
+    def test_rejection_counts_every_hit(self, table_1e6):
+        # the error lists HIT_CAP pairs, names five and counts every element
+        # with a prime factor 3 mod 4, here by trial division
+        def hit(n):
+            d = 2
+            while d * d <= n:
+                while n % d == 0:
+                    if d % 4 == 3:
+                        return True
+                    n //= d
+                d += 1
+            return n % 4 == 3
+
+        s = IntegerSet(range(1, 1001))
+        with pytest.raises(DivisibilityError) as err:
+            build_context(s, s, PrimeSubset(table_1e6, ResidueClass(3, 4)), 10**4, STRICT)
+        assert err.value.total == sum(map(hit, range(1, 1001))) == 736
+        assert len(err.value.pairs) == primes_module.HIT_CAP
+        assert str(err.value).endswith("(+731 more)")
+
+    @pytest.mark.parametrize("c, k_finite", [(1e-300, False), (1e-160, False), (1e-80, True),
+                                             (1.4e-150, True)])
+    def test_tiny_asserted_c(self, table_1e6, c, k_finite):
+        # sigma0 sigma c^2 underflows to 0 (1e-300, 1e-160), K^3 passes the
+        # float range (1e-80), and the BV weight 3K would (1.4e-150)
+        s = IntegerSet([5, 13, 17, 29])
+        ctx = build_context(s, s, PrimeSubset(table_1e6, ResidueClass(3, 4)), 10**4,
+                            scaled(c_override=c))
+        assert math.isfinite(ctx.K) == k_finite
+        k_failure = f"c = {c:g}: K passes the float range and P0* is empty"
+        assert (k_failure in ctx.hypothesis_failures) != k_finite
+        assert ctx.ps_star.is_empty() and not ctx.hypotheses_met
+        assert conclusion_bounds(ctx).upper_B == math.inf
+        assert not check_bv_condition(ctx, s, 5).holds
 
     def test_sigma0_one_when_s0_is_s(self, smooth3_context):
         ctx, _ = smooth3_context
@@ -199,7 +234,9 @@ class TestConditions:
         # a strictly smaller star set cannot give a larger sum
         import dataclasses
 
-        shrunk = dataclasses.replace(ctx, ps_star=ctx.ps_star.with_min(80))
+        star = ctx.ps_star
+        shrunk = dataclasses.replace(
+            ctx, ps_star=PrimeSubset(star.base, And((star.selector, MinValue(80)))))
         assert check_scs_condition(shrunk).values["sum_value"] <= base + 1e-15
 
     def test_bv_q_one_fails(self, smooth3_context):
@@ -377,7 +414,7 @@ class TestBudgetCheck:
 class TestMultiplicativeDiagnostic:
     def test_squares_diagnostic_finite(self):
         squares = IntegerSet([i * i for i in range(1, 1001)])
-        diag = ostmann_multiplicative_diagnostic(squares, 10**6, 10**3)
+        diag = ostmann_multiplicative_diagnostic(ostmann_epsilon_profile(squares, 10**6, 10**3))
         assert diag["sum_f"] > 0
         assert diag["large_sieve_bound"] > 0
         assert math.isfinite(diag["ratio"])

@@ -18,9 +18,9 @@ from sumsieve.primes import (
     Interval,
     MinValue,
     PrimeSubset,
+    PrimeTable,
     ResidueClass,
     all_primes,
-    build_prime_table,
     density_ratio_c,
     divisibility_hits,
     prime_table,
@@ -50,9 +50,9 @@ def trial_division_is_prime(n: int) -> bool:
 
 class TestPrimeTable:
     def test_small_tables(self):
-        assert build_prime_table(10).primes.tolist() == [2, 3, 5, 7]
-        assert build_prime_table(2).primes.tolist() == [2]
-        assert build_prime_table(3).primes.tolist() == [2, 3]
+        assert PrimeTable(10).primes.tolist() == [2, 3, 5, 7]
+        assert PrimeTable(2).primes.tolist() == [2]
+        assert PrimeTable(3).primes.tolist() == [2, 3]
 
     def test_pi_of_one_million_against_trial_division(self, table_1e6):
         # oracle: straight trial division over every integer up to 10^6
@@ -60,7 +60,7 @@ class TestPrimeTable:
         for n in range(3, 10**6 + 1, 2):
             if trial_division_is_prime(n):
                 count += 1
-        assert table_1e6.count() == count == 78498
+        assert table_1e6.primes.size == count == 78498
 
     def test_membership_agrees_with_trial_division(self, table_1e6):
         rng = random.Random(11)
@@ -80,23 +80,23 @@ class TestPrimeTable:
             if oracle[p // 2]:
                 oracle[p * p // 2 :: p] = False
         oracle_primes = np.concatenate(([2], 2 * np.flatnonzero(oracle) + 1))
-        full = build_prime_table(limit)
+        full = PrimeTable(limit)
         assert np.array_equal(full.primes, oracle_primes)
         assert np.array_equal(full._odd_mask, oracle)
         # each query kind grows the table; 2^22 + 1 is the first odd past the
         # first 2^21-odd segment
-        grown = build_prime_table(limit)
+        grown = PrimeTable(limit)
         assert grown.is_prime(97) and not grown.is_prime(91)
         assert grown.is_prime(2**22 + 1) == trial_division_is_prime(2**22 + 1)
         lo, hi = 2**22 - 0.5, 2**22 + 2**21 + 0.5
         assert np.array_equal(grown.primes_between(lo, hi),
                               oracle_primes[(oracle_primes > lo) & (oracle_primes <= hi)])
-        assert grown.count() == oracle_primes.size
+        assert grown.primes.size == oracle_primes.size
         assert np.array_equal(grown._odd_mask, oracle)
         assert np.array_equal(grown._primes, oracle_primes)
 
     def test_a_query_sieves_only_as_far_as_it_reaches(self):
-        table = build_prime_table(10**7)
+        table = PrimeTable(10**7)
         assert table.primes_between(1, 10**6).size == 78498
         assert 2 * table._odd_mask.size <= 2 * 10**6
         # one step past the reach doubles it
@@ -104,19 +104,20 @@ class TestPrimeTable:
         assert 2 * table._odd_mask.size == 2 * 10**6
         assert table._primes.size == 148933
 
-    def test_limit_validation(self):
+    def test_limit_validation(self, monkeypatch):
         with pytest.raises(DomainError):
-            build_prime_table(1)
+            PrimeTable(1)
+        monkeypatch.setattr(primes_module, "LIMIT_CAP", 10**6)
         with pytest.raises(CapacityError):
-            build_prime_table(10**7, limit_cap=10**6)
+            PrimeTable(10**7)
 
     def test_build_peaks_at_the_table_size(self):
         # the prime list is built in place: a copy per step (bit positions,
         # int64 cast, doubling, prepending 2) peaked at 1.52x the table
         tracemalloc.start()
         try:
-            table = build_prime_table(10**7)
-            count = table.count()  # sieves the whole table
+            table = PrimeTable(10**7)
+            count = table.primes.size  # sieves the whole table
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -186,7 +187,7 @@ class TestSelectors:
     def test_star_subset_construction(self, table_1e4):
         base = PrimeSubset(table_1e4, ResidueClass(1, 4))
         k_cubed = 47.0
-        star = base.with_min(k_cubed)
+        star = PrimeSubset(table_1e4, And((base.selector, MinValue(k_cubed))))
         star_primes = star.primes()
         base_set = set(base.primes().tolist())
         assert set(star_primes.tolist()) <= base_set
@@ -282,7 +283,7 @@ class TestDensityRatio:
             And((ResidueClass(1, 3), MinValue(40))),
         ]
         keys = [(10**6, 0.3), (10**6, 0.1), (10**8, 0.1)]
-        other_table = build_prime_table(10**4)
+        other_table = PrimeTable(10**4)
         for sel in selectors:
             for x, exponent in keys:
                 cold = primes_module._density_ratio_c(PrimeSubset(table_1e4, sel), x, exponent)
@@ -324,7 +325,8 @@ def prime_factors(n: int) -> list[int]:
 def divisibility_hits_scalar(values, ps, max_pairs=20):
     """Reference: a table short of the largest value is refused first, unless
     the selector passes no prime beyond the table; then per value > 1, its
-    prime factors upward by trial division, and the first one in ps is a hit."""
+    prime factors upward by trial division, and the first one in ps is a hit.
+    The first max_pairs hits, and the number of hits."""
     limit = ps.base.limit
     end = min(max(values), ps.selector.upper())
     if end > limit:
@@ -335,9 +337,7 @@ def divisibility_hits_scalar(values, ps, max_pairs=20):
             if ps.selector.contains(p):
                 hits.append((v, p))
                 break
-        if len(hits) >= max_pairs:
-            return hits
-    return hits
+    return hits[:max_pairs], len(hits)
 
 
 def test_table_limit_and_mask_caps_stay_in_primes():
@@ -380,14 +380,14 @@ class TestDivisibility:
     def test_hits_found(self, table_1e4, monkeypatch):
         ps = PrimeSubset(table_1e4, ResidueClass(3, 4))
         hits = divisibility_hits([10, 21, 13], ps)
-        assert hits == [(21, 3)]
+        assert hits == ([(21, 3)], 1)
         # 0 and 1 are no hits, and each value gets its smallest prime of ps,
         # on the mask and on the per-prime sweep alike
         mixed = [0, 1, 21, 10, 77, 3]
-        assert divisibility_hits(mixed, ps) == [(21, 3), (77, 7), (3, 3)]
+        assert divisibility_hits(mixed, ps) == ([(21, 3), (77, 7), (3, 3)], 3)
         with monkeypatch.context() as mp:
             mp.setattr(primes_module, "MEMORY_CAP", 0)
-            assert divisibility_hits(mixed, ps) == [(21, 3), (77, 7), (3, 3)]
+            assert divisibility_hits(mixed, ps) == ([(21, 3), (77, 7), (3, 3)], 3)
         rng = random.Random(4)
         selectors = [ResidueClass(3, 4), Interval(10, 100), MinValue(50),
                      Excluding(frozenset({2, 3})), Interval(9000, 10**4)]
@@ -400,37 +400,39 @@ class TestDivisibility:
             for sel in selectors:
                 ps = PrimeSubset(table_1e4, sel)
                 for max_pairs in (1, 3, 20, 10**4):  # truncation keeps value order
-                    got = divisibility_hits(values, ps, max_pairs=max_pairs)
+                    monkeypatch.setattr(primes_module, "HIT_CAP", max_pairs)
+                    got = divisibility_hits(values, ps)
                     assert got == divisibility_hits_scalar(values, ps, max_pairs)
-                    assert len(got) <= max_pairs
-                    assert got == divisibility_hits(np.asarray(values), ps, max_pairs=max_pairs)
+                    assert len(got[0]) <= max_pairs
+                    assert got == divisibility_hits(np.asarray(values), ps)
                     with monkeypatch.context() as mp:
                         mp.setattr(primes_module, "MEMORY_CAP", 0)  # the per-prime sweep
-                        assert divisibility_hits(values, ps, max_pairs=max_pairs) == got
+                        assert divisibility_hits(values, ps) == got
 
     def test_clean_set(self, table_1e4):
         ps = PrimeSubset(table_1e4, Interval(10, 100))
-        assert divisibility_hits([2, 3, 4, 8, 9], ps) == []
+        assert divisibility_hits([2, 3, 4, 8, 9], ps) == ([], 0)
         # a table short of the largest value is refused by the one coverage
         # rule, whatever the value order, unless the selector stops inside it
-        table = build_prime_table(100)
+        table = PrimeTable(100)
         small = PrimeSubset(table, ResidueClass(3, 4))
         for values, max_pairs in (([4, 101, 7], 20), ([7, 101], 1)):
-            with pytest.raises(CapacityError, match="range end 101 exceeds table limit 100"):
-                divisibility_hits(values, small, max_pairs=max_pairs)
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(primes_module, "HIT_CAP", max_pairs)
+                with pytest.raises(CapacityError, match="range end 101 exceeds table limit 100"):
+                    divisibility_hits(values, small)
                 mp.setattr(primes_module, "MEMORY_CAP", 0)  # the per-prime sweep
                 with pytest.raises(CapacityError, match="range end 101 exceeds table limit 100"):
-                    divisibility_hits(values, small, max_pairs=max_pairs)
+                    divisibility_hits(values, small)
         bounded = PrimeSubset(table, Interval(3, 50))
         for cap in (primes_module.MEMORY_CAP, 0):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(primes_module, "MEMORY_CAP", cap)
-                assert divisibility_hits([4, 101, 1009, 7, 2048, 5 * 1009], bounded) == [
-                    (7, 7), (5 * 1009, 5)]
+                assert divisibility_hits([4, 101, 1009, 7, 2048, 5 * 1009], bounded) == (
+                    [(7, 7), (5 * 1009, 5)], 2)
 
 
-_TABLES = {limit: build_prime_table(limit) for limit in (60, 500)}
+_TABLES = {limit: PrimeTable(limit) for limit in (60, 500)}
 _SELECTORS = st.one_of(
     st.builds(Interval, st.integers(0, 600), st.integers(0, 600)),
     st.integers(1, 6).flatmap(lambda m: st.builds(ResidueClass, st.integers(0, m - 1), st.just(m))),
@@ -514,16 +516,17 @@ class TestMultiplesMaskProperty:
     @example(limit=60, selectors=[ResidueClass(3, 4)], values=[4, 7, 67, 3], max_pairs=3)
     def test_divisibility_hits(self, limit, selectors, values, max_pairs):
         ps = PrimeSubset(_TABLES[limit], selectors[0] if len(selectors) == 1 else And(tuple(selectors)))
-        try:
-            expected = divisibility_hits_scalar(values, ps, max_pairs)
-        except CapacityError as exc:
-            with pytest.raises(CapacityError, match=str(exc)):
-                divisibility_hits(values, ps, max_pairs=max_pairs)
-        else:
-            assert divisibility_hits(values, ps, max_pairs=max_pairs) == expected
-            with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "HIT_CAP", max_pairs)
+            try:
+                expected = divisibility_hits_scalar(values, ps, max_pairs)
+            except CapacityError as exc:
+                with pytest.raises(CapacityError, match=str(exc)):
+                    divisibility_hits(values, ps)
+            else:
+                assert divisibility_hits(values, ps) == expected
                 mp.setattr(primes_module, "MEMORY_CAP", 0)  # the per-prime sweep
-                assert divisibility_hits(values, ps, max_pairs=max_pairs) == expected
+                assert divisibility_hits(values, ps) == expected
 
 
 def _isin_hits(values, shifts, p):
@@ -664,7 +667,7 @@ class TestCache:
         # charged its full-limit bound on entry, which the sieved table stays within
         charge = primes_module.ENTRY_BYTES + table_bytes_bound(2000)
         assert cache[("table", 2000)] == (table, charge)
-        assert table.count() == 303 and table.nbytes <= table_bytes_bound(2000)
+        assert table.primes.size == 303 and table.nbytes <= table_bytes_bound(2000)
         assert prime_table(2000) is table  # kept by its exact limit
         assert cache[("table", 2000)] == (table, charge)
         requests = [
@@ -685,7 +688,7 @@ class TestCache:
             assert cache.nbytes <= cap
         # scalar density memo entries count their fixed overhead, and push
         # the tables out
-        ps = PrimeSubset(build_prime_table(2600), ResidueClass(1, 4))
+        ps = PrimeSubset(PrimeTable(2600), ResidueClass(1, 4))
         for x in range(10**6, 10**6 + 60):
             c = density_ratio_c(ps, x)
             assert cache[("density_c", ps.base.limit, ps.selector, x, 0.1)] == (
@@ -755,8 +758,8 @@ class TestCache:
         # the prime-count bound never undercounts: one byte less than the
         # table holds is refused
         monkeypatch.setattr(primes_module, "_CACHE", primes_module._ByteCache())
-        table = build_prime_table(limit)
-        table.count()  # sieves the whole table
+        table = PrimeTable(limit)
+        table.primes.size  # sieves the whole table
         monkeypatch.setattr(primes_module, "MEMORY_CAP", table.nbytes - 1)
         with pytest.raises(CapacityError):
             prime_table(limit)

@@ -78,15 +78,15 @@ class TestEnumerateQ:
     def test_memory_cap_bounds_the_element_count(self, table_1e4, monkeypatch):
         # every n <= 1000 is 10^4-smooth: 1000 int64 elements, 8000 bytes
         ps = all_primes(table_1e4)
-        monkeypatch.setattr(semigroup, "MEMORY_CAP", 8000)
+        monkeypatch.setattr(semigroup, "VALUE_CAP", 1000)
         assert np.array_equal(enumerate_q(ps, 1000).array(), np.arange(1, 1001))
-        monkeypatch.setattr(semigroup, "MEMORY_CAP", 7999)
+        monkeypatch.setattr(semigroup, "VALUE_CAP", 999)
         with pytest.raises(CapacityError, match="more than 999 elements"):
             enumerate_q(ps, 1000)
 
     def test_refused_before_the_whole_set_is_built(self, table_1e4, monkeypatch):
         # Q(T) up to 10^6 has 628,743 elements here, about 10.7 MB at its peak
-        monkeypatch.setattr(semigroup, "MEMORY_CAP", 8 * 10**5)
+        monkeypatch.setattr(semigroup, "VALUE_CAP", 10**5)
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="past the memory cap"):

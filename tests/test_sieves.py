@@ -602,7 +602,7 @@ class TestClearedSet:
         ctx, s = make_scaled_context(table_1e6, random.Random(12))
         star_primes = ctx.ps_star.primes_in(1, 1000).tolist()
         bad = IntegerSet(list(s.elements[:50]) + [p * 2 for p in star_primes[:4]])
-        pairs = primes_module.divisibility_hits(bad.array(), ctx.ps_star)
+        pairs, _ = primes_module.divisibility_hits(bad.array(), ctx.ps_star)
         assert pairs[:3] == [(p * 2, p) for p in star_primes[:3]]
         with pytest.raises(DomainError, match=re.escape(f"e.g. {pairs[:3]}")):
             prop_smallkbv_bound(bad, [0, 1], ctx, 50)
@@ -612,7 +612,7 @@ class TestClearedSet:
         # in a hand-built context and in one whose ps_star was replaced
         ctx, s = make_scaled_context(table_1e6, random.Random(12))
         loose = PrimeSubset(table_1e6, Interval(1, 100))
-        pairs = primes_module.divisibility_hits(s.array(), loose)
+        pairs, _ = primes_module.divisibility_hits(s.array(), loose)
         assert pairs
         fields = {f.name: getattr(ctx, f.name) for f in dataclasses.fields(ctx) if f.init}
         ctx.ps_star = loose

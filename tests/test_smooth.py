@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumsieve import primes
 from sumsieve.errors import CapacityError, DomainError
 from sumsieve.irreducibility import build_context, check_bv_condition
 from sumsieve.primes import Interval, MinValue, PrimeSubset
@@ -97,23 +98,27 @@ class TestPsi:
         with pytest.raises(CapacityError):
             psi(SmoothQuery(10**9 + 1, 10))
 
-    def test_work_budget(self):
+    def test_work_budget(self, monkeypatch):
+        monkeypatch.setattr(primes, "ENTRY_CAP", 10)
         with pytest.raises(CapacityError):
-            psi(SmoothQuery(10**8, 1000), work_budget=10)
+            psi(SmoothQuery(10**8, 1000))
 
-    def test_enumeration_work_budget(self):
+    def test_enumeration_work_budget(self, monkeypatch):
         # the budget counts the numbers listed, 1 included; psi with a
         # modulus lists the same numbers
         count = int(enumerate_smooth(10**4, 11).size)
         q = SmoothQuery(10**4, 11, 7, 3)
-        assert enumerate_smooth(10**4, 11, work_budget=count).size == count
-        assert psi(q, work_budget=count) == psi(q)
-        for over in (lambda: enumerate_smooth(10**4, 11, work_budget=count - 1),
-                     lambda: psi(q, work_budget=count - 1)):
+        expected = psi(q)
+        monkeypatch.setattr(primes, "ENTRY_CAP", count)
+        assert enumerate_smooth(10**4, 11).size == count
+        assert psi(q) == expected
+        monkeypatch.setattr(primes, "ENTRY_CAP", count - 1)
+        for over in (lambda: enumerate_smooth(10**4, 11), lambda: psi(q)):
             with pytest.raises(CapacityError, match="smooth-number work budget exceeded"):
                 over()
+        monkeypatch.setattr(primes, "ENTRY_CAP", 0)
         with pytest.raises(CapacityError):
-            enumerate_smooth(10**6, 2, work_budget=0)
+            enumerate_smooth(10**6, 2)
 
     def test_query_validation(self):
         with pytest.raises(DomainError):

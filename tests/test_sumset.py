@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import random
 import sys
@@ -15,6 +16,9 @@ from sumsieve.sumset import (
     ruzsa_check,
     sumset,
 )
+
+# the layer module: the package's name `sumset` is the function
+sumset_module = importlib.import_module("sumsieve.sumset")
 
 
 class TestIntegerSet:
@@ -91,12 +95,12 @@ class TestSumset:
         rng = random.Random(5)
         cases = [(rng.sample(range(0, 2000), rng.randrange(1, 60)),
                   rng.sample(range(0, 2000), rng.randrange(1, 60))) for _ in range(30)]
-        for block_bytes, cap in ((8, 10**6), (100, 10**6), (1000, 2000)):
+        for block_bytes, cap in ((8, 10**6 // 8), (100, 10**6 // 8), (1000, 2000 // 8)):
             monkeypatch.setattr(primes, "BLOCK_BYTES", block_bytes)
-            monkeypatch.setattr(primes, "MEMORY_CAP", cap)
+            monkeypatch.setattr(primes, "VALUE_CAP", cap)
             for a, b in cases:
                 brute = tuple(sorted({x + y for x in a for y in b}))
-                if 8 * len(brute) > cap:
+                if len(brute) > cap:
                     with pytest.raises(CapacityError):
                         sumset(a, b)
                 else:
@@ -114,7 +118,7 @@ class TestSumset:
             spans.append(max(a) + max(b) - min(a) - min(b) + 1)
             assert sumset(a, b).elements == tuple(sorted({x + y for x in a for y in b}))
         assert min(spans) <= 1000 < max(spans)
-        monkeypatch.setattr(primes, "MEMORY_CAP", 800)  # 100 values
+        monkeypatch.setattr(primes, "VALUE_CAP", 100)
         assert len(sumset(range(50), range(51))) == 100
         with pytest.raises(CapacityError):
             sumset(range(60), range(60))  # 119 sums in a span of 119
@@ -208,21 +212,23 @@ class TestDecomposeBinary:
         with pytest.raises(DomainError):
             decompose_binary([0, 1], min_part=1)
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
         s = sumset(range(0, 40), range(0, 200, 7))
+        monkeypatch.setattr(sumset_module, "NODE_CAP", 0)
         with pytest.raises(CapacityError) as err:
-            decompose_binary(s, max_nodes=0)
+            decompose_binary(s)
         assert err.value.nodes_explored >= 1
 
-    def test_search_depth_is_not_bounded_by_the_stack(self):
+    def test_search_depth_is_not_bounded_by_the_stack(self, monkeypatch):
         # A grows by one offset per level, about 200 levels deep, under a
         # recursion limit of 100 frames beyond the caller's
         s = list(range(201)) + [10**5]
+        monkeypatch.setattr(sumset_module, "NODE_CAP", 300)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 100)
         try:
             with pytest.raises(CapacityError) as err:
-                decompose_binary(s, max_nodes=300)
+                decompose_binary(s)
         finally:
             sys.setrecursionlimit(limit)
         assert err.value.nodes_explored == 301
