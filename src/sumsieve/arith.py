@@ -284,7 +284,9 @@ def discrepancy_sum(
 ) -> tuple[float, list[DiscrepancyBreakdown]]:
     """sum over squarefree 1 < d <= d_bound supported on `primes` (ascending)
     of base^omega(d) * max_progression_deviation(values, d), accumulated in
-    lattice preorder, with one breakdown row per modulus in that order.
+    lattice preorder, with one breakdown row per modulus in that order.  A
+    weight past the float range is inf, and its term inf, or 0 for a zero
+    deviation.
 
     A modulus whose work would take the total past `work_cap`, or whose
     residue tables would pass MEMORY_CAP, raises CapacityError before its
@@ -302,7 +304,12 @@ def discrepancy_sum(
                        else f"the residue tables of modulus {d} would pass the memory cap")
             raise CapacityError(message, partial_sum=total, partial_breakdown=rows, last_d=d)
         dev = max_progression_deviation(values, d)
-        weight = base ** len(factors)
-        total += weight * dev
-        rows.append(DiscrepancyBreakdown(d, factors, weight, dev, weight * dev))
+        try:
+            weight = base ** len(factors)
+        except OverflowError:
+            weight, term = math.inf, math.inf if dev else 0.0
+        else:
+            term = weight * dev
+        total += term
+        rows.append(DiscrepancyBreakdown(d, factors, weight, dev, term))
     return total, rows

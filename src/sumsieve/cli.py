@@ -5,6 +5,7 @@ Reports are JSON objects with a fixed schema:
     {"schema": 1, "command": ..., "params": ..., "profile": ...,
      "result": ..., "diagnostics": ..., "elapsed_ms": ...}
 
+A result is its layer's record, serialized field for field by ``_sanitize``.
 Exit codes: 0 success, 1 error (machine-readable error object on stdout,
 usage errors included), 2 for "hypotheses not satisfied" verdicts so batch
 drivers can tell math verdicts from tool failures.
@@ -122,43 +123,47 @@ def _profile_from_args(args) -> ConstantsProfile:
 
 
 def _sanitize(obj):
-    """Make a payload strictly JSON-safe (non-finite floats become strings)."""
+    """The strictly JSON-safe form of a report value.  A record with ``to_dict``
+    is that dict, any other dataclass record {field name: value}; an
+    IntegerSet, list or tuple is a list, a set a sorted list, and a non-finite
+    float its repr."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_sanitize(v) for v in obj)
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     if hasattr(obj, "to_dict"):
         return _sanitize(obj.to_dict())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        return sorted(_sanitize(v) for v in obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    return obj
+    return [_sanitize(v) for v in obj]
 
 
-def _emit(args, command: str, params: dict, result, diagnostics=None, exit_code=0):
+def _emit(args, params: dict, result, diagnostics=None, exit_code=0):
     payload = {
         "schema": _SCHEMA,
-        "command": command,
+        "command": args.command,
         "params": _sanitize(params),
         "profile": getattr(args, "_profile_name", None),
         "result": _sanitize(result),
         "diagnostics": _sanitize(diagnostics or {}),
         "elapsed_ms": round(1000.0 * (time.monotonic() - args._start), 3),
     }
-    mode = getattr(args, "output", "json")
-    if mode == "json":
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
-    elif mode == "csv":
-        _emit_csv(command, payload["result"])
+    elif args.output == "csv":
+        _emit_csv(payload["result"])
     else:
-        _emit_plain(command, payload["params"], payload["result"], payload["diagnostics"])
+        _emit_plain(payload)
     return exit_code
 
 
-def _emit_csv(command: str, result):
+def _emit_csv(result):
     rows = result.get("rows") if isinstance(result, dict) else None
     if rows is None:
         rows = [result] if isinstance(result, dict) else [{"value": result}]
@@ -168,16 +173,17 @@ def _emit_csv(command: str, result):
         print(",".join(str(row.get(col, "")) for col in header))
 
 
-def _emit_plain(command, params, result, diagnostics):
-    print(f"{command}:")
-    for key, value in sorted(params.items()):
+def _emit_plain(payload):
+    print(f"{payload['command']}:")
+    for key, value in sorted(payload["params"].items()):
         print(f"  {key} = {value}")
+    result = payload["result"]
     if isinstance(result, dict):
         for key, value in sorted(result.items()):
             print(f"  {key}: {value}")
     else:
         print(f"  result: {result}")
-    for key, value in sorted((diagnostics or {}).items()):
+    for key, value in sorted(payload["diagnostics"].items()):
         print(f"  [{key}] {value}")
 
 
@@ -194,19 +200,12 @@ def _cmd_primes(args) -> int:
     result = {"count": int(ps.primes().size), "selector": ps.describe()}
     if args.sums:
         lo, hi = parse_numbers(args.sums, float, "--sums", 2)
-        sums = subset_sums(ps, lo, hi)
-        result["sums"] = {
-            "lo": lo,
-            "hi": hi,
-            "theta": sums.theta,
-            "mertens_log": sums.mertens_log,
-            "mertens_recip": sums.mertens_recip,
-        }
+        result["sums"] = {"lo": lo, "hi": hi, **_sanitize(subset_sums(ps, lo, hi))}
     if args.density_c:
         result["density_c"] = density_ratio_c(
             ps, args.density_c, window_floor_exponent=args.c_floor
         )
-    return _emit(args, "primes", {"limit": args.limit, "selector": args.selector}, result)
+    return _emit(args, {"limit": args.limit, "selector": args.selector}, result)
 
 
 def _cmd_sieve_bound(args) -> int:
@@ -221,7 +220,7 @@ def _cmd_sieve_bound(args) -> int:
         "kind": args.kind,
         "set_size": len(s),
         "selector": args.selector,
-        "shifts": list(shifts) if shifts else None,
+        "shifts": shifts,
         "N": args.n_limit,
         "x": args.x,
         "Q": args.q,
@@ -250,8 +249,7 @@ def _cmd_sieve_bound(args) -> int:
             profile=scaled(window_coefficient=args.window_coefficient)
             if args.window_coefficient is not None else STRICT,
         )
-    code = 0 if report.valid else 2
-    return _emit(args, "sieve-bound", params, report.to_dict(), exit_code=code)
+    return _emit(args, params, report, exit_code=0 if report.valid else 2)
 
 
 def _cmd_inverse_sieve(args) -> int:
@@ -259,21 +257,8 @@ def _cmd_inverse_sieve(args) -> int:
 
     ps = _subset(args)
     a = parse_int_set(args.set)
-    rep = inverse_sieve_lower_bound(a, ps, args.y, args.x)
-    result = {
-        "lower": rep.lower,
-        "strengthened": rep.strengthened,
-        "lhs": rep.lhs,
-        "recip_sum": rep.recip_sum,
-        "theta_sum": rep.theta_sum,
-        "base_lower": rep.base_lower,
-    }
-    return _emit(
-        args,
-        "inverse-sieve",
-        {"set_size": len(a), "y": args.y, "x": args.x, "selector": args.selector},
-        result,
-    )
+    params = {"set_size": len(a), "y": args.y, "x": args.x, "selector": args.selector}
+    return _emit(args, params, inverse_sieve_lower_bound(a, ps, args.y, args.x))
 
 
 def _cmd_smooth_count(args) -> int:
@@ -288,7 +273,7 @@ def _cmd_smooth_count(args) -> int:
                 rows.append(
                     {"x": x_val, "y": y_val, "psi": psi(SmoothQuery(x_val, y_val))}
                 )
-        return _emit(args, "smooth-count", {"grid": args.grid}, {"rows": rows})
+        return _emit(args, {"grid": args.grid}, {"rows": rows})
     if args.x is None or args.y is None:
         raise DomainError("smooth-count needs --x and --y, or --grid")
     query = SmoothQuery(args.x, args.y, args.mod, args.res)
@@ -297,7 +282,7 @@ def _cmd_smooth_count(args) -> int:
     if args.coprime:
         result["psi_coprime"] = psi_coprime(SmoothQuery(args.x, args.y), args.coprime)
     params = {"x": args.x, "y": args.y, "mod": args.mod, "res": args.res}
-    return _emit(args, "smooth-count", params, result)
+    return _emit(args, params, result)
 
 
 def _cmd_dickman(args) -> int:
@@ -315,32 +300,20 @@ def _cmd_dickman(args) -> int:
         rows = []
         u = lo
         while u <= hi + 1e-12:
-            val = dickman_rho(u)
-            rows.append({"u": round(u, 12), "rho": val.rho, "log_rho": val.log_rho})
+            rows.append({"u": round(u, 12), **_sanitize(dickman_rho(u))})
             u += step
-        return _emit(args, "dickman", {"table": args.table}, {"rows": rows})
+        return _emit(args, {"table": args.table}, {"rows": rows})
     if args.u is None:
         raise DomainError("dickman needs --u or --table")
-    val = dickman_rho(args.u)
-    return _emit(
-        args, "dickman", {"u": args.u}, {"rho": val.rho, "log_rho": val.log_rho}
-    )
+    return _emit(args, {"u": args.u}, dickman_rho(args.u))
 
 
 def _cmd_tuple_count(args) -> int:
     from .smooth import smooth_tuple_count
 
     shifts = parse_int_set(args.shifts)
-    report = smooth_tuple_count(args.x, args.y, shifts)
-    result = {
-        "count": report.count,
-        "u": report.u,
-        "heuristic_rho_power": report.heuristic_rho_power,
-        "heuristic_u_power": report.heuristic_u_power,
-        "heuristic_u_super": report.heuristic_u_super,
-    }
-    params = {"x": args.x, "y": args.y, "shifts": list(shifts)}
-    return _emit(args, "tuple-count", params, result)
+    params = {"x": args.x, "y": args.y, "shifts": shifts}
+    return _emit(args, params, smooth_tuple_count(args.x, args.y, shifts))
 
 
 def _cmd_bv_sum(args) -> int:
@@ -361,7 +334,7 @@ def _cmd_bv_sum(args) -> int:
         "exponent_k": args.exponent_k,
         "selector": args.selector,
     }
-    return _emit(args, "bv-sum", params, {"total": total, "rows": rows})
+    return _emit(args, params, {"total": total, "rows": rows})
 
 
 def _cmd_semigroup(args) -> int:
@@ -378,18 +351,12 @@ def _cmd_semigroup(args) -> int:
         result["count"] = len(q)
         diagnostics["max_gap"] = max_gap(q)
     if args.tau_fit:
-        stats = estimate_tau(ps, args.x)
-        result["tau_hat"] = stats.tau_hat
-        result["C_hat"] = stats.C_hat
-        result["residual_rms"] = stats.residual_rms
+        result.update(_sanitize(estimate_tau(ps, args.x)))
     if args.wirsing is not None:
         result["wirsing_estimate"] = wirsing_estimate(ps, args.x, args.wirsing)
     if args.verify_hypotheses:
         report = verify_hypotheses_wirsing(ps, args.x)
-        result["hypotheses"] = [
-            {"name": c.name, "status": c.status, "value": c.value, "detail": c.detail}
-            for c in report.checks
-        ]
+        result["hypotheses"] = report.checks
         if not report.all_pass:
             exit_code = 2
     if args.csv_xs:
@@ -405,7 +372,7 @@ def _cmd_semigroup(args) -> int:
                 }
             )
         result["rows"] = rows
-    return _emit(args, "semigroup", params, result, diagnostics, exit_code)
+    return _emit(args, params, result, diagnostics, exit_code)
 
 
 def _cmd_sumset(args) -> int:
@@ -416,9 +383,8 @@ def _cmd_sumset(args) -> int:
     out = sumset(a, b)
     return _emit(
         args,
-        "sumset",
         {"a_size": len(a), "b_size": len(b)},
-        {"size": len(out), "elements": list(out) if len(out) <= args.max_list else None},
+        {"size": len(out), "elements": out if len(out) <= args.max_list else None},
     )
 
 
@@ -426,12 +392,7 @@ def _cmd_ruzsa(args) -> int:
     from .sumset import ruzsa_check
 
     res = ruzsa_check(parse_int_set(args.a), parse_int_set(args.b), parse_int_set(args.c))
-    return _emit(
-        args,
-        "ruzsa",
-        {"a": args.a, "b": args.b, "c": args.c},
-        {"lhs": res.lhs, "rhs": res.rhs, "holds": res.holds},
-    )
+    return _emit(args, {"a": args.a, "b": args.b, "c": args.c}, res)
 
 
 def _cmd_decompose(args) -> int:
@@ -439,36 +400,19 @@ def _cmd_decompose(args) -> int:
 
     s = parse_int_set(args.set)
     if args.ternary_bound is not None:
-        verdict = decompose_ternary_via_ruzsa(s, args.ternary_bound)
-        return _emit(
-            args,
-            "decompose",
-            {"set_size": len(s), "ternary_bound": args.ternary_bound},
-            {
-                "verdict": verdict.verdict,
-                "impossible": verdict.impossible,
-                "size_squared": verdict.size_squared,
-                "bound_cubed": verdict.bound_cubed,
-            },
-        )
+        params = {"set_size": len(s), "ternary_bound": args.ternary_bound}
+        return _emit(args, params, decompose_ternary_via_ruzsa(s, args.ternary_bound))
     if args.s0 is not None:
         res = decompose_binary_relative(parse_int_set(args.s0), s, args.min_part)
     else:
         res = decompose_binary(
             s, args.min_part, all_witnesses=args.all_witnesses
         )
-    result = {
-        "decomposable": res.decomposable,
-        "witness": [list(w) for w in res.witness] if res.witness else None,
-        "nodes_explored": res.nodes_explored,
-        "normalized": res.normalized,
-    }
-    if res.all_witnesses is not None:
-        result["all_witnesses"] = [
-            [list(a), list(b)] for a, b in res.all_witnesses
-        ]
+    result = _sanitize(res)
+    if res.all_witnesses is None:
+        del result["all_witnesses"]
     params = {"set_size": len(s), "min_part": args.min_part, "relative": args.s0 is not None}
-    return _emit(args, "decompose", params, result)
+    return _emit(args, params, result)
 
 
 def _cmd_check_genthm(args) -> int:
@@ -483,13 +427,12 @@ def _cmd_check_genthm(args) -> int:
     ctx = build_context(s, s0, ps, args.x, profile)
     scs = check_scs_condition(ctx)
     bv = check_bv_condition(ctx, s, args.q) if args.q else None
-    bounds = conclusion_bounds(ctx)
     any_holds = scs.holds or (bv.holds if bv else False)
     result = {
-        "context": ctx.to_dict(),
-        "sieve_controls_size": scs.to_dict(),
-        "bombieri_vinogradov": bv.to_dict() if bv else None,
-        "conclusion_bounds": bounds.to_dict(),
+        "context": ctx,
+        "sieve_controls_size": scs,
+        "bombieri_vinogradov": bv,
+        "conclusion_bounds": conclusion_bounds(ctx),
         "some_condition_holds": any_holds,
     }
     exit_code = 0 if (any_holds and ctx.hypotheses_met) else 2
@@ -500,7 +443,7 @@ def _cmd_check_genthm(args) -> int:
         "s0_size": len(s0),
         "Q": args.q,
     }
-    return _emit(args, "check-genthm", params, result, exit_code=exit_code)
+    return _emit(args, params, result, exit_code=exit_code)
 
 
 def _cmd_ostmann_diag(args) -> int:
@@ -520,7 +463,7 @@ def _cmd_ostmann_diag(args) -> int:
     if args.list_eps:
         result["epsilons"] = {str(p): prof.entries[p] for p in sorted(prof.entries)}
     params = {"set_size": len(a), "x": args.x, "y_limit": args.y_limit}
-    return _emit(args, "ostmann-diag", params, result)
+    return _emit(args, params, result)
 
 
 def _cmd_verify_all(args) -> int:
@@ -531,7 +474,6 @@ def _cmd_verify_all(args) -> int:
     code = 1 if failures else 0
     return _emit(
         args,
-        "verify-all",
         {"seed": args.seed, "budget": args.budget, "cases": args.cases},
         {"rows": results, "failures": len(failures)},
         exit_code=code,

@@ -221,8 +221,15 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     disc_sum = 0.0
     # without a P0* prime there is no modulus, and the weight 3K can overflow
     if math.isfinite(ctx.K) and d_primes:
-        weight_base = 3.0 ** (1.0 + math.log(ctx.K) / math.log(3.0))
-        disc_sum, _ = discrepancy_sum(s.array(), d_primes, d_bound, weight_base)
+        try:
+            weight_base = 3.0 ** (1.0 + math.log(ctx.K) / math.log(3.0))
+        except OverflowError:
+            # every weight passes the float range: the sum is inf, or 0 when
+            # the deviations (the terms of the sum with base 1) are all 0
+            deviations, _ = discrepancy_sum(s.array(), d_primes, d_bound, 1.0)
+            disc_sum = math.inf if deviations else 0.0
+        else:
+            disc_sum, _ = discrepancy_sum(s.array(), d_primes, d_bound, weight_base)
     disc_threshold = (
         size_s * ctx.sigma0 / (2.0 * ctx.K) if math.isfinite(ctx.K) else 0.0
     )
@@ -250,9 +257,6 @@ class ConclusionBounds:
     upper_B: float
     lower_A: float
     note: str
-
-    def to_dict(self) -> dict:
-        return {"upper_B": self.upper_B, "lower_A": self.lower_A, "note": self.note}
 
 
 def conclusion_bounds(ctx: GenThmContext) -> ConclusionBounds:

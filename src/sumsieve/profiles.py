@@ -39,12 +39,17 @@ STRICT = ConstantsProfile()
 
 def scaled(**overrides) -> ConstantsProfile:
     """A user-tuned profile; unspecified constants keep their strict values.
-    Every constant must be finite, and c_override, a ratio of theta sums,
-    must lie in [0, 1]; DomainError otherwise."""
+    Each constant must lie in its domain, DomainError otherwise: the
+    coefficients and star_exponent in (0, inf), c_floor_exponent in (0, 1),
+    and c_override, a ratio of theta sums, in [0, 1]."""
     profile = replace(STRICT, name="scaled", **overrides)
     for key, value in overrides.items():
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"profile constant {key} must be finite, got {value}")
-    if profile.c_override is not None and not 0 <= profile.c_override <= 1:
-        raise DomainError(f"c_override must lie in [0, 1], got {profile.c_override}")
+        if key == "c_override":
+            ok, domain = value is None or 0 <= value <= 1, "[0, 1]"
+        elif key == "c_floor_exponent":
+            ok, domain = 0 < value < 1, "(0, 1)"
+        else:
+            ok, domain = 0 < value < math.inf, "(0, inf)"
+        if not ok:  # NaN included
+            raise DomainError(f"profile constant {key} must lie in {domain}, got {value}")
     return profile

@@ -260,8 +260,6 @@ class InverseSieveReport:
     recip_sum: float
     theta_sum: float
     base_lower: float
-    window: tuple[float, float]
-    k: int
 
 
 def inverse_sieve_lower_bound(a, ps: PrimeSubset, y: float, x: int) -> InverseSieveReport:
@@ -290,7 +288,7 @@ def inverse_sieve_lower_bound(a, ps: PrimeSubset, y: float, x: int) -> InverseSi
     strengthened = sums.theta >= STRICT.window_coefficient * k * log_x
     lower = (k / 2.0) * sums.mertens_recip if strengthened else base_lower
     return InverseSieveReport(
-        lower, strengthened, lhs, sums.mertens_recip, sums.theta, base_lower, (y / 2, y), k
+        lower, strengthened, lhs, sums.mertens_recip, sums.theta, base_lower
     )
 
 

@@ -124,7 +124,6 @@ def enumerate_smooth(x: int, y: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DickmanValue:
-    u: float
     rho: float
     log_rho: float
 
@@ -178,10 +177,10 @@ def dickman_rho(u: float) -> DickmanValue:
     if not 0 <= u <= RHO_U_CAP:  # nan included
         raise DomainError(f"need 0 <= u <= {RHO_U_CAP:g}, got {u}")
     if u <= 1.0:
-        return DickmanValue(u, 1.0, 0.0)
+        return DickmanValue(1.0, 0.0)
     if u <= 2.0:
         rho = 1.0 - math.log(u)
-        return DickmanValue(u, rho, math.log(rho))
+        return DickmanValue(rho, math.log(rho))
     k = math.ceil(u)
     _extend_rho_rows(k)
     xi = k - u
@@ -189,7 +188,7 @@ def dickman_rho(u: float) -> DickmanValue:
     for coeff in reversed(_rho_rows[k]):
         total = total * xi + coeff
     lr = _rho_log_scale[k] + math.log(total)
-    return DickmanValue(u, math.exp(lr), lr)
+    return DickmanValue(math.exp(lr), lr)
 
 
 # --------------------------------------------------------------------------
@@ -230,9 +229,6 @@ def bv_discrepancy_sum(
 @dataclass(frozen=True)
 class TupleCountReport:
     count: int
-    x: int
-    y: int
-    shifts: tuple[int, ...]
     u: float
     heuristic_rho_power: float
     heuristic_u_power: float
@@ -268,9 +264,6 @@ def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
     rho = dickman_rho(min(u, RHO_U_CAP)).rho
     return TupleCountReport(
         count,
-        x,
-        y,
-        shifts.elements,
         u,
         x * rho**k,
         x / u**k,

@@ -316,8 +316,6 @@ def decompose_binary_relative(s0, s, min_part: int = 2) -> DecompositionResult:
 class TernaryVerdict:
     verdict: str  # "ternary impossible" or "inconclusive"
     impossible: bool
-    set_size: int
-    binary_bound: float
     size_squared: float
     bound_cubed: float
 
@@ -338,8 +336,6 @@ def decompose_ternary_via_ruzsa(s, binary_bound: float) -> TernaryVerdict:
     return TernaryVerdict(
         "ternary impossible" if impossible else "inconclusive",
         impossible,
-        len(s),
-        float(binary_bound),
         size_sq,
         cube,
     )

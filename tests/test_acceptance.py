@@ -329,7 +329,7 @@ def test_criterion_2_inverse_sieve(table_main):
             violations.append((x, k, y, rep))
         if rep.strengthened:
             strengthened += 1
-            if rep.lhs < (rep.k / 2) * rep.recip_sum - 1e-9:
+            if rep.lhs < (len(a) / 2) * rep.recip_sum - 1e-9:
                 violations.append(("strengthened", x, k, y, rep))
     if strengthened == 0:
         violations.append("no instance triggered the strengthened branch")

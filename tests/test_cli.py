@@ -156,6 +156,14 @@ class TestCommands:
         *(("check-genthm", "--s", "1,2,3,4", "--x", "100", "--selector", "interval:3,50",
            "--profile", "scaled", "--scale", scale)
           for scale in ("bogus=1", "k_coefficient=x", "k_coefficient", "name=foo")),
+        # constants outside their domains: a math domain error, or taken as given
+        *(("check-genthm", "--s", "1,2,3,4", "--x", "100", "--selector", "interval:3,50",
+           "--profile", "scaled", "--scale", scale)
+          for scale in ("k_coefficient=-0.002", "k_coefficient=0", "star_exponent=-1",
+                        "window_coefficient=0", "condition_coefficient=-1",
+                        "c_floor_exponent=0", "c_floor_exponent=1")),
+        ("sieve-bound", "--kind", "middlek", "--set", "5,7,11", "--shifts", "0,2", "--x",
+         "1000000", "--y1", "10", "--y2", "40", "--window-coefficient", "-1"),
         # a non-finite y limit: a ValueError or OverflowError traceback
         *(("ostmann-diag", "--set", "1..100", "--x", "100", f"--y-limit={y}")
           for y in ("nan", "inf", "-inf")),
@@ -514,14 +522,22 @@ _MIDDLEK_WINDOWS = st.one_of(
     st.tuples(st.integers(2, 5), st.integers(10, 40), st.integers(3, 10)).map(
         lambda t: (t[0] * (t[1] * t[1] * t[2]) ** 2, t[1], t[1] * t[2])),
 ).map(lambda t: ["--x", str(t[0]), "--y1", str(t[1]), "--y2", str(t[2])])
+_SMOOTH3 = sorted(2**i * 3**j for i in range(15) for j in range(10))
 # x and S inside [1, x]: any elements, or 3-smooth ones, which some selectors clear
 _GENTHM_SETS = st.integers(100, 30000).flatmap(lambda x: st.tuples(st.just(x), st.one_of(
     st.lists(st.integers(1, x), min_size=1, max_size=30),
-    st.lists(st.sampled_from([n for n in (2**i * 3**j for i in range(15) for j in range(10))
-                              if n <= x]), min_size=1, max_size=30),
+    st.lists(st.sampled_from([n for n in _SMOOTH3 if n <= x]), min_size=1, max_size=30),
 ))).map(lambda t: ["--x", str(t[0]), "--s", ",".join(map(str, t[1]))])
-# an asserted density ratio c: 10^-k down to the subnormals, or any c in [0, 1]
-_C_OVERRIDE = st.one_of(st.integers(0, 320).map(lambda k: f"1e-{k}"), st.floats(0, 1).map(repr))
+# profile constants: 10^k for |k| <= 320 (past 308 that parses as inf, below
+# -307 as a subnormal or 0), their negatives, 0, or any float in [0, 1]
+_CONSTANT = st.one_of(
+    st.integers(-320, 320).map(lambda k: f"1e{k}"),
+    st.integers(-320, 320).map(lambda k: f"-1e{k}"),
+    st.just("0"),
+    st.floats(0, 1).map(repr),
+)
+_SCALES = st.dictionaries(st.sampled_from(cli._SCALE_KEYS), _CONSTANT, min_size=1).map(
+    lambda scales: [arg for key, value in scales.items() for arg in ("--scale", f"{key}={value}")])
 _VALID_ARGVS = st.one_of(
     st.tuples(st.just(["primes", "--density-c"]), _number(90, 10**7).map(lambda v: [v]),
               _table(_SELECTOR)),
@@ -564,8 +580,8 @@ _VALID_ARGVS = st.one_of(
     ),
     st.tuples(
         st.just(["check-genthm", "--profile", "scaled"]),
-        st.tuples(_GENTHM_SETS, _C_OVERRIDE, _option("--q", _number(1, 40))).map(
-            lambda t: [*t[0], "--scale", f"c_override={t[1]}", *t[2]]),
+        st.tuples(_GENTHM_SETS, _SCALES, _option("--q", _number(1, 40))).map(
+            lambda t: [*t[0], *t[1], *t[2]]),
         _table(_SELECTOR),
     ),
 ).map(lambda t: [*t[0], *t[1], *t[2]])
@@ -592,6 +608,29 @@ def _trial_sifted_count(argv):
     return sum(1 for v in s if not any(sifted(abs(v - a)) for a in shifts))
 
 
+def _in_domain(key, value) -> bool:
+    """Whether a profile constant lies in the domain its docs state."""
+    if key == "c_override":
+        return 0 <= value <= 1
+    if key == "c_floor_exponent":
+        return 0 < value < 1
+    return 0 < value < math.inf
+
+
+def _out_of_domain(argv) -> list:
+    """The --scale constants of argv that parse as numbers outside their domain."""
+    scales = [argv[i + 1].partition("=") for i, arg in enumerate(argv[:-1]) if arg == "--scale"]
+    out = []
+    for key, _, text in scales:
+        try:
+            value = float(text)
+        except ValueError:
+            continue
+        if key in cli._SCALE_KEYS and not _in_domain(key, value):
+            out.append(key)
+    return out
+
+
 def _corrupt(argv, at, token):
     """argv with the value of its at-th option (mod their number) replaced."""
     values = [i + 1 for i, a in enumerate(argv[:-1]) if a.startswith("--")
@@ -612,8 +651,9 @@ class TestCliFuzz:
     exit 1 with exactly the error object, a valid larger- or large-sieve
     bound at least |S| and a valid Selberg or middle-k bound at least the
     sifted count, as the lemmas promise; for |S| <= 30 the sifted count is
-    checked by trial division.  check-genthm exits 0 exactly when its
-    hypotheses are met and a condition holds."""
+    checked by trial division.  check-genthm exits 1 when a profile constant
+    lies outside its domain, and otherwise, with a report, 0 exactly when
+    its hypotheses are met and a condition holds."""
 
     @settings(max_examples=200, deadline=None)
     @given(argv=_ARGVS)
@@ -649,6 +689,15 @@ class TestCliFuzz:
     @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
                    "--limit", "100000", "--profile", "scaled", "--scale", "c_override=1.4e-150",
                    "--q", "5"])
+    # (3K)^2 overflowed in the BV weights; a negative K ended in a math domain error
+    @example(argv=["check-genthm", "--s", "5,13,17,29", "--x", "10000", "--selector", "ap:3,4",
+                   "--limit", "100000", "--profile", "scaled", "--scale", "c_override=1e-100",
+                   "--scale", "star_exponent=0.01", "--q", "200"])
+    @example(argv=["check-genthm", "--s", ",".join(str(n) for n in _SMOOTH3 if n <= 10**4),
+                   "--x", "10000", "--selector", "interval:3,100", "--profile", "scaled",
+                   "--scale", "k_coefficient=-0.002", "--scale", "star_exponent=1.2",
+                   "--scale", "condition_coefficient=0.0015", "--scale", "c_floor_exponent=0.25",
+                   "--q", "100"])
     def test_reports(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -657,6 +706,8 @@ class TestCliFuzz:
         assert out.getvalue().count("\n") == 1
         doc = json.loads(out.getvalue())
         assert doc["schema"] == 1
+        if argv[0] == "check-genthm" and _out_of_domain(argv):
+            assert code == 1
         if code == 1:
             assert set(doc) == {"schema", "command", "error"}
             return

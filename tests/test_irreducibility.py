@@ -100,6 +100,18 @@ class TestBuildContext:
         assert conclusion_bounds(ctx).upper_B == math.inf
         assert not check_bv_condition(ctx, s, 5).holds
 
+    @pytest.mark.parametrize("c", [1e-100, 1.4e-150])
+    def test_bv_weights_past_the_float_range(self, table_1e6, c):
+        # a small star_exponent keeps P0* non-empty for a K near the float
+        # range: the weight (3K)^2 of d = 127 * 131 passes it (1e-100), and
+        # 3K does itself (1.4e-150); Q^2 = 16900 stays inside a 10^6 memory cap
+        s = IntegerSet([5, 13, 17, 29])
+        ctx = build_context(s, s, PrimeSubset(table_1e6, ResidueClass(3, 4)), 10**4,
+                            scaled(c_override=c, star_exponent=0.01))
+        assert math.isfinite(ctx.K) and not ctx.ps_star.is_empty()
+        bv = check_bv_condition(ctx, s, 130)
+        assert bv.values["disc_sum"] == math.inf and not bv.values["disc_holds"]
+
     def test_sigma0_one_when_s0_is_s(self, smooth3_context):
         ctx, _ = smooth3_context
         assert ctx.sigma0 == 1.0

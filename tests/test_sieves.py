@@ -394,7 +394,7 @@ class TestInverseSieve:
             assert rep.lhs >= rep.base_lower - 1e-9
             if rep.strengthened:
                 strengthened_seen += 1
-                assert rep.lhs >= (rep.k / 2) * rep.recip_sum - 1e-9
+                assert rep.lhs >= (len(a) / 2) * rep.recip_sum - 1e-9
         assert strengthened_seen > 0
 
     def test_validation(self, table_1e4):
@@ -427,6 +427,18 @@ class TestDiscrepancySum:
         for d in [*range(1, 400), 2 * 3 * 5 * 7 * 11 * 13, 2**12, 3**7 * 5, 9973 * 3]:
             expected = np.gcd(np.arange(d, dtype=np.int64), d) == 1
             assert np.array_equal(reduced_residues_mask(d), expected), d
+
+    def test_weights_past_the_float_range(self):
+        # every reduced residue mod 15 once: no modulus deviates, and the
+        # weight of d = 15, 1e200^2, passes the float range; one more value
+        # makes d = 15 deviate
+        values = np.array([1, 2, 4, 7, 8, 11, 13, 14], dtype=np.int64)
+        total, rows = sieves.discrepancy_sum(values, [3, 5], 15, 1e200)
+        assert [(r.d, r.weight, r.term) for r in rows] == [
+            (3, 1e200, 0.0), (15, math.inf, 0.0), (5, 1e200, 0.0)]
+        assert total == 0.0
+        total, rows = sieves.discrepancy_sum(np.append(values, 16), [3, 5], 15, 1e200)
+        assert rows[1].term == math.inf and total == math.inf
 
     def test_rows_in_preorder_with_weights_base_to_the_omega(self):
         total, rows = self.run()
