@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import MEMORY_CAP, PrimeSubset, PrimeTable, all_primes, cached, prime_table
+from .primes import MEMORY_CAP, PrimeSubset, PrimeTable, _power, all_primes, cached, prime_table
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -285,8 +285,8 @@ def discrepancy_sum(
     """sum over squarefree 1 < d <= d_bound supported on `primes` (ascending)
     of base^omega(d) * max_progression_deviation(values, d), accumulated in
     lattice preorder, with one breakdown row per modulus in that order.  A
-    weight past the float range is inf, and its term inf, or 0 for a zero
-    deviation.
+    weight is ``primes._power(base, omega(d))``, inf past the float range (an
+    inf base included), and a zero deviation's term is 0, never NaN.
 
     A modulus whose work would take the total past `work_cap`, or whose
     residue tables would pass MEMORY_CAP, raises CapacityError before its
@@ -304,12 +304,8 @@ def discrepancy_sum(
                        else f"the residue tables of modulus {d} would pass the memory cap")
             raise CapacityError(message, partial_sum=total, partial_breakdown=rows, last_d=d)
         dev = max_progression_deviation(values, d)
-        try:
-            weight = base ** len(factors)
-        except OverflowError:
-            weight, term = math.inf, math.inf if dev else 0.0
-        else:
-            term = weight * dev
+        weight = _power(base, len(factors))
+        term = weight * dev if dev else 0.0
         total += term
         rows.append(DiscrepancyBreakdown(d, factors, weight, dev, term))
     return total, rows

@@ -23,6 +23,7 @@ from .primes import (
     And,
     MinValue,
     PrimeSubset,
+    _power,
     density_ratio_c,
     divisibility_hits,
     kept_multiples_mask,
@@ -91,8 +92,8 @@ def build_context(
     the cleared s with its P0*, so that ``prop_smallkbv_bound`` need not scan
     s again for that P0* (a subset of P0).  A density ratio c at or below the
     window floor, c = 0 and a K past the float range are recorded as
-    hypothesis failures in the context, not raised; an infinite K, or a P0*
-    threshold K^star_exponent past the float range, leaves P0* empty.
+    hypothesis failures in the context, not raised; the floor x^(-e) and the P0*
+    threshold K^star_exponent are ``_power`` values, and an infinite threshold leaves P0* empty.
     """
     s = IntegerSet.coerce(s)
     s0 = IntegerSet.coerce(s0)
@@ -127,14 +128,14 @@ def build_context(
             )
     else:
         c = measured
-        if c <= x ** (-profile.c_floor_exponent):
+        if c <= _power(x, -profile.c_floor_exponent):
             failures.append(
                 f"density ratio c = {c:.6g} at or below the window floor "
                 f"x^(-{profile.c_floor_exponent:g})"
             )
     sigma = len(s) / x
     sigma0 = len(s0) / len(s)
-    # a tiny c can underflow the denominator to 0 or overflow K to inf
+    # a tiny c can underflow the denominator to 0; it, or a huge k_coefficient, takes K to inf
     denominator = sigma0 * sigma * c * c
     if denominator > 0:
         big_k = profile.k_coefficient * math.log(x) ** 2 / denominator
@@ -143,11 +144,9 @@ def build_context(
     if c == 0:
         failures.append("c = 0: K is unbounded and P0* is empty")
     elif math.isinf(big_k):
-        failures.append(f"c = {c:g}: K passes the float range and P0* is empty")
-    try:
-        threshold = big_k**profile.star_exponent if math.isfinite(big_k) else math.inf
-    except OverflowError:
-        threshold = math.inf
+        failures.append(f"K = k_coefficient log^2 x / (sigma0 sigma c^2) passes the float range "
+                        f"(k_coefficient = {profile.k_coefficient:g}, c = {c:g}) and P0* is empty")
+    threshold = _power(big_k, profile.star_exponent)
     star = PrimeSubset(ps.base, And((ps.selector, MinValue(threshold))))
     ctx = GenThmContext(
         x=x,
@@ -204,9 +203,9 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     tau3(d)^(1 + log K / log 3) * max over (a,d)=1 of
     |#{s in S : s = a mod d} - #S/phi(d)|, against #S sigma0 / (2K).
 
-    The main sum is ``star_sum``; the discrepancy is ``discrepancy_sum`` over
-    the P0* primes up to Q^2, with its default modulus budget.  A prime table
-    below Q^2 raises CapacityError when P0* could hold a prime past it.
+    The main sum is ``star_sum``; the discrepancy is one ``discrepancy_sum`` over the P0*
+    primes up to Q^2, with its default modulus budget and base 3K, a ``_power`` value.  A prime
+    table below Q^2 raises CapacityError when P0* could hold a prime past it.
     """
     s = IntegerSet.coerce(s)
     if q_limit < 1:
@@ -217,22 +216,11 @@ def check_bv_condition(ctx: GenThmContext, s, q_limit: int) -> ConditionResult:
     main_threshold = ctx.profile.condition_coefficient / ctx.sigma0
 
     d_bound = q_limit**2
-    d_primes = star.primes_in(1, d_bound).tolist()
-    disc_sum = 0.0
-    # without a P0* prime there is no modulus, and the weight 3K can overflow
-    if math.isfinite(ctx.K) and d_primes:
-        try:
-            weight_base = 3.0 ** (1.0 + math.log(ctx.K) / math.log(3.0))
-        except OverflowError:
-            # every weight passes the float range: the sum is inf, or 0 when
-            # the deviations (the terms of the sum with base 1) are all 0
-            deviations, _ = discrepancy_sum(s.array(), d_primes, d_bound, 1.0)
-            disc_sum = math.inf if deviations else 0.0
-        else:
-            disc_sum, _ = discrepancy_sum(s.array(), d_primes, d_bound, weight_base)
-    disc_threshold = (
-        size_s * ctx.sigma0 / (2.0 * ctx.K) if math.isfinite(ctx.K) else 0.0
+    weight_base = _power(3.0, 1.0 + math.log(ctx.K) / math.log(3.0))
+    disc_sum, _ = discrepancy_sum(
+        s.array(), star.primes_in(1, d_bound).tolist(), d_bound, weight_base
     )
+    disc_threshold = size_s * ctx.sigma0 / (2.0 * ctx.K)
     main_ok = main_sum >= main_threshold
     disc_ok = disc_sum <= disc_threshold
     return ConditionResult(
@@ -378,7 +366,7 @@ def ostmann_multiplicative_diagnostic(prof: EpsilonProfile) -> dict:
     half-occupancy analysis, from the profile of A at (x, Y): f(p) =
     (p/2 + eps_p)/(p/2 - eps_p) when |eps_p| <= p/4 (0 otherwise), summed
     over squarefree supported n <= sqrt(x) and compared against
-    sqrt(x)/log log x, x >= 3.  Diagnostic only.
+    sqrt(x)/log log x, x >= 3, both ``_power`` values.  Diagnostic only.
     """
     x = prof.x
     if x < 3:
@@ -389,8 +377,8 @@ def ostmann_multiplicative_diagnostic(prof: EpsilonProfile) -> dict:
             weights[p] = (p / 2.0 + eps) / (p / 2.0 - eps)
     root = math.isqrt(x)
     total = lattice_sum(sorted(p for p in weights if p <= root), weights, root)
-    bound = 2.0 * x / total if total > 0 else math.inf
-    reference = math.sqrt(x) / math.log(math.log(x))
+    bound = 2.0 * _power(x, 1) / total if total > 0 else math.inf
+    reference = _power(x, 0.5) / math.log(math.log(x))
     return {
         "sum_f": total,
         "large_sieve_bound": bound,

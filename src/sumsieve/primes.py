@@ -55,6 +55,20 @@ HIT_CAP = 20
 _SEGMENT_ODDS = 1 << 21
 
 
+def _power(base, exponent: float) -> float:
+    """The one float-range rule, for every float power that can leave the range and every
+    int-to-float conversion of a user-sized number: float(base) ** exponent, base > 0 (math.sqrt
+    for exponent 0.5, logarithms for an int past the range); inf past the range, 0 below it."""
+    try:
+        value = float(base)
+        return math.sqrt(value) if exponent == 0.5 else value**exponent
+    except OverflowError:
+        try:
+            return math.exp(exponent * math.log(base))
+        except OverflowError:
+            return math.inf
+
+
 class PrimeTable:
     """Exact primality over [2, limit] with the ascending list of its primes.
 
@@ -407,8 +421,8 @@ def _density_ratio_c(ps: PrimeSubset, x: int, window_floor_exponent: float) -> f
     if x < 100:
         raise DomainError(f"need x >= 100, got {x}")
     everything = all_primes(ps.base)
-    floor = x**window_floor_exponent
-    y = math.sqrt(x)
+    floor = _power(x, window_floor_exponent)
+    y = _power(x, 0.5)
     ratios = []
     while y >= floor:
         theta_all = subset_sums(everything, y / 2, y).theta

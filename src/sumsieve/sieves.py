@@ -24,6 +24,7 @@ from .errors import CapacityError, DomainError
 from .primes import (
     MEMORY_CAP,
     PrimeSubset,
+    _power,
     all_primes,
     divisibility_hits,
     residue_counts,
@@ -180,7 +181,7 @@ def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveB
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
     support, L = _sieve_denominator(profile, sorted(profile.entries), q_limit)
-    bound = (x + q_limit**2) / L
+    bound = _power(x + q_limit**2, 1) / L
     params = {"x": x, "Q": q_limit, "support": len(support)}
     hyps = {}
     if profile.span is not None:
@@ -443,10 +444,10 @@ def middlek_bound(
     s = IntegerSet.coerce(s)
     shifts = coerce_shifts(shifts)
     k = len(shifts)
-    if not (y1 < y2 / 2 < y2 < math.sqrt(x) / y1):
+    if not (y1 < y2 / 2 < y2 < _power(x, 0.5) / y1):
         raise DomainError(
             f"window ordering violated: need y1 < y2/2 < y2 < sqrt(x)/y1, "
-            f"got y1={y1}, y2={y2}, sqrt(x)/y1={math.sqrt(x) / y1:.6g}"
+            f"got y1={y1}, y2={y2}, sqrt(x)/y1={_power(x, 0.5) / y1:.6g}"
         )
     if shifts.max > x:
         raise DomainError(f"shifts must lie in [0, x = {x}]")
@@ -491,7 +492,7 @@ def middlek_bound(
     ratio = 1.0
     for _, sub, full in windows:
         ratio *= full.theta / sub.theta
-    bound = 128.0 * x * m_factor * math.log(y1) * math.log(y2) * ratio
+    bound = 128.0 * _power(x, 1) * m_factor * math.log(y1) * math.log(y2) * ratio
 
     hyps = {
         "set_within_1_to_x": not len(s) or (1 <= s.min and s.max <= x),

@@ -207,12 +207,12 @@ def bv_discrepancy_sum(
     tau3(d)^(1 + log k / log 3) * max over (a,d)=1 of
     |Psi(x, y; a, d) - Psi_d(x, y)/phi(d)|, by full enumeration.
 
-    The primes of ps up to Q^2, the moduli's support, must lie above y, so
-    the moduli are coprime to every smooth number.  The sum is
-    ``discrepancy_sum`` with base 3k over them, its rows sorted by d; a prime
-    table below Q^2 raises CapacityError when ps could hold a prime past it,
-    and past ``modulus_work_cap`` units of modulus work a capacity error
-    carries the partial sum and breakdown.
+    The primes of ps up to Q^2, the moduli's support, must lie above y, so the
+    moduli are coprime to every smooth number.  The sum is ``discrepancy_sum`` with
+    base 3k (inf past the float range) over them, its rows sorted by d; a prime table
+    below Q^2 raises CapacityError when ps could hold a prime past it, and past
+    ``modulus_work_cap`` units of modulus work a capacity error carries the partial
+    sum and breakdown.
     """
     if exponent_k < 1:
         raise DomainError(f"need exponent_k >= 1, got {exponent_k}")
@@ -221,7 +221,7 @@ def bv_discrepancy_sum(
     if support and support[0] <= s_y.y:
         raise DomainError("ps must be disjoint from the primes up to y")
     smooth = enumerate_smooth(s_y.x, s_y.y)
-    base = 3.0 * exponent_k
+    base = 3.0 * primes._power(exponent_k, 1)
     total, rows = discrepancy_sum(smooth, support, d_bound, base, work_cap=modulus_work_cap)
     return total, sorted(rows, key=lambda b: b.d)
 
@@ -238,11 +238,11 @@ class TupleCountReport:
 def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
     """Exact #{n <= x : n + a_i is y-smooth for every shift a_i}.
 
-    n <= top = x + max a_i is y-smooth when no prime in (y, top] divides it:
-    one ``multiples`` mask, with primes from ``primes_up_to(top)``.  The
-    mask's top + 1 bytes and the x bytes of sifted flags are refused past
-    MEMORY_CAP before either or the table is built.  The report carries the
-    comparators x rho(u)^k, x / u^k and x / u^(u + k - 1) for context.
+    n <= top = x + max a_i is y-smooth when no prime in (y, top] divides it: one
+    ``multiples`` mask, with primes from ``primes_up_to(top)``.  The mask's top + 1
+    bytes and the x bytes of sifted flags are refused past MEMORY_CAP before either or
+    the table is built.  The report carries the comparators x rho(u)^k, x / u^k and
+    x / u^(u + k - 1), the last two through ``primes._power`` (inf where u < 1 makes u^k 0).
     """
     shifts = coerce_shifts(shifts)
     if x > _TUPLE_X_CAP:
@@ -262,10 +262,11 @@ def smooth_tuple_count(x: int, y: int, shifts) -> TupleCountReport:
     u = math.log(x) / math.log(y)
     k = len(shifts)
     rho = dickman_rho(min(u, RHO_U_CAP)).rho
+    u_k, u_super = primes._power(u, k), primes._power(u, u + k - 1)
     return TupleCountReport(
         count,
         u,
         x * rho**k,
-        x / u**k,
-        x / u ** (u + k - 1),
+        x / u_k if u_k else math.inf,
+        x / u_super if u_super else math.inf,
     )

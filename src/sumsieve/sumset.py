@@ -325,13 +325,13 @@ def decompose_ternary_via_ruzsa(s, binary_bound: float) -> TernaryVerdict:
 
     If |s|^2 exceeds binary_bound^3 then no ternary decomposition exists,
     because |s|^2 <= |A+B| |A+C| |B+C| <= binary_bound^3.  Pure arithmetic,
-    no search.
+    no search; the cube is a ``primes._power`` value, and a NaN bound is refused.
     """
     s = IntegerSet.coerce(s)
-    if binary_bound < 0:
+    if not binary_bound >= 0:  # NaN included
         raise DomainError(f"need binary_bound >= 0, got {binary_bound}")
     size_sq = float(len(s)) ** 2
-    cube = float(binary_bound) ** 3
+    cube = primes._power(binary_bound, 3)
     impossible = size_sq > cube
     return TernaryVerdict(
         "ternary impossible" if impossible else "inconclusive",

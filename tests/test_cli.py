@@ -48,6 +48,31 @@ class TestParsing:
         assert isinstance(sel, And) and len(sel.parts) == 2
 
 
+# argvs whose values pass the float range, with the exit code and the values
+# the one rule gives (inf past the range, 0 below it), or the error type
+_PAST_THE_FLOAT_RANGE = [
+    (("bv-sum", "--x", "1000", "--y", "5", "--q", "10", "--selector", "interval:7,100",
+      "--limit", "1000", "--exponent-k", str(10**400)), 0, {"total": "inf"}),
+    (("tuple-count", "--x", "10000", "--y", "2", "--shifts", "0..300"), 0,
+     {"heuristic_u_power": 0.0, "heuristic_u_super": 0.0}),
+    # u < 1: u^k is 0, and x / u^k past the float range
+    (("tuple-count", "--x", "2", "--y", "100", "--shifts", "0..2000"), 0,
+     {"heuristic_u_power": "inf", "heuristic_u_super": "inf"}),
+    (("decompose", "--set", "0,1,2", "--ternary-bound", "1e200"), 0,
+     {"verdict": "inconclusive", "bound_cubed": "inf"}),
+    (("sieve-bound", "--kind", "large", "--set", "0,1", "--selector", "interval:2,3",
+      "--limit", "100", "--q", str(10**160)), 0, {"bound": "inf"}),
+    (("sieve-bound", "--kind", "middlek", "--set", "1..100", "--shifts", "0,2",
+      "--x", str(10**400), "--y1", "12", "--y2", "40", "--limit", "10000",
+      "--window-coefficient", "1e-300"), 2, {"bound": "inf", "valid": False}),
+    (("ostmann-diag", "--set", "1..100", "--x", str(10**400), "--y-limit", "100"), 0,
+     {"large_sieve_bound": "inf"}),
+    (("primes", "--density-c", str(10**400)), 1, "CapacityError"),
+    (("check-genthm", "--s", "5,13", "--x", str(10**400), "--selector", "ap:3,4",
+      "--limit", "1000"), 1, "CapacityError"),
+]
+
+
 class TestCommands:
     def test_decompose_example(self, capsys):
         code, doc = run_json(capsys, "decompose", "--set", "0,1,2,3")
@@ -196,12 +221,34 @@ class TestCommands:
         ("primes", "--limit", "1000", "--sums", "0,nan"),
         ("primes", "--limit", "1000", "--sums", "nan,100"),
         ("inverse-sieve", "--set", "1,2,3", "--y", "nan", "--x", "100", "--limit", "1000"),
+        # a NaN ternary bound: "inconclusive" with bound_cubed "nan", exit 0
+        ("decompose", "--set", "0,1,2", "--ternary-bound", "nan"),
     ])
     def test_malformed_numbers_are_error_objects(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
         assert code == 1
         assert set(doc) == {"schema", "command", "error"}
         assert doc["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("argv, code, expected", _PAST_THE_FLOAT_RANGE,
+                             ids=[argv[0] for argv, _, _ in _PAST_THE_FLOAT_RANGE])
+    def test_values_past_the_float_range(self, capsys, argv, code, expected):
+        # each ended in an OverflowError (or ZeroDivisionError) traceback
+        got, out = run_cli(capsys, *argv)
+        assert got == code and out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["schema"] == 1
+        if code == 1:
+            assert set(doc) == {"schema", "command", "error"}
+            assert doc["error"]["type"] == expected
+            return
+        result = doc["result"]
+        if argv[0] == "bv-sum":
+            assert {row["weight"] for row in result["rows"]} == {"inf"}
+            result = {"total": result["total"]}
+        if argv[0] == "ostmann-diag":
+            result = result["multiplicative_diagnostic"]
+        assert {key: result[key] for key in expected} == expected
 
     @pytest.mark.parametrize("argv, command", [
         (("primes", "--limit", "abc"), "primes"),
@@ -536,6 +583,8 @@ _CONSTANT = st.one_of(
     st.just("0"),
     st.floats(0, 1).map(repr),
 )
+# 10^k for 0 <= k <= 400: past about 1.8e308 an int no longer converts to a float
+_POWERS_OF_TEN = st.integers(0, 400).map(lambda k: str(10**k))
 _SCALES = st.dictionaries(st.sampled_from(cli._SCALE_KEYS), _CONSTANT, min_size=1).map(
     lambda scales: [arg for key, value in scales.items() for arg in ("--scale", f"{key}={value}")])
 _VALID_ARGVS = st.one_of(
@@ -549,7 +598,8 @@ _VALID_ARGVS = st.one_of(
     ),
     st.tuples(
         st.just(["bv-sum", "--x"]),
-        st.tuples(_number(1, 3000), _number(2, 12), _number(1, 35), _number(1, 3)).map(
+        st.tuples(_number(1, 3000), _number(2, 12), _number(1, 35),
+                  st.one_of(_number(1, 3), _POWERS_OF_TEN)).map(
             lambda t: [t[0], "--y", t[1], "--q", t[2], "--exponent-k", t[3]]),
         _table(st.one_of(_SELECTOR, _number(13, 80).map(lambda v: f"min:{v}"))),
     ),
@@ -562,6 +612,13 @@ _VALID_ARGVS = st.one_of(
             _option("--q", _number(-3, 40)),
         ).map(lambda t: ["--set", t[0], *t[1], *t[2], *t[3]]),
         _table(_SELECTOR),
+    ),
+    # a huge Q over the primes up to 30 at most: L sums over every squarefree
+    # q <= Q they support, with no budget
+    st.tuples(
+        st.just(["sieve-bound", "--kind", "large"]),
+        st.tuples(_SET, _POWERS_OF_TEN).map(lambda t: ["--set", t[0], "--q", t[1]]),
+        _table(_number(0, 30).map(lambda v: f"interval:2,{v}")),
     ),
     st.tuples(
         st.just(["sieve-bound", "--kind", "selberg"]),
@@ -646,6 +703,15 @@ _ARGVS = st.one_of(
 )
 
 
+def _examples(argvs):
+    """One hypothesis @example per argv."""
+    def decorate(test):
+        for argv in argvs:
+            test = example(argv=list(argv))(test)
+        return test
+    return decorate
+
+
 class TestCliFuzz:
     """Every argv of the fuzz exits 0, 1 or 2 with one schema-1 JSON line:
     exit 1 with exactly the error object, a valid larger- or large-sieve
@@ -698,6 +764,7 @@ class TestCliFuzz:
                    "--scale", "k_coefficient=-0.002", "--scale", "star_exponent=1.2",
                    "--scale", "condition_coefficient=0.0015", "--scale", "c_floor_exponent=0.25",
                    "--q", "100"])
+    @_examples(argv for argv, _, _ in _PAST_THE_FLOAT_RANGE)
     def test_reports(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -717,12 +784,13 @@ class TestCliFuzz:
             assert (code == 0) == (met and result["some_condition_holds"])
         if argv[0] != "sieve-bound":
             return
+        bound = float(result["bound"])  # "inf" past the float range
         if argv[2] in ("larger", "large"):
             if result["valid"]:
-                assert result["bound"] >= doc["params"]["set_size"]
+                assert bound >= doc["params"]["set_size"]
             return
         if result["valid"]:
-            assert result["bound"] >= result["sifted_count"]
+            assert bound >= result["sifted_count"]
         if doc["params"]["set_size"] <= 30:
             assert result["sifted_count"] == _trial_sifted_count(argv)
 

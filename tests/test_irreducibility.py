@@ -85,19 +85,25 @@ class TestBuildContext:
         assert len(err.value.pairs) == primes_module.HIT_CAP
         assert str(err.value).endswith("(+731 more)")
 
-    @pytest.mark.parametrize("c, k_finite", [(1e-300, False), (1e-160, False), (1e-80, True),
-                                             (1.4e-150, True)])
-    def test_tiny_asserted_c(self, table_1e6, c, k_finite):
+    @pytest.mark.parametrize("c, k_coefficient, k_finite", [
+        (1e-300, 1000.0, False), (1e-160, 1000.0, False), (1e-80, 1000.0, True),
+        (1.4e-150, 1000.0, True), (0.5, 1e308, False)],
+        ids=["1e-300-False", "1e-160-False", "1e-80-True", "1.4e-150-True", "k_coefficient=1e308"])
+    def test_tiny_asserted_c(self, table_1e6, c, k_coefficient, k_finite):
         # sigma0 sigma c^2 underflows to 0 (1e-300, 1e-160), K^3 passes the
-        # float range (1e-80), and the BV weight 3K would (1.4e-150)
+        # float range (1e-80), and the BV weight 3K would (1.4e-150); with
+        # c = 0.5 a huge k_coefficient alone takes K past the float range,
+        # and the failure names it, not c
         s = IntegerSet([5, 13, 17, 29])
         ctx = build_context(s, s, PrimeSubset(table_1e6, ResidueClass(3, 4)), 10**4,
-                            scaled(c_override=c))
+                            scaled(c_override=c, k_coefficient=k_coefficient))
         assert math.isfinite(ctx.K) == k_finite
-        k_failure = f"c = {c:g}: K passes the float range and P0* is empty"
+        k_failure = (f"K = k_coefficient log^2 x / (sigma0 sigma c^2) passes the float range "
+                     f"(k_coefficient = {k_coefficient:g}, c = {c:g}) and P0* is empty")
         assert (k_failure in ctx.hypothesis_failures) != k_finite
         assert ctx.ps_star.is_empty() and not ctx.hypotheses_met
-        assert conclusion_bounds(ctx).upper_B == math.inf
+        # the upper bound's c^(-4) passes the float range for the tiny c only
+        assert (conclusion_bounds(ctx).upper_B == math.inf) == (c < 1e-50)
         assert not check_bv_condition(ctx, s, 5).holds
 
     @pytest.mark.parametrize("c", [1e-100, 1.4e-150])

@@ -652,6 +652,43 @@ class TestResidueCounts:
         assert got.tolist() == [len({v % p for v in values}) for p in primes]
 
 
+class TestPower:
+    """``_power``, the package's one float-range rule."""
+
+    def test_same_bits_inside_the_float_range(self):
+        power = primes_module._power
+        rng = random.Random(5)
+        for _ in range(20000):
+            base = rng.uniform(1e-3, 1e3) * 10.0 ** rng.randint(-100, 100)
+            x = rng.randrange(1, 10 ** rng.randint(1, 300))
+            exponent = rng.choice([rng.randint(1, 40), rng.uniform(-3.0, 3.0)])
+            if abs(exponent) * max(abs(math.log10(base)), math.log10(x)) > 300:
+                continue
+            assert power(base, exponent).hex() == (base**exponent).hex()
+            assert power(x, exponent).hex() == (float(x) ** exponent).hex()
+            assert (x / power(base, exponent)).hex() == (x / base**exponent).hex()
+            assert power(x, 1).hex() == float(x).hex()
+            assert power(x, 0.5).hex() == math.sqrt(x).hex()
+        # float(n) ** 0.5 and math.sqrt(n) differ in their last bit here
+        assert power(2921, 0.5) == math.sqrt(2921) != 2921.0**0.5
+
+    def test_inf_above_the_float_range(self):
+        power = primes_module._power
+        assert power(10.0, 400) == power(3.0, 647) == math.inf
+        assert power(10**400, 1) == power(10**200, 2.0) == math.inf
+        assert power(math.inf, 2) == power(3.0, math.inf) == math.inf
+
+    def test_zero_below_the_float_range(self):
+        power = primes_module._power
+        assert power(10.0, -400) == power(1e-200, 2) == 0.0
+        assert power(10**400, -1) == power(10**200, -2) == 0.0
+        assert power(math.inf, -1) == 0.0
+
+    def test_huge_int_base_inside_the_range_through_logarithms(self):
+        assert primes_module._power(10**400, 0.5) == pytest.approx(1e200, rel=1e-12)
+        assert primes_module._power(10**400, -0.75) == pytest.approx(1e-300, rel=1e-12)
+
+
 class TestCache:
     @pytest.fixture
     def cache(self, monkeypatch):

@@ -440,6 +440,18 @@ class TestDiscrepancySum:
         total, rows = sieves.discrepancy_sum(np.append(values, 16), [3, 5], 15, 1e200)
         assert rows[1].term == math.inf and total == math.inf
 
+    def test_infinite_base(self):
+        # a base past the float range makes every weight inf; a modulus with
+        # no deviation still adds 0, never inf * 0 = NaN
+        values = np.array([1, 2, 4, 7, 8, 11, 13, 14], dtype=np.int64)
+        total, rows = sieves.discrepancy_sum(values, [3, 5], 15, math.inf)
+        assert [(r.d, r.weight, r.term) for r in rows] == [
+            (3, math.inf, 0.0), (15, math.inf, 0.0), (5, math.inf, 0.0)]
+        assert total == 0.0
+        total, rows = sieves.discrepancy_sum(np.append(values, 16), [3, 5], 15, math.inf)
+        assert [r.term for r in rows] == [math.inf] * 3 and total == math.inf
+        assert not any(math.isnan(v) for r in rows for v in (r.weight, r.term))
+
     def test_rows_in_preorder_with_weights_base_to_the_omega(self):
         total, rows = self.run()
         assert [r.d for r in rows] == [
