@@ -3,7 +3,7 @@ plus the half-occupancy diagnostics used in the primes analysis.
 
 ``build_context`` assembles the tuple (x, c, sigma, sigma0, K, P0, P0*) for a
 concrete instance and verifies that no target-set element is divisible by a
-sieving prime, against the one P0 mask the cache keeps per (P0, x).  The two
+sieving prime, against the one P0 factor table the cache keeps.  The two
 alternative conditions (sieve-controls-size and the progression-discrepancy
 condition) are then evaluated exactly.  With strict constants, K is typically
 so large that P0* is empty at desk scale; that is reported honestly, never
@@ -23,10 +23,10 @@ from .primes import (
     And,
     MinValue,
     PrimeSubset,
+    _factor_hits,
     _power,
     density_ratio_c,
     divisibility_hits,
-    kept_multiples_mask,
     primes_up_to,
     residue_counts,
 )
@@ -49,9 +49,6 @@ class GenThmContext:
     s_size: int = 0
     s0_size: int = 0
     c_measured: Optional[float] = None
-    # (S, P0*) as build_context made them: S is clear of P0 primes, so of the
-    # primes of that P0*, a subset of P0; never set from outside, shown or compared
-    _cleared: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def hypotheses_met(self) -> bool:
@@ -86,11 +83,10 @@ def build_context(
 
     Verifies s0 subset of s subset of [1, x] and that no element of s is
     divisible by a prime of ps (raising with witnesses otherwise).  The scan
-    reads the multiples mask of ps over [0, x] that the one cache keeps
-    (``kept_multiples_mask``), and looks for witnesses only when it shows a
-    hit; without that mask it is ``divisibility_hits``.  The context records
-    the cleared s with its P0*, so that ``prop_smallkbv_bound`` need not scan
-    s again for that P0* (a subset of P0).  A density ratio c at or below the
+    is L[s] > 0 in the factor table of ps over [0, x] that the one cache keeps
+    (``_factor_hits``), which ``prop_smallkbv_bound`` reads for P0* too, and
+    looks for witnesses only when it shows a hit; without that table it is
+    ``divisibility_hits``.  A density ratio c at or below the
     window floor, c = 0 and a K past the float range are recorded as
     hypothesis failures in the context, not raised; the floor x^(-e) and the P0*
     threshold K^star_exponent are ``_power`` values, and an infinite threshold leaves P0* empty.
@@ -103,8 +99,8 @@ def build_context(
         raise DomainError("S0 must be a subset of S")
     if s.min < 1 or s.max > x:
         raise DomainError(f"S must lie in [1, {x}]")
-    mask = kept_multiples_mask(ps, x)
-    if mask is None or mask[s.array()].any():
+    found = _factor_hits(s.array(), ps, x)
+    if found is None or found.any():
         hits, total = divisibility_hits(s.array(), ps)
         if hits:
             raise DivisibilityError(hits, total)
@@ -148,7 +144,7 @@ def build_context(
                         f"(k_coefficient = {profile.k_coefficient:g}, c = {c:g}) and P0* is empty")
     threshold = _power(big_k, profile.star_exponent)
     star = PrimeSubset(ps.base, And((ps.selector, MinValue(threshold))))
-    ctx = GenThmContext(
+    return GenThmContext(
         x=x,
         ps=ps,
         c=c,
@@ -162,8 +158,6 @@ def build_context(
         s0_size=len(s0),
         c_measured=measured,
     )
-    ctx._cleared = (s, star)
-    return ctx
 
 
 @dataclass(frozen=True)

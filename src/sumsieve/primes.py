@@ -10,20 +10,26 @@ limit before anything is sieved.  A
 draws its primes and its partial sums (theta, Mertens-type) from here, through
 ``PrimeSubset.primes_in``, the one table-coverage rule: a range past the table
 raises CapacityError unless the selector is bounded inside the table (no other
-module reads a table's limit).
-The one prime-factor kernel is ``multiples`` (which n <= top some listed
-prime divides, one byte each, built per call), behind tuple counts and
-``survivors``, the one sift: the values v != a (mod p) for every class a and
-prime p of a subset, which alone picks a gather from that mask or, past the
-mask's caps, a sweep prime by prime.  Sifted counts and divisibility scans
-are ``survivors`` calls; its primes, too, come through ``primes_in``.
+module reads a table's limit).  It slices the table's prime list, or the
+cached primes (and math.log values) of the selector's class part.
+The one prime-factor kernel is ``_mark`` (the multiples of listed primes),
+behind ``multiples`` (which n <= top some listed prime divides, one byte
+each, built per call, behind tuple counts) and the factor table of a subset
+fixed over many calls such as P0 (the largest of its primes dividing n, 4
+bytes each, cached).  ``survivors`` is the one sift: the values v != a
+(mod p) for every class a and prime p of a subset, which alone picks a
+gather from the factor table (for a floor subset such as P0*), from a
+multiples mask or, past their caps, a sweep prime by prime.  Sifted counts
+and divisibility scans are ``survivors`` calls; its primes, too, come
+through ``primes_in``.
 ``shift_class_hits`` is the one shift-class test (v = a_i mod p, from a bool
 table over [0, p)) behind that sweep and Selberg's remainder,
 ``residue_counts`` the one residue-occupancy kernel,
-and ``cached`` the package's one cache (tables, masks and the density ratio
-c: one multiples mask and one ratio per (P0, x), never a mask of a
-per-instance subset such as P0*), bounded in bytes by the memory cap, a
-fixed per-entry overhead included and each table charged its full-limit bound.
+and ``cached`` the package's one cache (tables, reduced-residue masks, the
+density ratio c, the selected primes of each class part and the factor table
+of each P0, never one of a per-instance subset such as P0*), bounded in bytes
+by the memory cap, a fixed per-entry overhead included and each table charged
+its full-limit bound.
 """
 
 from __future__ import annotations
@@ -143,24 +149,9 @@ class PrimeTable:
         return self._primes
 
     def primes_between(self, lo: float, hi: float) -> np.ndarray:
-        """Primes p with lo < p <= hi, ascending."""
-        if hi > self.limit:
-            raise CapacityError(
-                f"range end {hi} exceeds table limit {self.limit}", limit=self.limit
-            )
-        top = self._int_bound(hi)
-        self._extend(self.limit if math.isnan(top) else top)
-        ps = self._primes
-        # integer bounds keep searchsorted from casting the table to float
-        i = np.searchsorted(ps, self._int_bound(lo), side="right")
-        j = np.searchsorted(ps, top, side="right")
-        return ps[i:j]
-
-    def _int_bound(self, v: float):
-        """An int with as many table primes <= it as v (non-finite v as is)."""
-        if not math.isfinite(v):
-            return v
-        return math.floor(min(max(v, 0), self.limit))
+        """Primes p with lo < p <= hi, ascending; CapacityError for an hi past
+        the limit: ``primes_in`` of all primes."""
+        return _selected(PrimeSubset(self), lo, hi)[0]
 
     @property
     def nbytes(self) -> int:
@@ -335,11 +326,12 @@ class PrimeSubset:
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:
         """The selected primes p with lo < p <= hi; CapacityError when the
-        table stops short of hi and the selector could pass a prime beyond it."""
-        arr = self.base.primes_between(lo, min(hi, self.selector.upper()))
-        if isinstance(self.selector, AllPrimes):
-            return arr
-        return arr[self.selector.mask(arr)]
+        table stops short of hi and the selector could pass a prime beyond it.
+
+        The selector's Interval and MinValue parts narrow the range; a subset
+        of ranges only is a slice of the table's prime list, any other a slice
+        of its class part's cached primes (``_selected``)."""
+        return _selected(self, lo, hi)[0]
 
     def primes(self) -> np.ndarray:
         return self.primes_in(0, self.base.limit)
@@ -357,6 +349,93 @@ class PrimeSubset:
 
 def all_primes(table: PrimeTable) -> PrimeSubset:
     return PrimeSubset(table, ALL)
+
+
+def _split(selector: Selector) -> tuple[float, float, Selector]:
+    """(gt, le, part): a prime p passes selector iff gt < p <= le and p passes
+    part.  gt and le come from the Interval and MinValue parts (an empty range
+    for a NaN bound, which selects nothing), part is the rest, ALL if none."""
+    if isinstance(selector, Interval):
+        lo, hi = selector.lo, selector.hi
+        return (lo, hi, ALL) if lo == lo and hi == hi else (math.inf, -math.inf, ALL)
+    if isinstance(selector, MinValue):
+        t = selector.threshold
+        if t != t:
+            return math.inf, -math.inf, ALL
+        return (math.ceil(t) - 1 if math.isfinite(t) else t), math.inf, ALL
+    if not isinstance(selector, And):
+        return -math.inf, math.inf, (ALL if isinstance(selector, AllPrimes) else selector)
+    gt, le, rest = -math.inf, math.inf, []
+    for lower, upper, part in map(_split, selector.parts):
+        gt, le = max(gt, lower), min(le, upper)
+        if part is not ALL:
+            rest.append(part)
+    return gt, le, (rest[0] if len(rest) == 1 else And(tuple(rest)) if rest else ALL)
+
+
+class _Selected:
+    """The primes of one class part up to a reach, ascending, and their
+    math.log values, computed on first use: an entry of the one cache."""
+
+    __slots__ = ("primes", "_logs")
+
+    def __init__(self, primes: np.ndarray):
+        self.primes = primes
+        self.primes.flags.writeable = False
+        self._logs = None
+
+    @property
+    def logs(self) -> np.ndarray:
+        if self._logs is None:
+            self._logs = np.fromiter(map(math.log, self.primes.tolist()), np.float64,
+                                     self.primes.size)
+            self._logs.flags.writeable = False
+        return self._logs
+
+    @property
+    def nbytes(self) -> int:
+        """The charge: 8 bytes a prime and 8 for its log, whether computed yet or not."""
+        return 16 * self.primes.size
+
+
+def _selected(ps: PrimeSubset, lo: float, hi: float | None, logs: bool = False):
+    """(primes, their logs or None): the selected primes p with lo < p <= hi,
+    under ``primes_in``'s coverage rule; a NaN or None hi reads as the table
+    limit.
+
+    The class part's primes up to reach, the next power of two of the range's
+    end (at least 1024, at most the limit), are one cache entry per (table
+    limit, class part, reach), charged 16 bytes a prime; a range is two
+    searchsorted in it.  A subset of ranges only reads the table's own prime
+    list, with no entry unless its logs are asked for."""
+    table = ps.base
+    limit = table.limit
+    hi = limit if hi is None else hi
+    end = min(hi, ps.selector.upper())
+    if end > limit:
+        raise CapacityError(f"range end {end} exceeds table limit {limit}", limit=limit)
+    gt, le, part = _split(ps.selector)
+    # integer bounds with as many primes below them keep searchsorted off floats
+    lo = limit if lo != lo else math.floor(min(max(lo, gt, 0), limit))
+    hi = math.floor(max(min(limit if hi != hi else hi, le, limit), 0))
+    if hi <= lo:
+        return np.empty(0, dtype=np.int64), np.empty(0) if logs else None
+    if part is ALL and not logs:
+        table._extend(hi)
+        entry = None
+        primes = table._primes
+    else:
+        reach = min(limit, max(1024, 1 << (hi - 1).bit_length()))
+
+        def build():
+            primes = table.primes_between(0, reach)
+            # a view of the table's list for ALL, which keeps the list alive as long
+            return _Selected(primes[:] if part is ALL else primes[part.mask(primes)])
+
+        entry = cached(("primes", limit, part, reach), build)
+        primes = entry.primes
+    i, j = np.searchsorted(primes, (lo, hi), side="right")
+    return primes[i:j], entry.logs[i:j] if logs else None
 
 
 # --------------------------------------------------------------------------
@@ -382,20 +461,18 @@ class PrimeSums:
 def subset_sums(ps: PrimeSubset, lo: float, hi: float) -> PrimeSums:
     """Partial sums over primes p in ps with lo < p <= hi.
 
-    Accumulated in ascending order in double precision; the rounding error is
-    far below the 1e-9 relative budget at table scales.
+    Accumulated in ascending order in double precision, one term at a time
+    (``np.add.accumulate``, the bits of a Python loop), from the primes and
+    math.log values ``_selected`` slices out of the cache; the rounding error
+    is far below the 1e-9 relative budget at table scales.
     """
     if not 0 <= lo < hi:  # a NaN bound fails too
         raise DomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    theta = 0.0
-    mlog = 0.0
-    mrec = 0.0
-    for p in ps.primes_in(lo, hi).tolist():
-        lp = math.log(p)
-        theta += lp
-        mlog += lp / p
-        mrec += 1.0 / p
-    return PrimeSums(theta, mlog, mrec)
+    primes, logs = _selected(ps, lo, hi, logs=True)
+    if not primes.size:
+        return PrimeSums(0.0, 0.0, 0.0)
+    return PrimeSums(*(float(np.add.accumulate(terms)[-1])
+                       for terms in (logs, logs / primes, 1.0 / primes)))
 
 
 def density_ratio_c(
@@ -480,7 +557,7 @@ def cached(key: Hashable, build: Callable, nbytes: int | None = None):
 
 
 # --------------------------------------------------------------------------
-# the sift (exact: one multiples mask, or one sweep past its caps)
+# the sift (exact: one factor table or multiples mask, or one sweep past their caps)
 
 # values up to this bound are scanned through a multiples mask (1 byte each)
 MASK_CAP = 5 * 10**7
@@ -488,75 +565,123 @@ MASK_CAP = 5 * 10**7
 _SLICE_MULTIPLES = 64
 
 
-def _mask_fits(top: int) -> bool:
-    """Whether a multiples mask over [0, top] stays within its caps."""
-    return top <= MASK_CAP and top + 1 <= MEMORY_CAP
+def _mask_fits(top: int, itemsize: int = 1) -> bool:
+    """Whether a mask or table over [0, top], itemsize bytes an entry, stays within its caps."""
+    return top <= MASK_CAP and (top + 1) * itemsize <= MEMORY_CAP
 
 
-def multiples(primes: np.ndarray, top: int) -> np.ndarray:
-    """Bool mask over [0, top]: a prime in primes (ascending, none above top)
-    divides n, so m[0] holds for any primes; one byte each, capped by the caller.
+def _mark(out: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """out, with out[n] = p for every multiple n >= 1 of each p in primes
+    (ascending, none above top = out.size - 1): a bool out marks the n some
+    prime divides, an int out holds the largest one.
 
-    Primes with many multiples take one slice each; the rest share index
-    arrays of at most BLOCK_BYTES (or of one prime's multiples, if larger).
+    Primes up to max(sqrt(top), top / _SLICE_MULTIPLES) take one slice each, in
+    ascending order, so a larger prime writes last; the rest, each the only
+    prime above sqrt(top) of its multiples and with fewer than _SLICE_MULTIPLES
+    of them, share index arrays of at most BLOCK_BYTES (or of one prime's
+    multiples, if larger).
     """
-    m = np.zeros(top + 1, dtype=bool)
-    m[0] = primes.size > 0
-    split = int(np.searchsorted(primes, top // _SLICE_MULTIPLES, side="right"))
+    top = out.size - 1
+    split = int(np.searchsorted(primes, max(math.isqrt(top), top // _SLICE_MULTIPLES), "right"))
     for p in primes[:split].tolist():
-        m[p::p] = True
-    # the rest have fewer than _SLICE_MULTIPLES multiples each
+        out[p::p] = p
     step = max(1, BLOCK_BYTES // (16 * _SLICE_MULTIPLES))  # two int64 temporaries
     for lo in range(split, primes.size, step):
         block = primes[lo : lo + step]
         counts = top // block
         k = np.arange(1, int(counts.sum()) + 1, dtype=np.int64)
         k -= np.repeat(np.cumsum(counts) - counts, counts)
-        k *= np.repeat(block, counts)
-        m[k] = True
+        block = np.repeat(block, counts)
+        k *= block
+        out[k] = block
+    return out
+
+
+def multiples(primes: np.ndarray, top: int) -> np.ndarray:
+    """Bool mask over [0, top]: a prime in primes (ascending, none above top)
+    divides n, so m[0] holds for any primes; one byte each, capped by the
+    caller, marked by ``_mark``."""
+    m = _mark(np.zeros(top + 1, dtype=bool), primes)
+    m[0] = primes.size > 0
     return m
+
+
+def _floor(selector: Selector) -> tuple[Selector, float]:
+    """(part, t): a prime p passes selector iff it passes part and p >= t.
+    For a floor selector And((part, MinValue(t'))), such as P0*'s, t is
+    max(t', 1); any other selector is its own part, with t = 1."""
+    parts = getattr(selector, "parts", ())
+    if len(parts) == 2 and isinstance(parts[1], MinValue):
+        return parts[0], max(parts[1].threshold, 1)
+    return selector, 1
+
+
+def _largest_factors(table: PrimeTable, selector: Selector, top: int) -> np.ndarray | None:
+    """The int32 factor table L over [0, reach]: L[n] the largest prime of
+    selector dividing n >= 1, 0 if none, and L[0] = 0; reach is the next
+    power of two of top (at least 1024, at most the table limit).  One cache
+    entry per (table limit, selector, reach); None when top passes the table
+    or the table passes the mask's caps.
+
+    For a selector fixed over many calls, such as P0, whose floor subsets
+    (P0*, per instance) read the same table.
+    """
+    if top > table.limit:
+        return None
+    reach = min(table.limit, max(1024, 1 << (top - 1).bit_length()))
+    if not _mask_fits(reach, 4):
+        return None
+    return cached(("factors", table.limit, selector, reach), lambda: _mark(
+        np.zeros(reach + 1, dtype=np.int32), PrimeSubset(table, selector).primes_in(0, reach)))
+
+
+def _factor_hits(values: np.ndarray, ps: PrimeSubset, top: int) -> np.ndarray | None:
+    """Bool array over values (in [0, top]): a prime of ps divides v > 0,
+    read as L[v] >= t from the factor table of ps's ``_floor`` part; None
+    when ``_largest_factors`` gives no table."""
+    part, t = _floor(ps.selector)
+    factors = _largest_factors(ps.base, part, top)
+    return None if factors is None else factors[values] >= t
 
 
 def survivors(values: np.ndarray, classes: np.ndarray, ps: PrimeSubset) -> np.ndarray:
     """The values v != a (mod p) for every a in classes and p in ps (int64
     arrays, >= 0), in their given order: the one sift.
 
-    For top the largest value or class, within the mask's caps that is one
-    gather at |v - a| from a ``multiples`` mask over the primes of ps up to
-    min(top, table limit), its m[0] set when ps has any prime (every prime
-    sifts out v = a); beyond them a sweep by ``shift_class_hits`` over the
-    primes of ps up to top and the first above it (which sifts out exactly
-    the v equal to a class), ascending and stopped once no value is left.
+    For top the largest value or class, v = a is sifted out when ps has any
+    prime (every prime divides 0), and v != a by:
+    - for a floor subset such as P0* with top inside the table, one gather
+      at |v - a| from the cached factor table of its part (``_largest_factors``),
+      sifting out v when L[|v - a|] reaches the floor;
+    - else, within the mask's caps, one gather from a ``multiples`` mask over
+      the primes of ps up to min(top, table limit), built per call;
+    - beyond them a sweep by ``shift_class_hits`` over the primes of ps up to
+      top and the first above it (which sifts out exactly the v equal to a
+      class), ascending and stopped once no value is left.
     """
     if values.size == 0:
         return values
     top = int(max(values.max(), classes.max()))
-    if _mask_fits(top):
-        bound = min(top, ps.base.limit)
-        m = multiples(ps.primes_in(0, bound), top)
-        m[0] = m[0] or ps.primes_in(bound, ps.base.limit).size > 0
-        return values[~m[np.abs(values[:, None] - classes[None, :])].any(axis=1)]
+    bound = min(top, ps.base.limit)
+    part, t = _floor(ps.selector)
+    factors = None if part is ps.selector else _largest_factors(ps.base, part, top)
+    if factors is not None or _mask_fits(top):
+        # one row per class, so that numpy's inner loops run along the values
+        diffs = np.abs(classes[:, None] - values)
+        if factors is not None:
+            hit = factors[diffs] >= t
+        else:
+            hit = multiples(ps.primes_in(0, bound), top)[diffs]
+        # a prime up to top, as a rule, spares sieving the table to its limit
+        if not diffs.all() and (ps.primes_in(0, bound).size or ps.primes().size):
+            hit |= diffs == 0
+        return values[~hit.any(axis=0)]
     plist = ps.primes()
     for p in plist[: np.searchsorted(plist, top, side="right") + 1].tolist():
         values = values[~shift_class_hits(values, classes, p)]
         if values.size == 0:
             break
     return values
-
-
-def kept_multiples_mask(ps: PrimeSubset, top: int) -> np.ndarray | None:
-    """m[n] for 1 <= n <= top: a prime of ``ps.primes_in(0, top)`` divides n,
-    from ``multiples``, kept in the one cache under (table limit, selector,
-    top), the density ratio's key shape; None when the mask passes its caps
-    or when ``primes_in`` would refuse top.
-
-    For a subset fixed over many calls, such as P0: a selector that changes
-    per call (a P0* threshold) would fill the cache with masks read once.
-    """
-    if not _mask_fits(top) or min(top, ps.selector.upper()) > ps.base.limit:
-        return None
-    key = ("multiples", ps.base.limit, ps.selector, top)
-    return cached(key, lambda: multiples(ps.primes_in(0, top), top))
 
 
 def divisibility_hits(

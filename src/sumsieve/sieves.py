@@ -16,15 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice, repeat
 from typing import Optional
+
+import numpy as np
 
 from .arith import discrepancy_sum, lattice, lattice_sum
 from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .errors import CapacityError, DomainError
 from .primes import (
+    ENTRY_CAP,
     MEMORY_CAP,
     PrimeSubset,
+    _factor_hits,
     _power,
+    _selected,
     all_primes,
     divisibility_hits,
     residue_counts,
@@ -115,8 +121,15 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
 
 def _sieve_denominator(omega: OccupancyProfile, primes: list, q_limit: int):
     """(support, L): the primes p <= Q with omega(p) > 0, and L, the sum over
-    squarefree q <= Q supported on them of prod omega(p) / (p - omega(p)).
-    Every omega(p) must lie in [0, p), and Q must be at least 1."""
+    squarefree q <= Q supported on them of prod omega(p) / (p - omega(p)),
+    in ``lattice`` preorder.  Every omega(p) must lie in [0, p), and Q must be
+    at least 1.
+
+    More than ENTRY_CAP squarefree q (q = 1 included) raise CapacityError:
+    before the walk when the products of at most j support primes, each at
+    most max(support)^j <= Q, already number more; else once the walk
+    reaches the cap.
+    """
     if q_limit < 1:
         raise DomainError(f"need Q >= 1, got {q_limit}")
     for p in primes:
@@ -125,7 +138,21 @@ def _sieve_denominator(omega: OccupancyProfile, primes: list, q_limit: int):
             raise DomainError(f"need 0 <= omega(p) < p at p={p}, got {w}")
     support = [p for p in primes if omega.get(p) > 0 and p <= q_limit]
     weights = {p: omega.get(p) / (p - omega.get(p)) for p in support}
-    return support, lattice_sum(support, weights, q_limit)
+    refusal = f"the sieve denominator sums over more than {ENTRY_CAP} squarefree q"
+    # 2^m squarefree q at most: fewer primes than the cap's bits never pass it
+    count, j, m = 1, 0, len(support)
+    while m >= ENTRY_CAP.bit_length() and count <= ENTRY_CAP and support[-1] ** (j + 1) <= q_limit:
+        j += 1
+        count += math.comb(m, j)
+    if count > ENTRY_CAP:
+        raise CapacityError(refusal)
+    walk = lattice(support, q_limit, 1.0, lambda t, p: t * weights[p])
+    total = 0.0
+    for _, term in islice(walk, ENTRY_CAP):
+        total += term
+    if next(walk, None) is not None:
+        raise CapacityError(refusal)
+    return support, total
 
 
 def larger_sieve_bound(
@@ -138,29 +165,34 @@ def larger_sieve_bound(
     empty mod p; reported as invalid with bound 0 rather than raised.  When
     the profile knows its set's range (``occupancy`` records it), A inside
     [1, N] is a hypothesis of the report, and the bound is not valid without it.
+    The primes and their math.log values come from the cache (``_selected``);
+    both sums run one term at a time in ascending order (``np.add.accumulate``).
     """
     if n_limit < 1:
         raise DomainError(f"need N >= 1, got {n_limit}")
-    plist = ps.primes().tolist()
+    primes, logs = _selected(ps, 0, None, logs=True)
+    plist = primes.tolist()
     params = {"N": n_limit, "ps": ps.describe(), "primes": len(plist)}
     hyps = {}
     if profile.span is not None:
         hyps["set_within_1_to_N"] = 1 <= profile.span[0] and profile.span[1] <= n_limit
-    log_n = math.log(n_limit)
-    num = -log_n
-    den = -log_n
-    for p in plist:
-        if p not in profile.entries:
-            raise DomainError(f"occupancy profile missing prime {p}")
-        nu = profile.get(p)
-        if nu <= 0:
-            return SieveBoundReport(
-                0.0, 0.0, params, f"occupancy 0 at p={p}: sifted set empty",
-                hypotheses=hyps,
-            )
-        lp = math.log(p)
-        num += lp
-        den += lp / nu
+    # a prime missing from the profile reads NaN; the first one missing, or
+    # with nu(p) <= 0, decides
+    entries = profile.entries
+    nu = np.fromiter(map(entries.get, plist, repeat(math.nan)), np.float64, len(plist))
+    missing = [i for i in np.flatnonzero(np.isnan(nu)).tolist() if plist[i] not in entries]
+    empty = np.flatnonzero(nu <= 0)
+    if empty.size and (not missing or empty[0] < missing[0]):
+        return SieveBoundReport(
+            0.0, 0.0, params, f"occupancy 0 at p={plist[empty[0]]}: sifted set empty",
+            hypotheses=hyps,
+        )
+    if missing:
+        raise DomainError(f"occupancy profile missing prime {plist[missing[0]]}")
+    # summed one term at a time from -log N, as a loop over the primes would
+    start = [-math.log(n_limit)]
+    num = float(np.add.accumulate(np.concatenate((start, logs)))[-1])
+    den = float(np.add.accumulate(np.concatenate((start, logs / nu)))[-1])
     if den <= 0:
         return SieveBoundReport(
             math.inf, den, params, "denominator not positive", hypotheses=hyps
@@ -374,9 +406,10 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
             tau3(d)^(1 + log k / log 3) * max over (a,d)=1 of
             |#{s in S : s = a mod d} - #S/phi(d)|.
     Requires that no element of S is divisible by a P0* prime.  S is scanned
-    for them unless it equals the S that ``build_context`` cleared of P0
-    primes, and ctx.ps_star is still the P0* it built (a subset of P0); a
-    hand-built context always scans.  The discrepancy sum is
+    for them in the cached factor table of P0 (``_factor_hits``: L[s] >= the
+    P0* floor), the one ``build_context`` clears S with, and
+    ``divisibility_hits`` finds the witnesses when it shows a hit, or scans
+    alone where no table applies.  The discrepancy sum is
     ``discrepancy_sum`` with base 3k and its default modulus budget; a prime
     table below Q^2 raises CapacityError.
     """
@@ -384,7 +417,8 @@ def prop_smallkbv_bound(s, shifts, ctx, q_limit: int) -> SieveBoundReport:
     shifts = _small_k_shifts(shifts, ctx)
     k = len(shifts)
     star = ctx.ps_star
-    hits = [] if ctx._cleared == (s, star) else divisibility_hits(s.array(), star)[0]
+    found = _factor_hits(s.array(), star, s.max) if len(s) else None
+    hits = divisibility_hits(s.array(), star)[0] if found is None or found.any() else []
     if hits:
         raise DomainError(
             f"S contains elements divisible by P0* primes, e.g. {hits[:3]}"

@@ -30,6 +30,25 @@ WITNESS_CAP = 1000
 _VALUE_END = 1 << 63
 
 
+_OUTSIDE_INT64 = "integer set elements must lie in [0, 2^63)"
+
+
+def _range_array(r: range) -> np.ndarray:
+    """The elements of r, ascending, by np.arange; DomainError for an element
+    outside the int64 range, as np.array refuses it."""
+    if not r:
+        return np.empty(0, dtype=np.int64)
+    lo, hi = min(r[0], r[-1]), max(r[0], r[-1])
+    if lo < -_VALUE_END or hi >= _VALUE_END:
+        raise DomainError(_OUTSIDE_INT64)
+    # lo + i * step, which stays in range, not arange's stop, which may not
+    arr = np.arange(len(r), dtype=np.int64)
+    if len(r) > 1:
+        arr *= abs(r.step)
+    arr += lo
+    return arr
+
+
 class IntegerSet:
     """Finite set of integers in [0, 2^63), stored as one read-only, sorted,
     deduplicated int64 array; everything else is derived from that array."""
@@ -37,12 +56,15 @@ class IntegerSet:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[int]):
-        if not isinstance(values, (np.ndarray, list, tuple)):
-            values = list(values)
-        try:
-            arr = np.array(values, dtype=np.int64)
-        except OverflowError:
-            raise DomainError("integer set elements must lie in [0, 2^63)") from None
+        if isinstance(values, range):
+            arr = _range_array(values)
+        else:
+            if not isinstance(values, (np.ndarray, list, tuple)):
+                values = list(values)
+            try:
+                arr = np.array(values, dtype=np.int64)
+            except OverflowError:
+                raise DomainError(_OUTSIDE_INT64) from None
         if arr.ndim != 1:
             raise DomainError("an integer set needs a flat sequence of integers")
         arr.sort()

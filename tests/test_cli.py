@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -401,6 +402,18 @@ class TestCommands:
         assert set(doc) == {"schema", "command", "error"}
         assert doc["error"]["type"] == "CapacityError"
 
+    def test_large_sieve_denominator_is_capped(self, capsys):
+        # the squarefree q <= 10^10 over the 4203 primes to 40000: the walk
+        # used to run without end; it stops at primes.ENTRY_CAP of them
+        started = time.monotonic()
+        code, doc = run_json(capsys, "sieve-bound", "--kind", "large", "--set", "0,1",
+                             "--selector", "all", "--limit", "40000", "--q", "10000000000")
+        assert time.monotonic() - started < 15
+        assert code == 1
+        assert doc == {"schema": 1, "command": "sieve-bound", "error": {
+            "type": "CapacityError",
+            "message": f"the sieve denominator sums over more than {primes.ENTRY_CAP} squarefree q"}}
+
     def test_dickman_table_row_count_is_capped(self, capsys):
         # 5e11 rows: used to run without end
         code, doc = run_json(capsys, "dickman", "--table", "0,500,1e-9")
@@ -613,12 +626,12 @@ _VALID_ARGVS = st.one_of(
         ).map(lambda t: ["--set", t[0], *t[1], *t[2], *t[3]]),
         _table(_SELECTOR),
     ),
-    # a huge Q over the primes up to 30 at most: L sums over every squarefree
-    # q <= Q they support, with no budget
+    # a huge Q over any selector: L sums over every squarefree q <= Q the
+    # primes support, up to primes.ENTRY_CAP of them
     st.tuples(
         st.just(["sieve-bound", "--kind", "large"]),
         st.tuples(_SET, _POWERS_OF_TEN).map(lambda t: ["--set", t[0], "--q", t[1]]),
-        _table(_number(0, 30).map(lambda v: f"interval:2,{v}")),
+        _table(_SELECTOR),
     ),
     st.tuples(
         st.just(["sieve-bound", "--kind", "selberg"]),

@@ -150,8 +150,8 @@ class TestBuildContext:
         assert k_of(0.1, 0.25) >= k_of(0.1, 0.5)
 
 
-def _multiples_keys():
-    return {key for key in primes_module._CACHE if key[0] == "multiples"}
+def _factor_keys():
+    return {key for key in primes_module._CACHE if key[0] == "factors"}
 
 
 def _q_instance(table, x=10**4):
@@ -172,16 +172,17 @@ def _scaled_profile(rng, s, c, x):
     )
 
 
-class TestKeptP0Mask:
-    """build_context clears S against the one P0 mask the cache keeps per
-    (P0, x), and never keeps a mask of a per-instance P0*."""
+class TestP0FactorTable:
+    """build_context clears S in the one factor table of P0 the cache keeps,
+    and prop_smallkbv_bound scans S for each per-instance P0* in that same
+    table: no table of a P0* is ever kept."""
 
-    def test_one_mask_for_many_thresholds(self, table_1e6):
+    def test_one_table_for_many_thresholds(self, table_1e6):
         x = 10**4
         p0, s = _q_instance(table_1e6, x)
         c = primes_module.density_ratio_c(p0, x, window_floor_exponent=0.3)
         rng = random.Random(21)
-        before = _multiples_keys()
+        before = _factor_keys()
         thresholds = set()
         for _ in range(200):
             ctx = build_context(s, s, p0, x, _scaled_profile(rng, s, c, x))
@@ -189,10 +190,11 @@ class TestKeptP0Mask:
             shifts = IntegerSet(rng.sample(range(0, x), 2))
             prop_smallkbv_bound(s, shifts, ctx, 30)
         assert len(thresholds) == 200
-        added = _multiples_keys() - before
-        assert added <= {("multiples", table_1e6.limit, p0.selector, x)}
+        # x = 10^4 and max S both reach 2^14
+        assert _factor_keys() - before <= {("factors", table_1e6.limit, p0.selector, 2**14)}
+        assert ("factors", table_1e6.limit, p0.selector, 2**14) in _factor_keys()
 
-    def test_cap_below_the_mask_keeps_nothing(self, table_1e6, monkeypatch):
+    def test_cap_below_the_table_keeps_nothing(self, table_1e6, monkeypatch):
         x = 10**4
         p0, s = _q_instance(table_1e6, x)
         c = primes_module.density_ratio_c(p0, x, window_floor_exponent=0.3)
@@ -203,9 +205,11 @@ class TestKeptP0Mask:
             build_context(dirty, s, p0, x, profile)
         want_pairs = err.value.pairs
         assert want_pairs[:2] == [(21, 3), (77 * 11, 7)]
-        # the mask over [0, x] takes x + 1 bytes: a cap of x refuses the
-        # mask, and one short of its entry's charge builds it but keeps nothing
-        for cap in (x, x + primes_module.ENTRY_BYTES):
+        # the int32 table over [0, 2^14] takes 4 (2^14 + 1) bytes: a cap one
+        # short of it refuses the table, and one short of its entry's charge
+        # builds it but keeps nothing
+        table_bytes = 4 * (2**14 + 1)
+        for cap in (table_bytes - 1, table_bytes + primes_module.ENTRY_BYTES - 1):
             with monkeypatch.context() as mp:
                 mp.setattr(primes_module, "MEMORY_CAP", cap)
                 mp.setattr(primes_module, "_CACHE", primes_module._ByteCache())
@@ -213,18 +217,18 @@ class TestKeptP0Mask:
                 with pytest.raises(DivisibilityError) as err:
                     build_context(dirty, s, p0, x, profile)
                 assert err.value.pairs == want_pairs
-                assert not _multiples_keys()
+                assert not _factor_keys()
 
     def test_table_short_of_x_takes_the_scan(self, table_1e4, table_1e6):
-        # P0 unbounded past a 10^4 table and x = 2 * 10^4: no mask is kept,
+        # P0 unbounded past a 10^4 table and x = 2 * 10^4: no table is kept,
         # and the scan up to max S is the one that answers
         x = 2 * 10**4
         p0, s = _q_instance(table_1e6, 10**4)
         short = PrimeSubset(table_1e4, p0.selector)
-        before = _multiples_keys()
+        before = _factor_keys()
         ctx = build_context(s, s, short, x, scaled(c_floor_exponent=0.3))
         assert ctx.s_size == len(s)
-        assert _multiples_keys() == before
+        assert _factor_keys() == before
         with pytest.raises(CapacityError, match="range end 10007 exceeds table limit 10000"):
             build_context(IntegerSet([1, 10007]), IntegerSet([1]), short, x, STRICT)
 

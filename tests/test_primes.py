@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -244,6 +245,154 @@ class TestSubsetSums:
             subset_sums(all_primes(table_1e4), 1, 10**6)
 
 
+def _masked_primes_in(ps, lo, hi):
+    """Reference for primes_in: the coverage rule, then the table's primes p
+    with lo < p <= min(hi, the selector's upper bound), a NaN end read as no
+    end, masked by the whole selector."""
+    end = min(hi, ps.selector.upper())
+    if end > ps.base.limit:
+        raise CapacityError(f"range end {end} exceeds table limit {ps.base.limit}")
+    arr = ps.base.primes
+    arr = arr[(arr > lo) & (arr <= (math.inf if math.isnan(end) else end))]
+    return arr[ps.selector.mask(arr)]
+
+
+def _loop_sums(primes):
+    """Reference for subset_sums: one Python float sum per quantity, in
+    ascending order, from 0.0."""
+    theta = mlog = mrec = 0.0
+    for p in primes:
+        lp = math.log(p)
+        theta += lp
+        mlog += lp / p
+        mrec += 1.0 / p
+    return theta, mlog, mrec
+
+
+def _random_bound(rng, top):
+    return rng.choice([math.nan, math.inf, -math.inf, 1e300, 0, rng.uniform(-10, top),
+                       rng.randrange(-5, top)])
+
+
+def _random_selector(rng, top, depth=0):
+    """Interval, MinValue, ResidueClass, Excluding, ALL and nested And, with
+    NaN, infinite and out-of-table bounds."""
+    kind = rng.randrange(6 if depth < 2 else 5)
+    if kind == 0:
+        return Interval(_random_bound(rng, top), _random_bound(rng, top))
+    if kind == 1:
+        return MinValue(_random_bound(rng, top))
+    if kind == 2:
+        m = rng.randrange(1, 7)
+        return ResidueClass(rng.randrange(m), m)
+    if kind == 3:
+        return Excluding(frozenset(rng.sample(range(2, 200), rng.randrange(5))))
+    if kind == 4:
+        return primes_module.ALL
+    return And(tuple(_random_selector(rng, top, depth + 1) for _ in range(rng.randrange(4))))
+
+
+class TestCachedSelection:
+    """primes_in slices cached class primes and subset_sums sums their cached
+    logs: the same primes and the same bits as the masked selection and a
+    sequential Python loop."""
+
+    def test_primes_in_equals_the_masked_selection(self, monkeypatch):
+        cache = primes_module._ByteCache()
+        monkeypatch.setattr(primes_module, "_CACHE", cache)
+        rng = random.Random(23)
+        tables = {limit: PrimeTable(limit) for limit in (10, 1000, 10**4)}
+        refused = selected = 0
+        for _ in range(4000):
+            limit = rng.choice(sorted(tables))
+            ps = PrimeSubset(tables[limit], _random_selector(rng, 2 * limit))
+            lo, hi = _random_bound(rng, 2 * limit), _random_bound(rng, 2 * limit)
+            try:
+                want = _masked_primes_in(ps, lo, hi).tolist()
+            except CapacityError as exc:
+                with pytest.raises(CapacityError, match=re.escape(str(exc))):
+                    ps.primes_in(lo, hi)
+                refused += 1
+                continue
+            got = ps.primes_in(lo, hi)
+            assert got.dtype == np.int64 and got.tolist() == want, (ps.selector, lo, hi)
+            selected += len(want) > 0
+            # the entries, evicted as they must be, stay within the cap
+            assert cache.nbytes == sum(entry[1] for entry in cache.values()) <= primes_module.MEMORY_CAP
+        assert refused > 100 and selected > 200
+
+    def test_ranges_read_the_table_and_classes_one_entry(self, table_1e4, monkeypatch):
+        cache = primes_module._ByteCache()
+        monkeypatch.setattr(primes_module, "_CACHE", cache)
+        ranges = PrimeSubset(table_1e4, And((Interval(5, 3000), MinValue(40.5))))
+        assert ranges.primes_in(0, 100).tolist() == [41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
+                                                    83, 89, 97]
+        assert len(cache) == 0  # a subset of ranges only: the table's own list
+        # every floor of one class reads the class's entry at the range's reach
+        for t in (0, 13, 40.5, 1e300, math.nan):
+            star = PrimeSubset(table_1e4, And((ResidueClass(3, 4), MinValue(t))))
+            assert star.primes_in(1, 2000).tolist() == _masked_primes_in(star, 1, 2000).tolist()
+        entry = cache[("primes", 10**4, ResidueClass(3, 4), 2048)]
+        assert list(cache) == [("primes", 10**4, ResidueClass(3, 4), 2048)]
+        assert entry[1] == primes_module.ENTRY_BYTES + 16 * entry[0].primes.size
+        star = PrimeSubset(table_1e4, And((ResidueClass(3, 4), MinValue(13))))
+        with pytest.raises(ValueError):
+            star.primes_in(1, 2000)[:1] = 7  # the entry is read-only
+
+    def test_subset_sums_keep_the_bits_of_a_loop(self, table_1e6):
+        rng = random.Random(29)
+        selectors = [primes_module.ALL, ResidueClass(1, 4), ResidueClass(2, 3),
+                     And((ResidueClass(3, 4), MinValue(30))), Excluding(frozenset({3, 7}))]
+        for _ in range(3000):
+            ps = PrimeSubset(table_1e6, rng.choice(selectors))
+            lo = rng.uniform(0, 10**6 - 2)
+            hi = min(10**6, rng.choice([lo + rng.uniform(1, 100), lo + rng.uniform(1, 10**4),
+                                        rng.uniform(lo + 1, 10**6)]))
+            sums = subset_sums(ps, lo, hi)
+            want = _loop_sums(_masked_primes_in(ps, lo, hi).tolist())
+            assert (sums.theta, sums.mertens_log, sums.mertens_recip) == want, (ps.selector, lo, hi)
+            assert all(type(v) is float for v in vars(sums).values())
+
+    def test_larger_sieve_bound_keeps_the_bits_of_a_loop(self, table_1e6):
+        rng = random.Random(31)
+        for _ in range(300):
+            hi = rng.randrange(2, 5000)
+            ps = PrimeSubset(table_1e6, rng.choice([Interval(2, hi), And((ResidueClass(1, 4),
+                                                                          Interval(0, hi)))]))
+            plist = ps.primes().tolist()
+            profile = OccupancyProfile({p: rng.choice([rng.randrange(1, p + 1), rng.uniform(0.5, p)])
+                                        for p in plist})
+            n_limit = rng.randrange(1, 10**5)
+            rep = sieves.larger_sieve_bound(profile, ps, n_limit)
+            num = den = -math.log(n_limit)
+            for p in plist:
+                num += math.log(p)
+                den += math.log(p) / profile.get(p)
+            assert rep.denominator_L == den and rep.params["primes"] == len(plist)
+            assert rep.bound == (num / den if den > 0 else math.inf)
+
+    def test_larger_sieve_bound_stops_at_the_first_gap(self, table_1e4):
+        ps = PrimeSubset(table_1e4, Interval(2, 20))
+        full = {2: 1, 3: 2, 5: 3, 7: 1, 11: 4, 13: 2, 17: 5, 19: 6}
+        cases = [
+            ({**full, 5: 0}, "occupancy 0 at p=5"),
+            ({**full, 5: 0, 11: -1}, "occupancy 0 at p=5"),
+            ({k: v for k, v in full.items() if k != 13}, "missing prime 13"),
+            ({**{k: v for k, v in full.items() if k != 13}, 17: 0}, "missing prime 13"),
+            ({**{k: v for k, v in full.items() if k != 13}, 7: 0}, "occupancy 0 at p=7"),
+        ]
+        for entries, text in cases:
+            if text.startswith("missing"):
+                with pytest.raises(DomainError, match=text):
+                    sieves.larger_sieve_bound(OccupancyProfile(entries), ps, 100)
+            else:
+                rep = sieves.larger_sieve_bound(OccupancyProfile(entries), ps, 100)
+                assert (rep.bound, rep.denominator_L) == (0.0, 0.0) and text in rep.reason
+        # a NaN occupancy is no gap: it makes the sums NaN, as the loop does
+        rep = sieves.larger_sieve_bound(OccupancyProfile({**full, 7: math.nan}), ps, 100)
+        assert math.isnan(rep.bound) and math.isnan(rep.denominator_L)
+
+
 class TestDensityRatio:
     def test_all_primes_give_one(self, table_1e6):
         assert density_ratio_c(all_primes(table_1e6), 10**4) == 1.0
@@ -292,8 +441,9 @@ class TestDensityRatio:
                 for table, selector in ((table_1e4, sel), (other_table, type(sel)(**vars(sel)))):
                     memo = density_ratio_c(PrimeSubset(table, selector), x, window_floor_exponent=exponent)
                     assert memo == cold and repr(memo) == repr(cold)
-        assert len(cache) == len(selectors) * len(keys)
-        # errors are raised on every call and leave no entry
+        # one memo entry per key; the windows' selected primes are entries of their own
+        assert _entries(cache, "density_c") == len(selectors) * len(keys)
+        # errors are raised on every call and leave no memo entry
         cache.clear()
         cache.nbytes = 0
         for ps, x, error in (
@@ -304,7 +454,13 @@ class TestDensityRatio:
             for _ in range(2):
                 with pytest.raises(error):
                     density_ratio_c(ps, x)
-        assert len(cache) == 0 and cache.nbytes == 0
+        assert _entries(cache, "density_c") == 0
+        assert cache.nbytes == sum(entry[1] for entry in cache.values())
+
+
+def _entries(cache, kind: str) -> int:
+    """How many entries of one kind ("table", "primes", "density_c", ...) the cache holds."""
+    return sum(key[0] == kind for key in cache)
 
 
 def prime_factors(n: int) -> list[int]:
@@ -529,6 +685,63 @@ class TestMultiplesMaskProperty:
                 assert divisibility_hits(values, ps) == expected
 
 
+_FACTOR_TABLES = {limit: PrimeTable(limit) for limit in (60, 500, 2000)}
+_FLOORS = st.one_of(st.integers(-5, 2100), st.floats(0, 2100),
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+class TestFactorTable:
+    """A floor subset And((part, MinValue(t))), such as P0*, sifts through the
+    one cached factor table of its part: the same survivors as trial division."""
+
+    def test_the_table_holds_the_largest_factor(self):
+        table = _FACTOR_TABLES[2000]
+        for part in (primes_module.ALL, ResidueClass(3, 4), Interval(10, 50),
+                     Excluding(frozenset({2, 3, 5}))):
+            factors = primes_module._largest_factors(table, part, 1500)
+            assert factors.dtype == np.int32 and factors.size == 2001  # reach min(limit, 2048)
+            assert factors.tolist() == [
+                max((p for p in prime_factors(n) if part.contains(p)), default=0) if n > 1 else 0
+                for n in range(2001)]
+        assert primes_module._largest_factors(table, primes_module.ALL, 2001) is None
+
+    @settings(max_examples=250, deadline=None)
+    @given(limit=st.sampled_from(sorted(_FACTOR_TABLES)), part=_SELECTORS, floor=_FLOORS,
+           case=_sift_cases())
+    # v = a: sifted out exactly when the floor subset has a prime
+    @example(limit=500, part=ResidueClass(1, 4), floor=13, case=([0, 7, 300, 77], [7, 300]))
+    @example(limit=500, part=ResidueClass(1, 4), floor=499, case=([0, 7, 300, 77], [7, 300]))
+    # a floor equal to the largest part prime dividing |v - a|: 13 | 26
+    @example(limit=500, part=ResidueClass(1, 4), floor=13, case=([26, 40], [0]))
+    # an empty floor subset sifts out nothing
+    @example(limit=500, part=ResidueClass(1, 4), floor=600, case=([0, 7, 300, 77], [7, 0]))
+    # top at the table limit, and one past it
+    @example(limit=500, part=primes_module.ALL, floor=3, case=([500, 499, 9, 0], [0, 2]))
+    @example(limit=500, part=primes_module.ALL, floor=3, case=([501, 499, 9, 0], [0, 2]))
+    # a floor below 1 is no floor: L = 0 sifts out nothing
+    @example(limit=60, part=primes_module.ALL, floor=-math.inf, case=([1, 2, 59, 60], [0]))
+    def test_sift(self, limit, part, floor, case):
+        ps = PrimeSubset(_FACTOR_TABLES[limit], And((part, MinValue(floor))))
+        values, classes = case
+        plist = _oracle_primes(ps, limit)
+        expected = [v for v in values if not any((v - a) % p == 0 for a in classes for p in plist)]
+        v, a = np.array(values, dtype=np.int64), np.array(classes, dtype=np.int64)
+        top = max(values + classes) if values else 0
+        cache = primes_module._ByteCache()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "_CACHE", cache)
+            assert survivors(v, a, ps).tolist() == expected
+            # the gather reads the part's table wherever top lies inside the table
+            tables = {key for key in cache if key[0] == "factors"}
+            reach = min(limit, max(1024, 1 << (top - 1).bit_length()))
+            assert tables == ({("factors", limit, part, reach)} if values and top <= limit else set())
+            # a table past the caps takes the multiples mask or the sweep
+            mp.setattr(primes_module, "MASK_CAP", reach - 1)
+            assert survivors(v, a, ps).tolist() == expected
+            mp.setattr(primes_module, "MASK_CAP", 0)
+            assert survivors(v, a, ps).tolist() == expected
+
+
 def _isin_hits(values, shifts, p):
     """Reference for shift_class_hits: the residues' membership by np.isin."""
     return np.isin(values % p, shifts % p)
@@ -724,7 +937,8 @@ class TestCache:
             assert cache.nbytes == sum(entry[1] for entry in cache.values())
             assert cache.nbytes <= cap
         # scalar density memo entries count their fixed overhead, and push
-        # the tables out
+        # the tables out; the windows' selected primes, read on every call,
+        # stay, each charged 16 bytes a prime
         ps = PrimeSubset(PrimeTable(2600), ResidueClass(1, 4))
         for x in range(10**6, 10**6 + 60):
             c = density_ratio_c(ps, x)
@@ -732,7 +946,14 @@ class TestCache:
                 c, primes_module.ENTRY_BYTES)
             assert cache.nbytes == sum(entry[1] for entry in cache.values())
             assert cache.nbytes <= cap
-        assert len(cache) == cap // primes_module.ENTRY_BYTES
+        selected = {key: entry for key, entry in cache.items() if key[0] == "primes"}
+        assert set(selected) == {("primes", 2600, part, 1024)
+                                 for part in (primes_module.ALL, ResidueClass(1, 4))}
+        for entry, size in selected.values():
+            assert size == primes_module.ENTRY_BYTES + 16 * entry.primes.size
+        others = sum(size for _, size in selected.values())
+        assert _entries(cache, "table") == 0
+        assert _entries(cache, "density_c") == (cap - others) // primes_module.ENTRY_BYTES
         # larger than the cap on its own: returned, not kept
         mask = reduced_residues_mask(30000)
         assert mask.nbytes > cap

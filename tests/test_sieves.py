@@ -273,6 +273,36 @@ class TestLargeSieve:
         with pytest.raises(DomainError):
             large_sieve_bound(OccupancyProfile({3: 3}), 100, 5)
 
+    def test_denominator_work_budget(self, table_1e4, monkeypatch):
+        # the 31 primes up to 127, every squarefree q <= Q counted by the walk itself
+        primes = table_1e4.primes_between(1, 127).tolist()
+        omega = OccupancyProfile({p: 1 for p in primes})
+        for q_limit in (1, 100, 5000, 10**6):
+            count = sum(1 for _ in arith.lattice(primes, q_limit, None, lambda s, p: s))
+            monkeypatch.setattr(sieves, "ENTRY_CAP", count)
+            rep = large_sieve_bound(omega, 10**6, q_limit)
+            want = arith.lattice_sum(primes, {p: 1 / (p - 1) for p in primes}, q_limit)
+            assert rep.denominator_L == want
+            # one q more than the cap is refused, by the walk
+            monkeypatch.setattr(sieves, "ENTRY_CAP", count - 1)
+            with pytest.raises(CapacityError, match=f"more than {count - 1} squarefree q"):
+                large_sieve_bound(omega, 10**6, q_limit)
+        # before the walk: the 1 + 31 + 465 products of at most two primes are all
+        # at most 127^2 = Q, past a cap of 496; the walk refuses a cap of 497
+        for cap, walked in ((496, False), (497, True)):
+            monkeypatch.setattr(sieves, "ENTRY_CAP", cap)
+            steps = []
+            monkeypatch.setattr(sieves, "lattice", lambda *a, **k: steps.append(1) or
+                                arith.lattice(*a, **k))
+            with pytest.raises(CapacityError, match=f"more than {cap} squarefree q"):
+                large_sieve_bound(omega, 10**6, 127**2)
+            assert bool(steps) == walked
+            monkeypatch.undo()
+        # a huge Q over the 4203 primes to 40000 is refused at once
+        everything = table_1e4.primes.tolist()
+        with pytest.raises(CapacityError, match="squarefree q"):
+            large_sieve_bound(OccupancyProfile({p: 1 for p in everything}), 10**6, 10**400)
+
     def test_monotone_in_omega(self):
         rng = random.Random(5)
         for _ in range(60):
@@ -591,8 +621,9 @@ class TestSmallK:
 
 
 class TestClearedSet:
-    """prop_smallkbv_bound skips its P0* scan only for the S that
-    build_context cleared of P0 primes, P0* being a subset of P0."""
+    """prop_smallkbv_bound scans S for P0* primes in the factor table of P0,
+    and calls divisibility_hits for the witnesses only when the table shows a
+    hit."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
@@ -606,21 +637,23 @@ class TestClearedSet:
         monkeypatch.setattr(sieves, "divisibility_hits", spy)
         return calls
 
-    def test_only_the_cleared_set_skips_the_scan(self, table_1e6, scans):
+    def test_a_clean_set_is_never_scanned(self, table_1e6, scans):
         ctx, s = make_scaled_context(table_1e6, random.Random(12))
         rep = prop_smallkbv_bound(s, [0, 1], ctx, 50)
         prop_smallkbv_bound(IntegerSet(s.elements), [0, 1], ctx, 50)  # an equal set
-        assert scans == []
-        other = IntegerSet(s.elements[1:])
+        other = IntegerSet(s.elements[1:])  # another clean set
         prop_smallkbv_bound(other, [0, 1], ctx, 50)
-        assert scans == [ctx.ps_star]
-        # a hand-built context, and one made by dataclasses.replace, scan
+        assert scans == []
+        # a hand-built context, and one made by dataclasses.replace, read the same table
         fields = {f.name: getattr(ctx, f.name) for f in dataclasses.fields(ctx) if f.init}
         for hand in (GenThmContext(**fields), dataclasses.replace(ctx)):
-            scans.clear()
             assert prop_smallkbv_bound(s, [0, 1], hand, 50).to_dict() == rep.to_dict()
-            assert scans == [ctx.ps_star]
-        assert "_cleared" not in ctx.to_dict() and ctx == GenThmContext(**fields)
+        assert scans == []
+        # a P0* prime in S shows in the table: the scan names the witnesses
+        star_prime = int(ctx.ps_star.primes_in(1, 1000)[0])
+        with pytest.raises(DomainError, match=re.escape(f"e.g. {[(2 * star_prime, star_prime)]}")):
+            prop_smallkbv_bound(IntegerSet([*s.elements[:50], 2 * star_prime]), [0, 1], ctx, 50)
+        assert scans == [ctx.ps_star]
 
     def test_another_set_raises_the_same_pairs(self, table_1e6):
         ctx, s = make_scaled_context(table_1e6, random.Random(12))

@@ -56,6 +56,33 @@ class TestIntegerSet:
         assert not IntegerSet([7]).issubset(IntegerSet([]))
         assert IntegerSet(()).elements == () and len(IntegerSet(range(0))) == 0
 
+    def test_a_range_builds_by_arange(self):
+        rng = random.Random(8)
+        ranges = [range(0), range(5, 5), range(10, 0), range(0, 10, -1), range(7, 8),
+                  range(2**63 - 3, 2**63), range(2**63 - 1, 0, -(2**62)), range(0, 2**63, 2**62),
+                  range(0, 2**63 + 1, 2**64), range(5, 2**64, 2**63), range(-1, 3), range(3, -2, -2),
+                  range(2**63, 2**63 + 2), range(-(2**63) - 1, 0, 2**62), range(0, 2**70)]
+        for _ in range(400):
+            start, step = rng.randrange(-50, 5000), rng.choice([-1, 1]) * rng.randrange(1, 60)
+            ranges.append(range(start, start + step * rng.randrange(-3, 200), step))
+        for r in ranges:
+            try:
+                want = IntegerSet(list(r)) if len(r) <= 1000 else None
+            except (DomainError, OverflowError) as exc:
+                want = exc
+            try:
+                got = IntegerSet(r)
+            except DomainError as exc:
+                got = exc
+            if isinstance(want, IntegerSet):
+                assert got == want and got.array().flags.writeable is False, r
+            elif want is not None:  # the list construction's refusal, as a DomainError
+                assert isinstance(got, DomainError), r
+                if isinstance(want, DomainError):
+                    assert str(got) == str(want), r
+            else:  # a range past 2^63 with too many elements to list
+                assert isinstance(got, DomainError), r
+
     def test_rejects_values_outside_int64(self):
         IntegerSet([0, 2**63 - 1])
         for bad in ([0, 2**63], [10**20], [-(2**63) - 1], [-5]):
