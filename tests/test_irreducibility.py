@@ -172,12 +172,12 @@ def _scaled_profile(rng, s, c, x):
     )
 
 
-class TestP0FactorTable:
-    """build_context clears S in the one factor table of P0 the cache keeps,
-    and prop_smallkbv_bound scans S for each per-instance P0* in that same
-    table: no table of a P0* is ever kept."""
+class TestKeptP0Mask:
+    """The kept P0 mask is now the one factor table of P0 the cache keeps:
+    build_context clears S in it, and prop_smallkbv_bound scans S for each
+    per-instance P0* in that same table, so no table of a P0* is ever kept."""
 
-    def test_one_table_for_many_thresholds(self, table_1e6):
+    def test_one_mask_for_many_thresholds(self, table_1e6):
         x = 10**4
         p0, s = _q_instance(table_1e6, x)
         c = primes_module.density_ratio_c(p0, x, window_floor_exponent=0.3)
@@ -194,7 +194,7 @@ class TestP0FactorTable:
         assert _factor_keys() - before <= {("factors", table_1e6.limit, p0.selector, 2**14)}
         assert ("factors", table_1e6.limit, p0.selector, 2**14) in _factor_keys()
 
-    def test_cap_below_the_table_keeps_nothing(self, table_1e6, monkeypatch):
+    def test_cap_below_the_mask_keeps_nothing(self, table_1e6, monkeypatch):
         x = 10**4
         p0, s = _q_instance(table_1e6, x)
         c = primes_module.density_ratio_c(p0, x, window_floor_exponent=0.3)

@@ -637,7 +637,7 @@ class TestClearedSet:
         monkeypatch.setattr(sieves, "divisibility_hits", spy)
         return calls
 
-    def test_a_clean_set_is_never_scanned(self, table_1e6, scans):
+    def test_only_the_cleared_set_skips_the_scan(self, table_1e6, scans):
         ctx, s = make_scaled_context(table_1e6, random.Random(12))
         rep = prop_smallkbv_bound(s, [0, 1], ctx, 50)
         prop_smallkbv_bound(IntegerSet(s.elements), [0, 1], ctx, 50)  # an equal set
