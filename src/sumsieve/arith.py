@@ -1,8 +1,9 @@
 """Multiplicative arithmetic: Mobius, totient, triple-divisor counts, the
 lattice walk over a prime list (squarefree or with powers) and its weight
 sums, the progression-discrepancy kernel over that walk (shared by the sieve,
-smooth-number and irreducibility layers), squarefree supported enumeration and
-restricted multiplicative sums.
+smooth-number and irreducibility layers: the residues of a group of moduli
+counted in one histogram, groups sized by their bytes), squarefree supported
+enumeration and restricted multiplicative sums.
 
 The comparison inequality implemented by ``check_comparison_inequality`` is a
 finite theorem for completely multiplicative 0 <= f(p) <= g(p) < p; any
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -254,19 +255,26 @@ def reduced_residues_mask(d: int) -> np.ndarray:
     return cached(("mask", d), build)
 
 
-def max_progression_deviation(values: np.ndarray, d: int) -> float:
-    """max over reduced residues a mod d of |#{v : v = a mod d} - #values/phi(d)|."""
-    counts = np.bincount(values % d, minlength=d)
-    reduced = reduced_residues_mask(d)
-    return float(np.abs(counts[reduced] - values.size / int(np.count_nonzero(reduced))).max())
-
-
 # Work budget of every discrepancy sum, a modulus d costing d + #values units;
 # the BV condition of acceptance criterion 9 spends about 1.24e8.
 MODULUS_WORK_CAP = 2 * 10**8
-# An uncached max_progression_deviation scan peaks at about 25 bytes per
-# residue under tracemalloc (mask, bincount, reduced counts, deviations).
+# The bytes a modulus d's residue tables count against MEMORY_CAP.  Under
+# tracemalloc, with no reduced-residue mask cached, the group kernel peaks at
+# 11-17 bytes per residue (bins, masks, non-reduced offsets), a group of one
+# at 11-17 (the one-modulus scan it replaced at up to 32).
 _RESIDUE_BYTES = 32
+# The bytes one group of moduli counts, capped at MEMORY_CAP when a sum
+# starts.  A modulus counts its value row plus the int64 copy np.bincount
+# makes of an int32 row (the measured peak: 12 bytes a value, 8 for int64
+# rows) and d * _RESIDUE_BYTES, so a group's peak stays within its count.
+# Measured on the 66 small-k BV sums of the sieve-soundness op sets at seeds 1
+# and 5 (about 950 values, d <= 1764): one scan per modulus took 43-46 ms, a
+# budget of 2^16, 2^18, 2^19, 2^20, 2^21 or 2^22 bytes 43-47, 28-30, 24-27,
+# 22-23.5, 23.5-26 or 24-25 ms (2-vCPU Xeon, numpy 2.4).  Smaller groups pay
+# numpy's per-call overhead, larger ones fresh temporaries past the cache.
+# The freed blocks glibc keeps raised the benchmark's peak RSS by 0.7 MB at
+# 2^20 and by 0.4 MB at 2^19.
+_GROUP_BYTES = 1 << 19
 
 
 class DiscrepancyBreakdown(NamedTuple):
@@ -279,33 +287,100 @@ class DiscrepancyBreakdown(NamedTuple):
     term: float
 
 
+def _max_deviations(values: np.ndarray, moduli: list[int]) -> list[float]:
+    """max over reduced residues a mod d of |#{v : v = a mod d} - #values/phi(d)|, for each
+    d in `moduli`.  Each modulus's residues v - (v // d) * d (a scalar divisor) fill one
+    row of a block, offset by the modulus's start in one histogram over all the group's
+    residues; the largest and smallest reduced counts hi and lo of each segment give
+    max(hi - x, x - lo), x = #values/phi(d): the bits of the largest |count - x|."""
+    size = values.size
+    if len(moduli) == 1:  # no offsets, segments or sentinels
+        d = moduli[0]
+        residues = values // d
+        residues *= -d
+        residues += values
+        counts = np.bincount(residues, minlength=d)[reduced_residues_mask(d)]
+        x = size / counts.size
+        return [max(float(np.maximum.reduce(counts)) - x, x - float(np.minimum.reduce(counts)))]
+    # spec[0]: the moduli, spec[1]: each modulus's first bin
+    edges = [0, *accumulate(moduli)]
+    spec = np.array([moduli, edges[:-1]], dtype=values.dtype)[:, :, None]
+    block = np.empty((len(moduli), size), dtype=values.dtype)
+    for row, d in zip(block, spec[0, :, 0]):
+        np.floor_divide(values, d, out=row)
+    block *= -spec[0]
+    block += values
+    block += spec[1]
+    counts = np.bincount(block.ravel(), minlength=edges[-1])
+    off = np.flatnonzero(~np.concatenate([reduced_residues_mask(d) for d in moduli]))
+    cuts = np.searchsorted(off, edges)
+    phi = spec[0, :, 0] - (cuts[1:] - cuts[:-1])
+    starts = spec[1, :, 0]
+    counts[off] = -1
+    hi = np.maximum.reduceat(counts, starts)
+    counts[off] = size
+    lo = np.minimum.reduceat(counts, starts)
+    x = size / phi
+    return np.maximum(hi - x, x - lo).tolist()
+
+
 def discrepancy_sum(
     values: np.ndarray, primes: list, d_bound: int, base: float, *, work_cap=MODULUS_WORK_CAP
 ) -> tuple[float, list[DiscrepancyBreakdown]]:
     """sum over squarefree 1 < d <= d_bound supported on `primes` (ascending)
-    of base^omega(d) * max_progression_deviation(values, d), accumulated in
+    of base^omega(d) times the largest deviation over the reduced residues a
+    mod d of #{v in values : v = a mod d} from #values/phi(d), accumulated in
     lattice preorder, with one breakdown row per modulus in that order.  A
     weight is ``primes._power(base, omega(d))``, inf past the float range (an
     inf base included), and a zero deviation's term is 0, never NaN.
 
+    The deviations come from ``_max_deviations`` a group of consecutive moduli
+    at a time, a group holding at most min(_GROUP_BYTES, MEMORY_CAP) counted
+    bytes (a modulus past that alone makes a group of one); values in
+    [0, 2^31) with d_bound below 2^31 make int32 rows, any others int64 rows.
     A modulus whose work would take the total past `work_cap`, or whose
     residue tables would pass MEMORY_CAP, raises CapacityError before its
-    scan, carrying partial_sum, partial_breakdown and last_d.
+    scan, carrying partial_sum, partial_breakdown and last_d; the moduli
+    before it are scanned first.
     """
+    size = values.size
+    small = size and values.min() >= 0 and values.max() < 2**31 and d_bound < 2**31
+    values = values.astype(np.int32 if small else np.int64, copy=False)
+    row_bytes = size * (12 if small else 8)
+    budget = min(_GROUP_BYTES, MEMORY_CAP)
     rows: list[DiscrepancyBreakdown] = []
     total = 0.0
-    spent = 0
+    moduli: list[int] = []
+    group: list[tuple[int, ...]] = []
+
+    def scan():
+        nonlocal total
+        if not moduli:
+            return
+        for d, factors, dev in zip(moduli, group, _max_deviations(values, moduli)):
+            weight = _power(base, len(factors))
+            term = weight * dev if dev else 0.0
+            total += term
+            rows.append(DiscrepancyBreakdown(d, factors, weight, dev, term))
+        moduli.clear()
+        group.clear()
+
+    spent = used = 0
     for d, factors in lattice(primes, d_bound, (), lambda f, p: f + (p,)):
         if d == 1:
             continue
-        spent += d + values.size
+        spent += d + size
         if spent > work_cap or d * _RESIDUE_BYTES > MEMORY_CAP:
+            scan()
             message = ("modulus enumeration budget exceeded" if spent > work_cap
                        else f"the residue tables of modulus {d} would pass the memory cap")
             raise CapacityError(message, partial_sum=total, partial_breakdown=rows, last_d=d)
-        dev = max_progression_deviation(values, d)
-        weight = _power(base, len(factors))
-        term = weight * dev if dev else 0.0
-        total += term
-        rows.append(DiscrepancyBreakdown(d, factors, weight, dev, term))
+        cost = row_bytes + d * _RESIDUE_BYTES
+        if used + cost > budget:
+            scan()
+            used = 0
+        moduli.append(d)
+        group.append(factors)
+        used += cost
+    scan()
     return total, rows

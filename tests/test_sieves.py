@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,61 @@ class TestInverseSieve:
             inverse_sieve_lower_bound(IntegerSet([1, 2]), all_primes(table_1e4), 5, 100)
 
 
+def scan_deviation(values, d) -> float:
+    """The one-modulus scan the grouped kernel replaced: max over the a mod d
+    coprime to d of |#{v : v = a mod d} - #values/phi(d)|."""
+    counts = np.bincount(values % d, minlength=d)
+    reduced = np.gcd(np.arange(d), d) == 1
+    return float(np.abs(counts[reduced] - values.size / int(np.count_nonzero(reduced))).max())
+
+
+def scan_sum(values, primes, d_bound, base, work_cap=arith.MODULUS_WORK_CAP):
+    """discrepancy_sum by one scan per modulus: (total, rows), or on a refusal
+    ("refused", message, partial sum, rows so far, the refused modulus)."""
+    total, rows, spent = 0.0, [], 0
+    for d, factors in arith.lattice(primes, d_bound, (), lambda f, p: f + (p,)):
+        if d == 1:
+            continue
+        spent += d + values.size
+        if spent > work_cap or d * arith._RESIDUE_BYTES > arith.MEMORY_CAP:
+            message = ("modulus enumeration budget exceeded" if spent > work_cap
+                       else f"the residue tables of modulus {d} would pass the memory cap")
+            return "refused", message, total, rows, d
+        dev = scan_deviation(values, d)
+        weight = primes_module._power(base, len(factors))
+        term = weight * dev if dev else 0.0
+        total += term
+        rows.append(arith.DiscrepancyBreakdown(d, factors, weight, dev, term))
+    return total, rows
+
+
+def exact(result):
+    """A result with every float as float.hex, its tuples and lists as tuples."""
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, (tuple, list)):
+        return tuple(exact(x) for x in result)
+    return result
+
+
+def refusal(run):
+    """The CapacityError of run(), in scan_sum's form."""
+    with pytest.raises(CapacityError) as err:
+        run()
+    e = err.value
+    return "refused", str(e), e.partial_sum, e.partial_breakdown, e.last_d
+
+
+@pytest.fixture
+def groups(monkeypatch):
+    """The groups of moduli the kernel scans, in order, with the dtype of their rows."""
+    seen = []
+    scan = arith._max_deviations
+    monkeypatch.setattr(arith, "_max_deviations",
+                        lambda v, moduli: seen.append((list(moduli), v.dtype)) or scan(v, moduli))
+    return seen
+
+
 class TestDiscrepancySum:
     VALUES = np.arange(1, 3000, 2, dtype=np.int64)
     # preorder of the squarefree d <= 200 over these primes:
@@ -445,11 +501,11 @@ class TestDiscrepancySum:
 
     @pytest.fixture
     def scanned(self, monkeypatch):
-        """The moduli the kernel scans, in order."""
+        """The moduli the kernel scans, in order: each group's in turn."""
         seen = []
-        scan = arith.max_progression_deviation
+        scan = arith._max_deviations
         monkeypatch.setattr(
-            arith, "max_progression_deviation", lambda v, d: seen.append(d) or scan(v, d)
+            arith, "_max_deviations", lambda v, moduli: seen.extend(moduli) or scan(v, moduli)
         )
         return seen
 
@@ -490,7 +546,7 @@ class TestDiscrepancySum:
         expected = 0.0
         for r in rows:
             assert math.prod(r.factors) == r.d and r.weight == 2.0 ** len(r.factors)
-            assert r.max_deviation == arith.max_progression_deviation(self.VALUES, r.d)
+            assert r.max_deviation == scan_deviation(self.VALUES, r.d)
             expected += r.weight * r.max_deviation
         assert total == expected
 
@@ -520,6 +576,157 @@ class TestDiscrepancySum:
         # tables of exactly the cap fit
         monkeypatch.setattr(arith, "MEMORY_CAP", 195 * arith._RESIDUE_BYTES)
         assert self.run() == (total, rows)
+
+
+# primes and the odd squarefree composites over them share groups
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+class TestGroupedKernel:
+    """discrepancy_sum against scan_sum, bit for bit: total and every row
+    field, and at a refusal the partial sum, the rows so far and last_d."""
+
+    @staticmethod
+    def counted(values, moduli):
+        """The bytes a group counts against its budget."""
+        per_value = 12 if values.min(initial=0) >= 0 and values.max(initial=0) < 2**31 else 8
+        return sum(values.size * per_value + d * arith._RESIDUE_BYTES for d in moduli)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 5000), max_size=400).map(
+            lambda v: np.array(sorted(v), dtype=np.int64)),
+        primes=st.sets(st.sampled_from(SMALL_PRIMES), max_size=8).map(sorted),
+        d_bound=st.integers(1, 3000),
+        base=st.sampled_from([1.0, 2.0, 3.5, 1e200]),
+        group_bytes=st.sampled_from([1, 2**12, 2**15, 2**20]),
+    )
+    def test_matches_the_per_modulus_scan(self, values, primes, d_bound, base, group_bytes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_GROUP_BYTES", group_bytes)
+            got = arith.discrepancy_sum(values, primes, d_bound, base)
+        assert exact(got) == exact(scan_sum(values, primes, d_bound, base))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 3000), min_size=1, max_size=200).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        primes=st.sets(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=7).map(sorted),
+        d_bound=st.integers(2, 3000),
+        work_cap=st.integers(0, 60000),
+        memory_cap=st.integers(0, 3000 * 32),
+        group_bytes=st.sampled_from([1, 2**12, 2**15, 2**20]),
+    )
+    def test_refusals_match(self, values, primes, d_bound, work_cap, memory_cap, group_bytes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_GROUP_BYTES", group_bytes)
+            mp.setattr(arith, "MEMORY_CAP", memory_cap)
+            expected = scan_sum(values, primes, d_bound, 3.0, work_cap)
+
+            def run():
+                return arith.discrepancy_sum(values, primes, d_bound, 3.0, work_cap=work_cap)
+
+            got = refusal(run) if expected[0] == "refused" else run()
+        assert exact(got) == exact(expected)
+
+    def test_no_modulus_at_or_past_a_refusal_is_scanned(self, groups):
+        values = np.arange(0, 5000, 7, dtype=np.int64)
+        for cap in (1, 5000, 20000, 60000):
+            groups.clear()
+            expected = scan_sum(values, SMALL_PRIMES[1:], 2000, 2.0, cap)
+            got = refusal(lambda: arith.discrepancy_sum(values, SMALL_PRIMES[1:], 2000, 2.0,
+                                                        work_cap=cap))
+            assert [d for moduli, _ in groups for d in moduli] == [r.d for r in expected[3]]
+            assert exact(got) == exact(expected)
+
+    def test_empty_values(self, groups):
+        values = np.array([], dtype=np.int64)
+        total, rows = arith.discrepancy_sum(values, [3, 5, 7], 105, 2.0)
+        assert total == 0.0 and [r.max_deviation for r in rows] == [0.0] * 7
+        assert exact((total, rows)) == exact(scan_sum(values, [3, 5, 7], 105, 2.0))
+        assert groups[0][1] == np.int64
+
+    def test_a_single_value(self):
+        for v in (0, 1, 6, 35, 2**31 - 1, 2**31, 2**45 + 3):
+            values = np.array([v], dtype=np.int64)
+            got = arith.discrepancy_sum(values, [2, 3, 5, 7], 210, 2.0)
+            assert exact(got) == exact(scan_sum(values, [2, 3, 5, 7], 210, 2.0)), v
+
+    def test_values_past_int32_take_int64_rows(self, groups):
+        below = np.arange(2**31 - 600, 2**31, 3, dtype=np.int64)
+        at = np.arange(2**31 - 2100, 2**31 + 1, 7, dtype=np.int64)
+        above = np.arange(2**31 - 300, 2**31 + 300, 3, dtype=np.int64)
+        huge = np.array([2**40 + k * k for k in range(300)], dtype=np.int64)
+        for values, dtype in ((below, np.int32), (at, np.int64), (above, np.int64),
+                              (huge, np.int64)):
+            groups.clear()
+            got = arith.discrepancy_sum(values, [3, 5, 7, 11, 13], 1000, 2.0)
+            assert exact(got) == exact(scan_sum(values, [3, 5, 7, 11, 13], 1000, 2.0))
+            assert {dt for _, dt in groups} == {np.dtype(dtype)}
+
+    def test_values_sharing_a_prime_with_the_modulus(self, groups):
+        # mod 15: 30 values in class 0, none in 3, 5, 6, 9, 10 or 12, two in
+        # each reduced class; x = 46/8 and only the reduced classes count, so
+        # neither the full class nor the empty ones set the deviation
+        reduced = [a + 15 * j for a in (1, 2, 4, 7, 8, 11, 13, 14) for j in (0, 1)]
+        values = np.array(sorted([15 * k for k in range(30)] + reduced), dtype=np.int64)
+        total, rows = arith.discrepancy_sum(values, [3, 5], 15, 1.0)
+        assert [moduli for moduli, _ in groups] == [[3, 15, 5]]
+        assert rows[1].d == 15 and rows[1].max_deviation == 46 / 8 - 2
+        assert exact((total, rows)) == exact(scan_sum(values, [3, 5], 15, 1.0))
+
+    def test_primes_and_composites_share_a_group(self, groups):
+        values = np.arange(1, 2000, dtype=np.int64) ** 2 % 100003
+        total, rows = arith.discrepancy_sum(values, [3, 5, 7, 11, 13, 17], 3000, 2.0)
+        omegas = {r.d: len(r.factors) for r in rows}
+        assert len(groups) > 1
+        assert all(min(omegas[d] for d in moduli) == 1 < max(omegas[d] for d in moduli)
+                   for moduli, _ in groups)
+        assert exact((total, rows)) == exact(scan_sum(values, [3, 5, 7, 11, 13, 17], 3000, 2.0))
+
+    def test_a_group_ends_exactly_at_its_budget(self, monkeypatch, groups):
+        values = np.arange(0, 3000, 5, dtype=np.int64)
+        moduli = [d for d, _ in arith.lattice([3, 5, 7, 11], 1155, (), lambda f, p: f + (p,))][1:]
+        fits = self.counted(values, moduli[:4])
+        for budget, first in ((fits, 4), (fits - 1, 3), (fits + 1, 4)):
+            monkeypatch.setattr(arith, "_GROUP_BYTES", budget)
+            groups.clear()
+            got = arith.discrepancy_sum(values, [3, 5, 7, 11], 1155, 2.0)
+            assert groups[0][0] == moduli[:first]
+            assert exact(got) == exact(scan_sum(values, [3, 5, 7, 11], 1155, 2.0))
+
+    def test_no_group_passes_its_budget_or_the_cap(self, monkeypatch, groups):
+        values = np.arange(0, 20000, 3, dtype=np.int64)
+        primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+        expected = exact(scan_sum(values, primes, 6000, 2.0))
+        for cap in (2**18, 10**6, arith.MEMORY_CAP):
+            monkeypatch.setattr(arith, "MEMORY_CAP", cap)
+            groups.clear()
+            assert exact(arith.discrepancy_sum(values, primes, 6000, 2.0)) == expected
+            budget = min(arith._GROUP_BYTES, cap)
+            assert any(len(moduli) > 1 for moduli, _ in groups)
+            for moduli, _ in groups:
+                assert len(moduli) == 1 or self.counted(values, moduli) <= budget
+
+    def test_the_peak_stays_within_the_counted_bytes(self, monkeypatch):
+        # masks not cached: their bytes count too; past the rows and tables,
+        # a group holds a few arrays and lists of one entry per modulus
+        rng = np.random.default_rng(7)
+        for values, moduli in (
+            (np.sort(rng.integers(0, 10**6, 20000)), [3, 5, 7, 15, 21, 35, 105]),
+            (np.sort(rng.integers(0, 2**40, 20000)), [3, 5, 7, 15, 21, 35, 105]),
+            (np.array([5]), [9973, 9967, 9949, 3 * 5 * 7 * 11 * 13, 2 * 3 * 5 * 7 * 11]),
+            (np.array([5]), [30011]),
+        ):
+            rows = values.astype(np.int32 if values.max() < 2**31 else np.int64)
+            monkeypatch.setattr(primes_module, "_CACHE", primes_module._ByteCache())
+            tracemalloc.start()
+            try:
+                arith._max_deviations(rows, moduli)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= self.counted(values, moduli) + 2**12, (values.size, moduli)
 
 
 def make_scaled_context(table, rng, x=10**4, set_size=1500, k=3):
