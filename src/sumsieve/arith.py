@@ -302,20 +302,18 @@ def _max_deviations(values: np.ndarray, moduli: list[int]) -> list[float]:
         counts = np.bincount(residues, minlength=d)[reduced_residues_mask(d)]
         x = size / counts.size
         return [max(float(np.maximum.reduce(counts)) - x, x - float(np.minimum.reduce(counts)))]
-    # spec[0]: the moduli, spec[1]: each modulus's first bin
-    edges = [0, *accumulate(moduli)]
-    spec = np.array([moduli, edges[:-1]], dtype=values.dtype)[:, :, None]
+    edges = [0, *accumulate(moduli)]  # each modulus's first bin, then the end
+    divisors, starts = np.array([moduli, edges[:-1]], dtype=values.dtype)
     block = np.empty((len(moduli), size), dtype=values.dtype)
-    for row, d in zip(block, spec[0, :, 0]):
+    for row, d in zip(block, divisors):
         np.floor_divide(values, d, out=row)
-    block *= -spec[0]
+    block *= -divisors[:, None]
     block += values
-    block += spec[1]
+    block += starts[:, None]
     counts = np.bincount(block.ravel(), minlength=edges[-1])
     off = np.flatnonzero(~np.concatenate([reduced_residues_mask(d) for d in moduli]))
     cuts = np.searchsorted(off, edges)
-    phi = spec[0, :, 0] - (cuts[1:] - cuts[:-1])
-    starts = spec[1, :, 0]
+    phi = divisors - (cuts[1:] - cuts[:-1])
     counts[off] = -1
     hi = np.maximum.reduceat(counts, starts)
     counts[off] = size
@@ -344,9 +342,9 @@ def discrepancy_sum(
     before it are scanned first.
     """
     size = values.size
-    small = size and values.min() >= 0 and values.max() < 2**31 and d_bound < 2**31
-    values = values.astype(np.int32 if small else np.int64, copy=False)
-    row_bytes = size * (12 if small else 8)
+    int32_rows = size and values.min() >= 0 and values.max() < 2**31 and d_bound < 2**31
+    values = values.astype(np.int32 if int32_rows else np.int64, copy=False)
+    row_bytes = size * (12 if int32_rows else 8)
     budget = min(_GROUP_BYTES, MEMORY_CAP)
     rows: list[DiscrepancyBreakdown] = []
     total = 0.0
