@@ -16,12 +16,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import MEMORY_CAP, PrimeSubset, PrimeTable, _power, all_primes, cached, prime_table
+from .primes import (ENTRY_CAP, MEMORY_CAP, PrimeSubset, PrimeTable, _power, all_primes, cached,
+                     prime_table)
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -138,17 +140,40 @@ def lattice(
                       bisect_right(primes, math.isqrt(bound // child), j + 1), j + 1])
 
 
+def _walk_sum(primes: Sequence[int], bound: int, root, step: Callable, term: Callable,
+              refusal: str, *, powers: bool = False) -> float:
+    """sum of term((n, state)) over ``lattice(primes, bound, root, step, powers=powers)``,
+    in preorder with +=.  More than ENTRY_CAP pairs raise CapacityError(refusal.format(
+    ENTRY_CAP)): at once when the products of at most j of `primes` (ascending), each at
+    most max(primes)^j <= bound, already number more, else when the walk passes the cap
+    (no later pair is drawn).  Private, so traced runs count it in its callers."""
+    cap = ENTRY_CAP
+    # 2^m squarefree products at most: fewer primes than the cap's bits never pass it
+    count, j, m = 1, 0, len(primes)
+    while m >= cap.bit_length() and count <= cap and primes[-1] ** (j + 1) <= bound:
+        j += 1
+        count += math.comb(m, j)
+    if count > cap:
+        raise CapacityError(refusal.format(cap))
+    walk = lattice(primes, bound, root, step, powers=powers)
+    total = 0.0
+    for value in map(term, islice(walk, cap)):
+        total += value
+    if next(walk, None) is not None:
+        raise CapacityError(refusal.format(cap))
+    return total
+
+
 def lattice_sum(primes: Sequence[int], weights: Mapping[int, float], bound: int, *,
                 powers: bool = False) -> float:
     """sum over the `lattice` of n <= bound of prod weights[p] over the prime
     factors of n, with multiplicity when `powers`.
 
-    Includes n = 1 (term 1); accumulated in lattice preorder.
+    Includes n = 1 (term 1); accumulated in lattice preorder by ``_walk_sum``,
+    so more than ENTRY_CAP terms raise CapacityError.
     """
-    total = 0.0
-    for _, term in lattice(primes, bound, 1.0, lambda t, p: t * weights[p], powers=powers):
-        total += term
-    return total
+    return _walk_sum(primes, bound, 1.0, lambda t, p: t * weights[p], itemgetter(1),
+                     "the weighted lattice sum runs over more than {} n", powers=powers)
 
 
 def _capped_lattice(primes: Sequence[int], bound: int, cap: int, refusal: str) -> np.ndarray:
@@ -185,7 +210,8 @@ def restricted_multiplicative_sum(
     mode="squarefree": sum over squarefree supported q of prod_{p|q} f(p)/p.
     mode="complete":   sum over all supported n of f(n)/n, f completely
                        multiplicative.
-    Includes the n = 1 term (equal to 1).  Both sums run in lattice preorder.
+    Includes the n = 1 term (equal to 1).  Both sums run in lattice preorder
+    (``lattice_sum``): more than ENTRY_CAP terms raise CapacityError.
     """
     if bound < 1:
         raise DomainError(f"need bound >= 1, got {bound}")

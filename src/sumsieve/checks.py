@@ -2,8 +2,7 @@
 
 Each batch takes a seeded ``random.Random`` and a case count, runs that many
 independent cases and raises AssertionError on the first violation.  The CLI
-``verify-all`` command runs every batch within a time budget; the test suite
-reuses several of them with fixed seeds.
+``verify-all`` command runs every batch within a time budget.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ class DomainError(SumsieveError, ValueError):
 class CapacityError(SumsieveError, RuntimeError):
     """A configured work, memory or size cap was exceeded.
 
-    Attributes may carry partial progress (e.g. ``nodes_explored`` for the
-    decomposition search, ``partial`` for long sums).
+    Keyword attributes, also kept in ``info``, carry partial progress: ``nodes_explored``
+    of the search; ``partial_sum``, ``partial_breakdown`` and ``last_d`` of a discrepancy sum.
     """
 
     def __init__(self, message, **info):

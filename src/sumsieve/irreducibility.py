@@ -361,6 +361,7 @@ def ostmann_multiplicative_diagnostic(prof: EpsilonProfile) -> dict:
     (p/2 + eps_p)/(p/2 - eps_p) when |eps_p| <= p/4 (0 otherwise), summed
     over squarefree supported n <= sqrt(x) and compared against
     sqrt(x)/log log x, x >= 3, both ``_power`` values.  Diagnostic only.
+    The sum is a ``lattice_sum``: more than ENTRY_CAP n raise CapacityError.
     """
     x = prof.x
     if x < 3:

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .arith import discrepancy_sum, lattice, lattice_sum
+from .arith import _walk_sum, discrepancy_sum, lattice_sum
 from .arith import reduced_residues_mask  # noqa: F401 - perfbench/selftest.py checks this binding
 from .errors import CapacityError, DomainError
 from .primes import (
-    ENTRY_CAP,
     MEMORY_CAP,
     PrimeSubset,
     _factor_hits,
@@ -48,7 +48,8 @@ _DEFICIT_BUDGET = math.log(2.0) / 4.0
 
 def star_sum(primes: list, c: float, bound: int) -> float:
     """sum over squarefree 1 < q <= bound supported on `primes` (ascending) of prod
-    c/p: the P0* sums of the small-k machines and both irreducibility conditions."""
+    c/p: the P0* sums of the small-k machines and both irreducibility conditions.
+    A ``lattice_sum``, so more than ENTRY_CAP q (q = 1 included) raise CapacityError."""
     return lattice_sum(primes, {p: c / p for p in primes}, bound) - 1.0
 
 
@@ -123,13 +124,8 @@ def _sieve_denominator(omega: OccupancyProfile, primes: list, q_limit: int):
     """(support, L): the primes p <= Q with omega(p) > 0, and L, the sum over
     squarefree q <= Q supported on them of prod omega(p) / (p - omega(p)),
     in ``lattice`` preorder.  Every omega(p) must lie in [0, p), and Q must be
-    at least 1.
-
-    More than ENTRY_CAP squarefree q (q = 1 included) raise CapacityError:
-    before the walk when the products of at most j support primes, each at
-    most max(support)^j <= Q, already number more; else once the walk
-    reaches the cap.
-    """
+    at least 1.  More than ENTRY_CAP squarefree q (q = 1 included) raise
+    CapacityError, at once or once the walk reaches the cap (``_walk_sum``)."""
     if q_limit < 1:
         raise DomainError(f"need Q >= 1, got {q_limit}")
     for p in primes:
@@ -138,21 +134,8 @@ def _sieve_denominator(omega: OccupancyProfile, primes: list, q_limit: int):
             raise DomainError(f"need 0 <= omega(p) < p at p={p}, got {w}")
     support = [p for p in primes if omega.get(p) > 0 and p <= q_limit]
     weights = {p: omega.get(p) / (p - omega.get(p)) for p in support}
-    refusal = f"the sieve denominator sums over more than {ENTRY_CAP} squarefree q"
-    # 2^m squarefree q at most: fewer primes than the cap's bits never pass it
-    count, j, m = 1, 0, len(support)
-    while m >= ENTRY_CAP.bit_length() and count <= ENTRY_CAP and support[-1] ** (j + 1) <= q_limit:
-        j += 1
-        count += math.comb(m, j)
-    if count > ENTRY_CAP:
-        raise CapacityError(refusal)
-    walk = lattice(support, q_limit, 1.0, lambda t, p: t * weights[p])
-    total = 0.0
-    for _, term in islice(walk, ENTRY_CAP):
-        total += term
-    if next(walk, None) is not None:
-        raise CapacityError(refusal)
-    return support, total
+    return support, _walk_sum(support, q_limit, 1.0, lambda t, p: t * weights[p], itemgetter(1),
+                              "the sieve denominator sums over more than {} squarefree q")
 
 
 def larger_sieve_bound(
@@ -233,7 +216,8 @@ def selberg_bound(
     per prime via residue membership (d squarefree with known factors).
     Sound for any 0 <= omega(p) < p, so the report is always valid.  The
     per-prime hit masks take |C| bytes each; more than MEMORY_CAP of them
-    raise CapacityError before any is built.
+    raise CapacityError before any is built, as more than ENTRY_CAP q in L do;
+    more than ENTRY_CAP d (``_walk_sum`` over the primes to Q^2) raise it later.
     """
     c_set = IntegerSet.coerce(c_set)
     shifts = coerce_shifts(shifts)
@@ -246,7 +230,7 @@ def selberg_bound(
     size_c = len(c_set)
     main = size_c / L
 
-    d_bound = q_limit**2  # the lattice below takes no prime beyond it
+    d_bound = q_limit**2
     mask_primes = [p for p in plist if p <= d_bound]
     if len(mask_primes) * size_c > MEMORY_CAP:
         raise CapacityError(f"Selberg hit masks for {len(mask_primes)} primes x {size_c} "
@@ -258,10 +242,12 @@ def selberg_bound(
         hits = hit_masks[p] if mask is None else mask & hit_masks[p]
         return hits, density * omega.get(p) / p, r + 1
 
-    remainder = 0.0
-    for d, (mask, density, r) in lattice(plist, d_bound, (None, 1.0, 0), step):
-        if d > 1:
-            remainder += (3**r) * abs(int(mask.sum()) - size_c * density)
+    def term(pair):
+        d, (mask, density, r) = pair
+        return (3**r) * abs(int(mask.sum()) - size_c * density) if d > 1 else 0.0
+
+    remainder = _walk_sum(mask_primes, d_bound, (None, 1.0, 0), step, term,
+                          "Selberg's remainder sums over more than {} squarefree d")
 
     sifted = sift_count(c_set, shifts, ps)
     params = {

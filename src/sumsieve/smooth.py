@@ -62,8 +62,6 @@ def _count_smooth(x: int, plist: Sequence[int]) -> int:
 
     def rec(v: int, i: int) -> int:
         nonlocal spent
-        if v < 1:
-            return 0
         if i < 0 or v < 2:
             return 1  # only n = 1
         key = (v, i)

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumsieve import arith
 from sumsieve.arith import (
     EULER_GAMMA,
     MultiplicativeSpec,
@@ -31,8 +32,11 @@ from sumsieve.primes import (
     PrimeTable,
     ResidueClass,
     all_primes,
+    shift_class_hits,
 )
 from sumsieve.semigroup import enumerate_q
+from sumsieve.sieves import OccupancyProfile, large_sieve_bound, selberg_bound
+from sumsieve.sumset import IntegerSet
 
 
 def tau3_by_enumeration(n: int) -> int:
@@ -278,6 +282,160 @@ class TestLatticeEnumerators:
             walk = lattice([2, 3, 5, 7, 11, 13], 10**6, None, step, powers=powers)
             assert [d for d, _ in itertools.islice(walk, 4)] == [1, 2, 6, 30]
             assert steps == [2, 3, 5]
+
+
+def old_lattice_sum(primes, weights, bound, powers=False) -> float:
+    """lattice_sum's loop before the walk sum, with no cap."""
+    total = 0.0
+    for _, term in lattice(primes, bound, 1.0, lambda t, p: t * weights[p], powers=powers):
+        total += term
+    return total
+
+
+def old_denominator(omega, primes, q_limit) -> float:
+    """The sieve denominator L's loop before the walk sum, with no cap."""
+    support = [p for p in primes if omega.get(p) > 0 and p <= q_limit]
+    weights = {p: omega.get(p) / (p - omega.get(p)) for p in support}
+    total = 0.0
+    for _, term in lattice(support, q_limit, 1.0, lambda t, p: t * weights[p]):
+        total += term
+    return total
+
+
+def old_selberg_remainder(c_arr, shift_arr, plist, omega, q_limit) -> float:
+    """Selberg's remainder loop before the walk sum, with no cap: every prime of
+    the subset is passed to the walk, which takes none past Q^2."""
+    d_bound = q_limit**2
+    hit_masks = {p: shift_class_hits(c_arr, shift_arr, p) for p in plist if p <= d_bound}
+
+    def step(state, p):
+        mask, density, r = state
+        hits = hit_masks[p] if mask is None else mask & hit_masks[p]
+        return hits, density * omega.get(p) / p, r + 1
+
+    remainder = 0.0
+    for d, (mask, density, r) in lattice(plist, d_bound, (None, 1.0, 0), step):
+        if d > 1:
+            remainder += (3**r) * abs(int(mask.sum()) - c_arr.size * density)
+    return remainder
+
+
+def _report(value):
+    return value if isinstance(value, float) else value.to_dict()
+
+
+class TestWalkSum:
+    # each caller of the walk sum: its refusal text and a run over the lattice
+    # of `primes` (an interval's primes) up to `bound` (a square for Selberg's d)
+    CALLERS = {
+        "lattice_sum": (
+            "the weighted lattice sum runs over more than {} n",
+            lambda table, primes, bound: lattice_sum(primes, {p: 1 / p for p in primes}, bound)),
+        "denominator": (
+            "the sieve denominator sums over more than {} squarefree q",
+            lambda table, primes, bound: large_sieve_bound(
+                OccupancyProfile({p: 1 for p in primes}), 10**6, bound)),
+        "selberg": (
+            "Selberg's remainder sums over more than {} squarefree d",
+            lambda table, primes, bound: selberg_bound(
+                IntegerSet(range(1, 200)), PrimeSubset(table, Interval(primes[0] - 1, primes[-1])),
+                (0, 2), OccupancyProfile({p: 1 for p in primes}), math.isqrt(bound))),
+    }
+
+    def test_lattice_sum_bits(self):
+        rng = random.Random(31)
+        for primes in random_prime_lists(rng, 40):
+            weights = {p: rng.choice([0.0, rng.uniform(0.01, 3.0)]) for p in primes}
+            for powers in (False, True):
+                bound = rng.randrange(-2, 5000)
+                got = lattice_sum(primes, weights, bound, powers=powers)
+                assert got.hex() == old_lattice_sum(primes, weights, bound, powers).hex()
+
+    def test_denominator_bits(self, table_1e4):
+        rng = random.Random(32)
+        small = table_1e4.primes_between(1, 200).tolist()
+        for _ in range(60):
+            primes = sorted(rng.sample(small, rng.randrange(0, 20)))
+            omega = OccupancyProfile({p: rng.randrange(0, p) for p in primes})
+            q_limit = rng.randrange(1, 3000)
+            got = large_sieve_bound(omega, 10**6, q_limit).denominator_L
+            assert got.hex() == old_denominator(omega, primes, q_limit).hex()
+
+    def test_selberg_remainder_bits(self, table_1e4):
+        rng = random.Random(33)
+        for _ in range(40):
+            ps = PrimeSubset(table_1e4, Interval(rng.randrange(1, 20), rng.randrange(20, 80)))
+            plist = ps.primes().tolist()
+            # some primes left out of the profile: omega(p) = 0 there
+            omega = OccupancyProfile({p: rng.randrange(0, p) for p in plist if rng.random() < 0.8})
+            c_set = IntegerSet(rng.sample(range(1, 10**5), rng.randrange(1, 300)))
+            shifts = IntegerSet(rng.sample(range(0, 60), rng.randrange(1, 5)))
+            q_limit = rng.randrange(1, 40)
+            rep = selberg_bound(c_set, ps, shifts, omega, q_limit)
+            want = old_selberg_remainder(c_set.array(), shifts.array(), plist, omega, q_limit)
+            assert rep.remainder.hex() == want.hex()
+            assert rep.denominator_L.hex() == old_denominator(omega, plist, q_limit).hex()
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize("lo, hi, bound, by_count", [
+        # the products of at most two of the 21 primes in [101, 211] are all at
+        # most 211^2, and no product of three is: the pre-count is exact
+        (101, 211, 211**2, True),
+        # the pre-count, 1 + 10 + 45 products of at most two primes, is short
+        (2, 29, 30**2, False),
+    ])
+    def test_refusal_at_the_cap(self, table_1e4, monkeypatch, caller, lo, hi, bound, by_count):
+        text, run = self.CALLERS[caller]
+        primes = table_1e4.primes_between(lo, hi).tolist()
+        count = sum(1 for _ in lattice(primes, bound, None, lambda s, p: s))
+        assert (count == 1 + len(primes) + math.comb(len(primes), 2)) == by_count
+        expected = _report(run(table_1e4, primes, bound))
+        walk, drawn = arith.lattice, {}
+
+        def spy(primes, bound, *args, **kwargs):
+            drawn[bound] = 0
+            for pair in walk(primes, bound, *args, **kwargs):
+                drawn[bound] += 1
+                yield pair
+
+        monkeypatch.setattr(arith, "lattice", spy)
+        monkeypatch.setattr(arith, "ENTRY_CAP", count)
+        assert _report(run(table_1e4, primes, bound)) == expected
+        assert drawn[bound] == count
+        drawn.clear()
+        monkeypatch.setattr(arith, "ENTRY_CAP", count - 1)
+        with pytest.raises(CapacityError) as refused:
+            run(table_1e4, primes, bound)
+        assert str(refused.value) == text.format(count - 1)
+        # refused before the walk, or at the pair past the cap and no later one
+        assert drawn.get(bound) == (None if by_count else count)
+
+    def test_selberg_walks_the_primes_to_q_squared(self, table_1e4, monkeypatch):
+        # 9 of the subset's 1229 primes are at most Q^2 = 25: the ten products of
+        # at most one of them pass a cap of 9 before the remainder's walk
+        walk, walked = arith.lattice, []
+        monkeypatch.setattr(arith, "lattice", lambda primes, bound, *a, **k:
+                            walked.append(bound) or walk(primes, bound, *a, **k))
+        monkeypatch.setattr(arith, "ENTRY_CAP", 9)
+        with pytest.raises(CapacityError, match="^Selberg's remainder sums over more than 9 "):
+            selberg_bound(IntegerSet(range(1, 200)), PrimeSubset(table_1e4, Interval(1, 10**4)),
+                          (0, 2), OccupancyProfile({}), 5)
+        assert walked == [5]  # L's walk alone
+
+    def test_no_term_past_the_cap(self, monkeypatch):
+        for powers in (False, True):
+            terms = []
+            primes = [2, 3, 5, 7, 11, 13, 17]
+            walk = list(lattice(primes, 200, 0, lambda s, p: s + 1, powers=powers))
+            monkeypatch.setattr(arith, "ENTRY_CAP", 10)
+            with pytest.raises(CapacityError, match="^over 10$"):
+                arith._walk_sum(primes, 200, 0, lambda s, p: s + 1,
+                                lambda pair: terms.append(pair) or 1.0, "over {}", powers=powers)
+            assert terms == walk[:10]
+            monkeypatch.setattr(arith, "ENTRY_CAP", len(walk))
+            assert arith._walk_sum(primes, 200, 0, lambda s, p: s + 1,
+                                   lambda pair: float(pair[1]), "over {}",
+                                   powers=powers) == float(sum(r for _, r in walk))
 
 
 class TestRestrictedSums:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sumsieve
-from sumsieve import cli, primes, sieves
+from sumsieve import arith, cli, primes, sieves
 from sumsieve.cli import main, parse_int_set, parse_selector
 from sumsieve.primes import And, Interval, MinValue, ResidueClass
 from test_readme_cli import _ELAPSED, GOLDEN, readme_commands, write_inputs
@@ -413,6 +413,50 @@ class TestCommands:
         assert doc == {"schema": 1, "command": "sieve-bound", "error": {
             "type": "CapacityError",
             "message": f"the sieve denominator sums over more than {primes.ENTRY_CAP} squarefree q"}}
+
+    def test_ostmann_sum_is_capped(self, capsys, tmp_path):
+        # the squarefree n <= 10^15 over the primes to 1000 with |eps_p| <= p/4: the
+        # walk used to run without end; the products of four of them pass the cap
+        squares = write_inputs(tmp_path)["@squares.txt"]
+        started = time.monotonic()
+        code, doc = run_json(capsys, "ostmann-diag", "--set", squares, "--x", str(10**30),
+                             "--y-limit", "1000")
+        assert time.monotonic() - started < 15
+        assert code == 1
+        assert doc == {"schema": 1, "command": "ostmann-diag", "error": {
+            "type": "CapacityError",
+            "message": f"the weighted lattice sum runs over more than {arith.ENTRY_CAP} n"}}
+
+    @pytest.mark.parametrize("cap, message", [
+        # L's 25704 squarefree q <= 10^5 come first
+        (10**4, "the sieve denominator sums over more than 10000 squarefree q"),
+        # the 790216 products of at most three primes below 1000 are all below 10^10
+        (10**5, "Selberg's remainder sums over more than 100000 squarefree d"),
+    ])
+    def test_selberg_remainder_is_capped(self, capsys, monkeypatch, cap, message):
+        # the squarefree d <= 10^10 over the primes to 1000: the walk used to run
+        # without end; at the default cap the walk reaches the cap in about a minute
+        monkeypatch.setattr(arith, "ENTRY_CAP", cap)
+        code, doc = run_json(capsys, "sieve-bound", "--kind", "selberg", "--set", "1..100",
+                             "--shifts", "0,2", "--q", "100000", "--limit", "1000")
+        assert code == 1
+        assert doc == {"schema": 1, "command": "sieve-bound",
+                       "error": {"type": "CapacityError", "message": message}}
+
+    def test_selberg_report_within_the_cap(self, capsys):
+        # recorded before the remainder moved onto the capped walk sum
+        code, out = run_cli(capsys, "sieve-bound", "--kind", "selberg", "--set", "1..20000",
+                            "--shifts", "0,2", "--q", "200", "--limit", "100000")
+        assert code == 0
+        assert _ELAPSED.sub('"elapsed_ms": null', out) == (
+            '{"command": "sieve-bound", "diagnostics": {}, "elapsed_ms": null, "params": '
+            '{"N": null, "Q": 200, "kind": "selberg", "selector": "all", "set_size": 20000, '
+            '"shifts": [0, 2], "x": null, "y1": null, "y2": null}, "profile": null, "result": '
+            '{"bound": 306328.7648481053, "branch": null, "denominator_L": 22.86869028445493, '
+            '"hypotheses": {}, "hypotheses_ok": true, "main_term": 874.5581732590548, '
+            '"params": {"Q": 200, "k": 2, "primes": 9592, "ps": "all", "set_size": 20000}, '
+            '"profile": null, "reason": "", "remainder": 305454.20667484624, '
+            '"sifted_count": 1, "valid": true}, "schema": 1}\n')
 
     def test_dickman_table_row_count_is_capped(self, capsys):
         # 5e11 rows: used to run without end

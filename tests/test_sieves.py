@@ -275,26 +275,27 @@ class TestLargeSieve:
             large_sieve_bound(OccupancyProfile({3: 3}), 100, 5)
 
     def test_denominator_work_budget(self, table_1e4, monkeypatch):
-        # the 31 primes up to 127, every squarefree q <= Q counted by the walk itself
+        # the 31 primes up to 127, every squarefree q <= Q counted by the walk itself;
+        # the walk sum reads arith.ENTRY_CAP, for its refusal point and its text
         primes = table_1e4.primes_between(1, 127).tolist()
         omega = OccupancyProfile({p: 1 for p in primes})
         for q_limit in (1, 100, 5000, 10**6):
             count = sum(1 for _ in arith.lattice(primes, q_limit, None, lambda s, p: s))
-            monkeypatch.setattr(sieves, "ENTRY_CAP", count)
+            monkeypatch.setattr(arith, "ENTRY_CAP", count)
             rep = large_sieve_bound(omega, 10**6, q_limit)
             want = arith.lattice_sum(primes, {p: 1 / (p - 1) for p in primes}, q_limit)
             assert rep.denominator_L == want
             # one q more than the cap is refused, by the walk
-            monkeypatch.setattr(sieves, "ENTRY_CAP", count - 1)
+            monkeypatch.setattr(arith, "ENTRY_CAP", count - 1)
             with pytest.raises(CapacityError, match=f"more than {count - 1} squarefree q"):
                 large_sieve_bound(omega, 10**6, q_limit)
         # before the walk: the 1 + 31 + 465 products of at most two primes are all
         # at most 127^2 = Q, past a cap of 496; the walk refuses a cap of 497
+        walk = arith.lattice
         for cap, walked in ((496, False), (497, True)):
-            monkeypatch.setattr(sieves, "ENTRY_CAP", cap)
+            monkeypatch.setattr(arith, "ENTRY_CAP", cap)
             steps = []
-            monkeypatch.setattr(sieves, "lattice", lambda *a, **k: steps.append(1) or
-                                arith.lattice(*a, **k))
+            monkeypatch.setattr(arith, "lattice", lambda *a, **k: steps.append(1) or walk(*a, **k))
             with pytest.raises(CapacityError, match=f"more than {cap} squarefree q"):
                 large_sieve_bound(omega, 10**6, 127**2)
             assert bool(steps) == walked

@@ -377,6 +377,8 @@ class TestDiscrepancySum:
             )
         assert err.value.partial_sum >= 0.0
         assert hasattr(err.value, "partial_breakdown")
+        # the benchmark's bv-capacity oracle reads the partial sum from info
+        assert err.value.info["partial_sum"] == err.value.partial_sum
 
     def test_table_below_q_squared_is_refused(self, table_1e4, table_1e6):
         # Q^2 = 10201 passes the 10^4 table, and primes >= 40 run past it
