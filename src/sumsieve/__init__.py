@@ -30,8 +30,7 @@ _EXPORTS = {
     "semigroup": ("SemigroupStats", "enumerate_q", "estimate_tau", "verify_hypotheses_wirsing",
                   "wirsing_estimate"),
     "irreducibility": ("GenThmContext", "build_context", "check_bv_condition",
-                       "check_scs_condition", "conclusion_bounds", "larger_sieve_budget_check",
-                       "ostmann_epsilon_profile"),
+                       "check_scs_condition", "conclusion_bounds", "ostmann_epsilon_profile"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

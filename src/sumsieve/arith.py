@@ -145,14 +145,21 @@ def _walk_sum(primes: Sequence[int], bound: int, root, step: Callable, term: Cal
     """sum of term((n, state)) over ``lattice(primes, bound, root, step, powers=powers)``,
     in preorder with +=.  More than ENTRY_CAP pairs raise CapacityError(refusal.format(
     ENTRY_CAP)): at once when the products of at most j of `primes` (ascending), each at
-    most max(primes)^j <= bound, already number more, else when the walk passes the cap
-    (no later pair is drawn).  Private, so traced runs count it in its callers."""
+    most max(primes)^j <= bound (or the pairs at most bound, counted), already number
+    more, else when the walk passes the cap (no later pair is drawn).  Private."""
     cap = ENTRY_CAP
+    if not primes and bound >= 1 and cap:
+        return 0.0 + term((1, root))  # no walk; as its loop adds it, -0.0 reads 0.0
     # 2^m squarefree products at most: fewer primes than the cap's bits never pass it
     count, j, m = 1, 0, len(primes)
     while m >= cap.bit_length() and count <= cap and primes[-1] ** (j + 1) <= bound:
         j += 1
         count += math.comb(m, j)
+    if j == 1 and count <= cap < count + math.comb(m, 2):
+        # the q in (p, bound // p] of each p <= sqrt(bound); object quotients past int64
+        arr = np.asarray(primes, dtype=np.int64 if bound < 2**63 else object)
+        low = arr[: bisect_right(primes, math.isqrt(bound))]
+        count += int(np.searchsorted(arr, bound // low, "right").sum()) - math.comb(low.size + 1, 2)
     if count > cap:
         raise CapacityError(refusal.format(cap))
     walk = lattice(primes, bound, root, step, powers=powers)

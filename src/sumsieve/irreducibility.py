@@ -31,7 +31,7 @@ from .primes import (
     residue_counts,
 )
 from .profiles import STRICT, ConstantsProfile
-from .sieves import OccupancyProfile, star_sum
+from .sieves import star_sum
 from .sumset import IntegerSet
 
 
@@ -303,41 +303,6 @@ def ostmann_epsilon_profile(a, x: int, y_limit: float) -> EpsilonProfile:
             if abs(eps) >= p / 4.0:
                 large += 1.0 / p
     return EpsilonProfile(entries, quad, linear, large, x, y_limit)
-
-
-@dataclass(frozen=True)
-class BudgetCheck:
-    lhs: float
-    budget: float
-    within: bool
-
-
-def larger_sieve_budget_check(
-    profile_a: OccupancyProfile, profile_b: OccupancyProfile, x: int, y_limit: float
-) -> BudgetCheck:
-    """sum log p / nu_A(p) + sum log p / nu_B(p) over p <= Y against 2(log x + 1).
-
-    The profiles must be complementary (nu_A + nu_B <= p) since no sum may
-    vanish mod p; exceeding the budget would force one of the two sets to be
-    tiny by the larger sieve.
-    """
-    lhs = 0.0
-    for p in sorted(profile_a.entries):
-        if p > y_limit:
-            continue
-        if p not in profile_b.entries:
-            raise DomainError(f"profiles disagree on prime coverage at p={p}")
-        nu_a = profile_a.get(p)
-        nu_b = profile_b.get(p)
-        if nu_a + nu_b > p:
-            raise DomainError(
-                f"complementarity violated at p={p}: {nu_a} + {nu_b} > {p}"
-            )
-        if nu_a <= 0 or nu_b <= 0:
-            raise DomainError(f"need positive occupancy at p={p}")
-        lhs += math.log(p) / nu_a + math.log(p) / nu_b
-    budget = 2.0 * (math.log(x) + 1.0)
-    return BudgetCheck(lhs, budget, lhs <= budget)
 
 
 def half_occupancy_identity_gap(profile: EpsilonProfile) -> float:

@@ -22,14 +22,13 @@ gather from the factor table (for a floor subset such as P0*), from a
 multiples mask or, past their caps, a sweep prime by prime.  Sifted counts
 and divisibility scans are ``survivors`` calls; its primes, too, come
 through ``primes_in``.
-``shift_class_hits`` is the one shift-class test (v = a_i mod p, from a bool
-table over [0, p)) behind that sweep and Selberg's remainder,
-``residue_counts`` the one residue-occupancy kernel,
-and ``cached`` the package's one cache (tables, reduced-residue masks, the
-density ratio c, the selected primes of each class part and the factor table
-of each P0, never one of a per-instance subset such as P0*), bounded in bytes
-by the memory cap, a fixed per-entry overhead included and each table charged
-its full-limit bound.
+``shift_class_hits`` is the one shift-class test (v = a_i mod p) behind that
+sweep and a sparse set's Selberg masks (``shift_class_masks``),
+``residue_counts`` the one residue-occupancy kernel, and ``cached`` the
+package's one cache (tables, reduced-residue masks, the density ratio c, the
+selected primes of each class part and the factor table of each P0, never one
+of a per-instance subset such as P0*), bounded in bytes by the memory cap, a
+fixed per-entry overhead included and each table charged its full-limit bound.
 """
 
 from __future__ import annotations
@@ -722,24 +721,44 @@ def shift_class_hits(values: np.ndarray, shifts: np.ndarray, p: int) -> np.ndarr
     return table[values - (values // p) * p]
 
 
+def shift_class_masks(values: np.ndarray, shifts: np.ndarray) -> Callable[[int], np.ndarray]:
+    """p -> shift_class_hits(values, shifts, p) for ascending int64 values: each
+    shift's class marked by a strided slice of a bool table over [min, max], read
+    at values - min; a span of at least p and 8 bytes a value takes the [0, p) one."""
+    lo, span = int(values[0]), int(values[-1] - values[0])
+    offsets = None if span + 1 == values.size else values - lo
+    starts = (shifts - lo).tolist()
+
+    def hits(p: int) -> np.ndarray:
+        if span >= max(p, 8 * values.size):
+            return shift_class_hits(values, shifts, p)
+        table = np.zeros(span + 1, dtype=bool)
+        for a in starts:
+            table[a % p :: p] = True
+        return table if offsets is None else table[offsets]
+
+    return hits
+
+
 # --------------------------------------------------------------------------
 # residue occupancy
 
 
 def residue_counts(values: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """nu(p) = #{v mod p : v in values} for each p in primes (int64).
-
-    One row of residues per prime, sorted, counting the changes along it; the
-    rows go in blocks of at most BLOCK_BYTES (or of one row, if larger).
-    """
+    """nu(p) = #{v mod p : v in values} for ascending primes and ascending distinct
+    int64 values (an ``IntegerSet`` array): each value its own class at a p above
+    max - min, else one sorted row of residues per prime, counting the changes
+    along it, in blocks of at most BLOCK_BYTES (or of one row, if larger)."""
     values = np.asarray(values, dtype=np.int64).reshape(-1)
     primes = np.asarray(primes, dtype=np.int64).reshape(-1)
-    out = np.zeros(primes.size, dtype=np.int64)
+    out = np.full(primes.size, values.size, dtype=np.int64)
     if values.size == 0:
         return out
+    near = int(primes.searchsorted(values[-1] - values[0], "right"))
     rows = max(1, BLOCK_BYTES // (8 * values.size))
-    for lo in range(0, primes.size, rows):
-        residues = values[None, :] % primes[lo : lo + rows, None]
+    for lo in range(0, near, rows):
+        hi = min(lo + rows, near)
+        residues = values[None, :] % primes[lo:hi, None]
         residues.sort(axis=1)
-        out[lo : lo + rows] = 1 + np.count_nonzero(residues[:, 1:] != residues[:, :-1], axis=1)
+        out[lo:hi] = 1 + (residues[:, 1:] != residues[:, :-1]).sum(axis=1)
     return out

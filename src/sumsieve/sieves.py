@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from operator import itemgetter
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .primes import (
     all_primes,
     divisibility_hits,
     residue_counts,
-    shift_class_hits,
+    shift_class_masks,
     subset_sums,
     survivors,
 )
@@ -53,16 +52,31 @@ def star_sum(primes: list, c: float, bound: int) -> float:
     return lattice_sum(primes, {p: c / p for p in primes}, bound) - 1.0
 
 
-@dataclass(frozen=True)
 class OccupancyProfile:
-    """Map p -> number of residue classes mod p met (or avoided) by a set."""
+    """The residue classes mod p a set meets (or avoids): `counts` aligned with
+    `primes` (ascending, int64), and `span`, (min, max) of the set, or None for a
+    profile built by hand from a mapping p -> count (ints mixed with floats stay objects)."""
 
-    entries: dict
-    # (min, max) of the profiled set; None for a hand-built profile
-    span: Optional[tuple[int, int]] = None
+    def __init__(self, entries: Mapping[int, float], span: Optional[tuple[int, int]] = None):
+        primes = sorted(entries)
+        values = list(map(entries.__getitem__, primes))
+        self.primes, self.span = np.array(primes, dtype=np.int64), span
+        self.counts = np.array(values, dtype=object if len(set(map(type, values))) > 1 else None)
 
-    def get(self, p: int, default: float = 0.0) -> float:
-        return self.entries.get(p, default)
+    @classmethod
+    def of(cls, primes: np.ndarray, counts: np.ndarray, span=None) -> "OccupancyProfile":
+        profile = cls.__new__(cls)
+        profile.primes, profile.counts, profile.span = primes, counts, span
+        return profile
+
+    def at(self, primes: np.ndarray, missing) -> tuple[np.ndarray, np.ndarray]:
+        """(the counts at `primes` (ascending), `missing` where none, the mask of known)."""
+        i = np.searchsorted(self.primes, primes)
+        if not self.primes.size:
+            return np.full(primes.size, missing), i < 0
+        known = self.primes.take(i, mode="clip") == primes
+        counts = self.counts.take(i, mode="clip")
+        return (counts if known.all() else np.where(known, counts, missing)), known
 
 
 @dataclass
@@ -101,13 +115,12 @@ def occupancy(a, ps: PrimeSubset) -> OccupancyProfile:
     if len(a) == 0:
         raise DomainError("occupancy of an empty set")
     plist = ps.primes()
-    counts = residue_counts(a.array(), plist)
-    return OccupancyProfile(dict(zip(plist.tolist(), counts.tolist())), (a.min, a.max))
+    return OccupancyProfile.of(plist, residue_counts(a.array(), plist), (a.min, a.max))
 
 
 def avoided_classes(profile: OccupancyProfile) -> OccupancyProfile:
     """omega(p) = p - nu(p): the classes mod p an occupancy profile's set avoids."""
-    return OccupancyProfile({p: p - nu for p, nu in profile.entries.items()}, profile.span)
+    return OccupancyProfile.of(profile.primes, profile.primes - profile.counts, profile.span)
 
 
 def sift_count(s, shifts, ps: PrimeSubset) -> int:
@@ -120,22 +133,30 @@ def sift_count(s, shifts, ps: PrimeSubset) -> int:
 # the three sieve lemmas
 
 
-def _sieve_denominator(omega: OccupancyProfile, primes: list, q_limit: int):
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., in order, as a loop adds them (np.add.accumulate)."""
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
+
+
+def _sieve_denominator(primes: np.ndarray, omega: np.ndarray, q_limit: int):
     """(support, L): the primes p <= Q with omega(p) > 0, and L, the sum over
     squarefree q <= Q supported on them of prod omega(p) / (p - omega(p)),
-    in ``lattice`` preorder.  Every omega(p) must lie in [0, p), and Q must be
-    at least 1.  More than ENTRY_CAP squarefree q (q = 1 included) raise
-    CapacityError, at once or once the walk reaches the cap (``_walk_sum``)."""
+    in ``lattice`` preorder, for omega aligned with `primes` (ascending).  Every
+    omega(p) must lie in [0, p), and Q must be at least 1.  More than ENTRY_CAP
+    squarefree q (q = 1 included) raise CapacityError (``_walk_sum``)."""
     if q_limit < 1:
         raise DomainError(f"need Q >= 1, got {q_limit}")
-    for p in primes:
-        w = omega.get(p)
-        if w < 0 or w >= p:
-            raise DomainError(f"need 0 <= omega(p) < p at p={p}, got {w}")
-    support = [p for p in primes if omega.get(p) > 0 and p <= q_limit]
-    weights = {p: omega.get(p) / (p - omega.get(p)) for p in support}
-    return support, _walk_sum(support, q_limit, 1.0, lambda t, p: t * weights[p], itemgetter(1),
-                              "the sieve denominator sums over more than {} squarefree q")
+    values = omega.astype(np.float64) if omega.dtype == object else omega  # as its floats
+    bad = (values < 0) | (values >= primes)
+    if bad.any():
+        i = bad.argmax()
+        raise DomainError(f"need 0 <= omega(p) < p at p={primes[i]}, got {omega.tolist()[i]}")
+    keep = (values > 0) & (primes <= q_limit)
+    support, w = primes[keep], omega[keep]
+    weights = dict(zip(support.tolist(), (w / (support - w)).tolist()))
+    L = _walk_sum(list(weights), q_limit, 1.0, lambda t, p: t * weights[p], itemgetter(1),
+                  "the sieve denominator sums over more than {} squarefree q")
+    return support, L
 
 
 def larger_sieve_bound(
@@ -154,28 +175,21 @@ def larger_sieve_bound(
     if n_limit < 1:
         raise DomainError(f"need N >= 1, got {n_limit}")
     primes, logs = _selected(ps, 0, None, logs=True)
-    plist = primes.tolist()
-    params = {"N": n_limit, "ps": ps.describe(), "primes": len(plist)}
+    params = {"N": n_limit, "ps": ps.describe(), "primes": primes.size}
     hyps = {}
     if profile.span is not None:
         hyps["set_within_1_to_N"] = 1 <= profile.span[0] and profile.span[1] <= n_limit
-    # a prime missing from the profile reads NaN; the first one missing, or
-    # with nu(p) <= 0, decides
-    entries = profile.entries
-    nu = np.fromiter(map(entries.get, plist, repeat(math.nan)), np.float64, len(plist))
-    missing = [i for i in np.flatnonzero(np.isnan(nu)).tolist() if plist[i] not in entries]
-    empty = np.flatnonzero(nu <= 0)
-    if empty.size and (not missing or empty[0] < missing[0]):
-        return SieveBoundReport(
-            0.0, 0.0, params, f"occupancy 0 at p={plist[empty[0]]}: sifted set empty",
-            hypotheses=hyps,
-        )
-    if missing:
-        raise DomainError(f"occupancy profile missing prime {plist[missing[0]]}")
-    # summed one term at a time from -log N, as a loop over the primes would
-    start = [-math.log(n_limit)]
-    num = float(np.add.accumulate(np.concatenate((start, logs)))[-1])
-    den = float(np.add.accumulate(np.concatenate((start, logs / nu)))[-1])
+    nu, known = profile.at(primes, math.nan)
+    nu = nu.astype(np.float64)
+    # the first prime missing from the profile, or with nu(p) <= 0, decides
+    gap = np.flatnonzero(~known | (nu <= 0))
+    if gap.size and known[gap[0]]:
+        return SieveBoundReport(0.0, 0.0, params, f"occupancy 0 at p={primes[gap[0]]}: sifted "
+                                "set empty", hypotheses=hyps)
+    if gap.size:
+        raise DomainError(f"occupancy profile missing prime {primes[gap[0]]}")
+    num = _running_sum(-math.log(n_limit), logs)
+    den = _running_sum(-math.log(n_limit), logs / nu)
     if den <= 0:
         return SieveBoundReport(
             math.inf, den, params, "denominator not positive", hypotheses=hyps
@@ -195,7 +209,7 @@ def large_sieve_bound(profile: OccupancyProfile, x: int, q_limit: int) -> SieveB
     """
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
-    support, L = _sieve_denominator(profile, sorted(profile.entries), q_limit)
+    support, L = _sieve_denominator(profile.primes, profile.counts, q_limit)
     bound = _power(x + q_limit**2, 1) / L
     params = {"x": x, "Q": q_limit, "support": len(support)}
     hyps = {}
@@ -215,36 +229,36 @@ def selberg_bound(
     |#{c : d | prod(c - r_i)} - #C prod omega(p)/p|.  Divisibility is tested
     per prime via residue membership (d squarefree with known factors).
     Sound for any 0 <= omega(p) < p, so the report is always valid.  The
-    per-prime hit masks take |C| bytes each; more than MEMORY_CAP of them
-    raise CapacityError before any is built, as more than ENTRY_CAP q in L do;
-    more than ENTRY_CAP d (``_walk_sum`` over the primes to Q^2) raise it later.
+    hit masks (``shift_class_masks``, |C| bytes each) are built as the walk meets
+    their primes: past MEMORY_CAP in all, or past ENTRY_CAP q in L or d by
+    ``_walk_sum``'s pre-count, CapacityError is raised before any is built.
     """
     c_set = IntegerSet.coerce(c_set)
     shifts = coerce_shifts(shifts)
     if len(c_set) == 0:
         raise DomainError("C must be non-empty")
-    plist = ps.primes().tolist()
-    _, L = _sieve_denominator(omega, plist, q_limit)
-    c_arr = c_set.array()
-    shift_arr = shifts.array()
+    plist = ps.primes()
+    w, _ = omega.at(plist, 0)
+    _, L = _sieve_denominator(plist, w, q_limit)
     size_c = len(c_set)
     main = size_c / L
 
     d_bound = q_limit**2
-    mask_primes = [p for p in plist if p <= d_bound]
+    mask_primes = plist[: np.searchsorted(plist, d_bound, side="right")].tolist()
     if len(mask_primes) * size_c > MEMORY_CAP:
         raise CapacityError(f"Selberg hit masks for {len(mask_primes)} primes x {size_c} "
                             "values would pass the memory cap")
-    hit_masks = {p: shift_class_hits(c_arr, shift_arr, p) for p in mask_primes}
+    hits_at = shift_class_masks(c_set.array(), shifts.array())
+    masks, omega_at = {}, dict(zip(mask_primes, w.tolist()))
 
     def step(state, p):
         mask, density, r = state
-        hits = hit_masks[p] if mask is None else mask & hit_masks[p]
-        return hits, density * omega.get(p) / p, r + 1
+        hits = masks[p] if p in masks else masks.setdefault(p, hits_at(p))  # built once, lazily
+        return (hits if mask is None else mask & hits), density * omega_at[p] / p, r + 1
 
     def term(pair):
         d, (mask, density, r) = pair
-        return (3**r) * abs(int(mask.sum()) - size_c * density) if d > 1 else 0.0
+        return (3**r) * abs(int(np.count_nonzero(mask)) - size_c * density) if d > 1 else 0.0
 
     remainder = _walk_sum(mask_primes, d_bound, (None, 1.0, 0), step, term,
                           "Selberg's remainder sums over more than {} squarefree d")
@@ -299,9 +313,7 @@ def inverse_sieve_lower_bound(a, ps: PrimeSubset, y: float, x: int) -> InverseSi
         raise DomainError("A must lie in [1, x]")
     sums = subset_sums(ps, y / 2, y)
     window_primes = ps.primes_in(y / 2, y)
-    lhs = 0.0
-    for p, nu in zip(window_primes.tolist(), residue_counts(a.array(), window_primes).tolist()):
-        lhs += nu / p
+    lhs = _running_sum(0.0, residue_counts(a.array(), window_primes) / window_primes)
     log_x = math.log(x)
     base_lower = k * sums.mertens_recip - (k * k - k) * log_x / ((y / 2) * math.log(y / 2))
     strengthened = sums.theta >= STRICT.window_coefficient * k * log_x
@@ -337,9 +349,7 @@ def _small_k_hypotheses(shifts: IntegerSet, primes: list) -> dict:
     least is at least 4k, and the occupancy deficit sum of (k - nu(p))/p
     stays within _DEFICIT_BUDGET."""
     k = len(shifts)
-    deficit = 0.0
-    for p, nu in zip(primes, residue_counts(shifts.array(), primes).tolist()):
-        deficit += (k - nu) / p
+    deficit = _running_sum(0.0, (k - residue_counts(shifts.array(), primes)) / np.array(primes))
     return {
         "star_primes_at_least_4k": bool(not primes or primes[0] >= 4 * k),
         "occupancy_deficit_within_budget": deficit <= _DEFICIT_BUDGET,

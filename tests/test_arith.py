@@ -1,6 +1,10 @@
+import bisect
 import itertools
 import math
 import random
+import re
+import types
+from operator import add, itemgetter
 
 import pytest
 import sympy
@@ -324,6 +328,11 @@ def _report(value):
     return value if isinstance(value, float) else value.to_dict()
 
 
+def _lookup(entries):
+    """What the references read of a profile: omega.get(p), 0.0 at a prime it leaves out."""
+    return types.SimpleNamespace(get=lambda p: entries.get(p, 0.0))
+
+
 class TestWalkSum:
     # each caller of the walk sum: its refusal text and a run over the lattice
     # of `primes` (an interval's primes) up to `bound` (a square for Selberg's d)
@@ -356,10 +365,10 @@ class TestWalkSum:
         small = table_1e4.primes_between(1, 200).tolist()
         for _ in range(60):
             primes = sorted(rng.sample(small, rng.randrange(0, 20)))
-            omega = OccupancyProfile({p: rng.randrange(0, p) for p in primes})
+            entries = {p: rng.randrange(0, p) for p in primes}
             q_limit = rng.randrange(1, 3000)
-            got = large_sieve_bound(omega, 10**6, q_limit).denominator_L
-            assert got.hex() == old_denominator(omega, primes, q_limit).hex()
+            got = large_sieve_bound(OccupancyProfile(entries), 10**6, q_limit).denominator_L
+            assert got.hex() == old_denominator(_lookup(entries), primes, q_limit).hex()
 
     def test_selberg_remainder_bits(self, table_1e4):
         rng = random.Random(33)
@@ -367,11 +376,12 @@ class TestWalkSum:
             ps = PrimeSubset(table_1e4, Interval(rng.randrange(1, 20), rng.randrange(20, 80)))
             plist = ps.primes().tolist()
             # some primes left out of the profile: omega(p) = 0 there
-            omega = OccupancyProfile({p: rng.randrange(0, p) for p in plist if rng.random() < 0.8})
+            entries = {p: rng.randrange(0, p) for p in plist if rng.random() < 0.8}
+            omega = _lookup(entries)
             c_set = IntegerSet(rng.sample(range(1, 10**5), rng.randrange(1, 300)))
             shifts = IntegerSet(rng.sample(range(0, 60), rng.randrange(1, 5)))
             q_limit = rng.randrange(1, 40)
-            rep = selberg_bound(c_set, ps, shifts, omega, q_limit)
+            rep = selberg_bound(c_set, ps, shifts, OccupancyProfile(entries), q_limit)
             want = old_selberg_remainder(c_set.array(), shifts.array(), plist, omega, q_limit)
             assert rep.remainder.hex() == want.hex()
             assert rep.denominator_L.hex() == old_denominator(omega, plist, q_limit).hex()
@@ -420,22 +430,81 @@ class TestWalkSum:
         with pytest.raises(CapacityError, match="^Selberg's remainder sums over more than 9 "):
             selberg_bound(IntegerSet(range(1, 200)), PrimeSubset(table_1e4, Interval(1, 10**4)),
                           (0, 2), OccupancyProfile({}), 5)
-        assert walked == [5]  # L's walk alone
+        assert walked == []  # L has no support, so no walk; the remainder's is refused first
 
     def test_no_term_past_the_cap(self, monkeypatch):
         for powers in (False, True):
             terms = []
             primes = [2, 3, 5, 7, 11, 13, 17]
             walk = list(lattice(primes, 200, 0, lambda s, p: s + 1, powers=powers))
-            monkeypatch.setattr(arith, "ENTRY_CAP", 10)
-            with pytest.raises(CapacityError, match="^over 10$"):
+            # the pre-count, 1 + 7 + 20 products of at most two primes, is short
+            monkeypatch.setattr(arith, "ENTRY_CAP", 28)
+            with pytest.raises(CapacityError, match="^over 28$"):
                 arith._walk_sum(primes, 200, 0, lambda s, p: s + 1,
                                 lambda pair: terms.append(pair) or 1.0, "over {}", powers=powers)
-            assert terms == walk[:10]
+            assert terms == walk[:28]
             monkeypatch.setattr(arith, "ENTRY_CAP", len(walk))
             assert arith._walk_sum(primes, 200, 0, lambda s, p: s + 1,
                                    lambda pair: float(pair[1]), "over {}",
                                    powers=powers) == float(sum(r for _, r in walk))
+
+    def test_pair_count_is_exact(self, monkeypatch):
+        # max(primes)^2 > bound: the pre-count is 1, the primes and the pairs pq <=
+        # bound, so a cap one below it refuses before the walk and the cap itself walks
+        rng = random.Random(34)
+        small = [p for p in range(2, 2000) if factorize(p) == [(p, 1)]]
+        # products about 2^64: the quotients of a bound past int64 stay exact
+        wide = [2**31 + 11, 2**32 - 5, 2**32 + 15, 2**33 + 17, 2**34 + 25]
+        cases = [(wide, p * q + e) for p, q in itertools.combinations(wide, 2) for e in (-1, 0, 1)]
+        for _ in range(200):
+            primes = sorted(rng.sample(small, rng.randrange(12, 60)))
+            cases.append((primes, rng.randrange(primes[-1], primes[-1] ** 2)))
+        walk, drawn = arith.lattice, []
+        monkeypatch.setattr(arith, "lattice", lambda *a, **k: drawn.append(1) or walk(*a, **k))
+        for primes, bound in cases:
+            pairs = sum(1 for p, q in itertools.combinations(primes, 2) if p * q <= bound)
+            count = 1 + len(primes) + pairs
+            monkeypatch.setattr(arith, "ENTRY_CAP", count - 1)
+            with pytest.raises(CapacityError, match=f"^over {count - 1}$"):
+                arith._walk_sum(primes, bound, 0, add, itemgetter(1), "over {}")
+            assert not drawn
+            monkeypatch.setattr(arith, "ENTRY_CAP", count)
+            try:
+                arith._walk_sum(primes, bound, 0, add, itemgetter(1), "over {}")
+            except CapacityError:  # by the walk: products of three primes
+                pass
+            assert drawn
+            drawn.clear()
+
+    def test_two_prime_pre_count(self, table_1e4, monkeypatch):
+        # the 1229 primes to 10^4 and n <= 10^6: max(primes)^2 passes the bound,
+        # so the pre-count counts the 1 + 1229 + pairs products of at most two
+        primes = table_1e4.primes_between(1, 10**4).tolist()
+        bound = 10**6
+        count = 1 + len(primes) + sum(bisect.bisect_right(primes, bound // p, i + 1) - i - 1
+                                      for i, p in enumerate(primes))
+        text, run = self.CALLERS["lattice_sum"]
+        walk, drawn = arith.lattice, []
+        monkeypatch.setattr(arith, "lattice", lambda *a, **k: drawn.append(1) or walk(*a, **k))
+        for cap, walked in ((count - 1, False), (count, True)):
+            # the walk holds products of three primes too: refused either way
+            monkeypatch.setattr(arith, "ENTRY_CAP", cap)
+            with pytest.raises(CapacityError, match=f"^{re.escape(text.format(cap))}$"):
+                run(table_1e4, primes, bound)
+            assert bool(drawn) == walked
+            drawn.clear()
+
+    def test_no_primes(self, monkeypatch):
+        walk = arith.lattice
+        monkeypatch.setattr(arith, "lattice", None)  # no walk is built
+        assert arith._walk_sum([], 5, 2.5, add, itemgetter(1), "over {}") == 2.5
+        # one term, added to 0.0 as the walk's loop adds it
+        assert arith._walk_sum([], 1, -0.0, add, itemgetter(1), "over {}").hex() == "0x0.0p+0"
+        monkeypatch.setattr(arith, "lattice", walk)
+        assert arith._walk_sum([], 0, 2.5, add, itemgetter(1), "over {}") == 0.0  # no n
+        monkeypatch.setattr(arith, "ENTRY_CAP", 0)
+        with pytest.raises(CapacityError, match="^over 0$"):
+            arith._walk_sum([], 5, 2.5, add, itemgetter(1), "over {}")
 
 
 class TestRestrictedSums:

@@ -443,6 +443,21 @@ class TestCommands:
         assert doc == {"schema": 1, "command": "sieve-bound",
                        "error": {"type": "CapacityError", "message": message}}
 
+    def test_selberg_refused_before_any_mask(self, capsys, monkeypatch):
+        # the 78498 primes to 10^6, all up to Q^2 = 10^10: the products of two of
+        # them pass the entry cap, counted before the walk builds any hit mask
+        built, masks = [], sieves.shift_class_masks
+        monkeypatch.setattr(sieves, "shift_class_masks",
+                            lambda c, a: lambda p: built.append(p) or masks(c, a)(p))
+        started = time.monotonic()
+        code, doc = run_json(capsys, "sieve-bound", "--kind", "selberg", "--set", "1..100",
+                             "--shifts", "0,2", "--q", "100000", "--limit", "1000000")
+        assert time.monotonic() - started < 15
+        assert code == 1 and built == []
+        assert doc == {"schema": 1, "command": "sieve-bound", "error": {
+            "type": "CapacityError",
+            "message": f"Selberg's remainder sums over more than {arith.ENTRY_CAP} squarefree d"}}
+
     def test_selberg_report_within_the_cap(self, capsys):
         # recorded before the remainder moved onto the capped walk sum
         code, out = run_cli(capsys, "sieve-bound", "--kind", "selberg", "--set", "1..20000",
@@ -897,7 +912,7 @@ _EXPORTS = {
     "semigroup": "SemigroupStats enumerate_q estimate_tau verify_hypotheses_wirsing "
                  "wirsing_estimate",
     "irreducibility": "GenThmContext build_context check_bv_condition check_scs_condition "
-                      "conclusion_bounds larger_sieve_budget_check ostmann_epsilon_profile",
+                      "conclusion_bounds ostmann_epsilon_profile",
 }
 
 

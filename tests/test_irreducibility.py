@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 
 from sumsieve import primes as primes_module
-from sumsieve.errors import CapacityError, DivisibilityError, DomainError
+from sumsieve.errors import CapacityError, DivisibilityError
 from sumsieve.irreducibility import (
     build_context,
     check_bv_condition,
     check_scs_condition,
     conclusion_bounds,
     half_occupancy_identity_gap,
-    larger_sieve_budget_check,
     ostmann_epsilon_profile,
     ostmann_multiplicative_diagnostic,
 )
 from sumsieve.primes import And, Excluding, Interval, MinValue, PrimeSubset, ResidueClass
 from sumsieve.profiles import STRICT, scaled
 from sumsieve.semigroup import enumerate_q
-from sumsieve.sieves import OccupancyProfile, occupancy, prop_smallkbv_bound
+from sumsieve.sieves import occupancy, prop_smallkbv_bound
 from sumsieve.smooth import enumerate_smooth
 from sumsieve.sumset import IntegerSet
 
@@ -385,52 +384,15 @@ class TestEpsilonProfile:
         prof = ostmann_epsilon_profile(a, 5000, y_limit)
         ps = PrimeSubset(table_1e4, Interval(1, y_limit))
         occ = occupancy(a, ps)
-        for p in ps.primes().tolist():
-            assert prof.entries[p] == occ.get(p) - p / 2.0
+        assert occ.primes.tolist() == ps.primes().tolist()
+        for p, nu in zip(occ.primes.tolist(), occ.counts.tolist()):
+            assert prof.entries[p] == nu - p / 2.0
 
     def test_identity_gap_tiny(self):
         rng = random.Random(3)
         a = IntegerSet(rng.sample(range(1, 20000), 500))
         prof = ostmann_epsilon_profile(a, 20000, 500)
         assert half_occupancy_identity_gap(prof) <= 1e-9
-
-
-class TestBudgetCheck:
-    def test_half_split_within(self, table_1e4):
-        x, y_limit = 10**6, 300
-        ps = PrimeSubset(table_1e4, Interval(1, y_limit))
-        plist = ps.primes().tolist()
-        prof_a = OccupancyProfile({p: p // 2 for p in plist})
-        prof_b = OccupancyProfile({p: (p + 1) // 2 for p in plist})
-        res = larger_sieve_budget_check(prof_a, prof_b, x, y_limit)
-        # roughly 4 sum log p / p which is about 4 log Y
-        assert res.lhs == pytest.approx(4 * math.log(y_limit), rel=0.35)
-        assert res.within
-
-    def test_tiny_window_within(self, table_1e4):
-        ps = PrimeSubset(table_1e4, Interval(1, 10))
-        plist = ps.primes().tolist()
-        prof = OccupancyProfile({p: max(p // 2, 1) for p in plist})
-        res = larger_sieve_budget_check(prof, prof, 10**6, 10)
-        assert res.within
-
-    def test_occupancy_one_exceeds(self, table_1e4):
-        x = 10**4
-        y_limit = 500  # well beyond 2 log x
-        ps = PrimeSubset(table_1e4, Interval(1, y_limit))
-        plist = ps.primes().tolist()
-        prof_a = OccupancyProfile({p: 1 for p in plist})
-        prof_b = OccupancyProfile({p: 1 for p in plist})
-        res = larger_sieve_budget_check(prof_a, prof_b, x, y_limit)
-        assert not res.within
-        assert res.lhs > res.budget
-
-    def test_complementarity_enforced(self, table_1e4):
-        ps = PrimeSubset(table_1e4, Interval(1, 20))
-        plist = ps.primes().tolist()
-        full = OccupancyProfile({p: p for p in plist})
-        with pytest.raises(DomainError):
-            larger_sieve_budget_check(full, full, 100, 20)
 
 
 class TestMultiplicativeDiagnostic:

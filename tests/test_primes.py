@@ -28,6 +28,7 @@ from sumsieve.primes import (
     primes_up_to,
     residue_counts,
     shift_class_hits,
+    shift_class_masks,
     subset_sums,
     survivors,
     table_bytes_bound,
@@ -360,14 +361,13 @@ class TestCachedSelection:
             ps = PrimeSubset(table_1e6, rng.choice([Interval(2, hi), And((ResidueClass(1, 4),
                                                                           Interval(0, hi)))]))
             plist = ps.primes().tolist()
-            profile = OccupancyProfile({p: rng.choice([rng.randrange(1, p + 1), rng.uniform(0.5, p)])
-                                        for p in plist})
+            entries = {p: rng.choice([rng.randrange(1, p + 1), rng.uniform(0.5, p)]) for p in plist}
             n_limit = rng.randrange(1, 10**5)
-            rep = sieves.larger_sieve_bound(profile, ps, n_limit)
+            rep = sieves.larger_sieve_bound(OccupancyProfile(entries), ps, n_limit)
             num = den = -math.log(n_limit)
             for p in plist:
                 num += math.log(p)
-                den += math.log(p) / profile.get(p)
+                den += math.log(p) / entries[p]
             assert rep.denominator_L == den and rep.params["primes"] == len(plist)
             assert rep.bound == (num / den if den > 0 else math.inf)
 
@@ -773,6 +773,26 @@ class TestShiftClassProperty:
         assert got.tolist() == [any((x - y) % p == 0 for y in shifts) for x in values]
         assert got.tolist() == _isin_hits(v, a, p).tolist()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(_SIFT_VALUES, min_size=1, max_size=40, unique=True),
+            st.builds(lambda lo, n: list(range(lo, lo + n)), _SIFT_VALUES, st.integers(1, 500))),
+        shifts=st.lists(_SIFT_VALUES, min_size=1, max_size=6, unique=True),
+        p=st.sampled_from([2, 3, 5, 7, 31, 397, 1009, 10007]),
+    )
+    @example(values=[5, 6, 9], shifts=[1, 9], p=2)
+    def test_span_marked_masks(self, values, shifts, p):
+        # the span table for dense values, the [0, p) table for sparse ones at
+        # a small p; moduli just below, at and above the span
+        v, a = np.array(sorted(values), dtype=np.int64), np.array(shifts, dtype=np.int64)
+        span = int(v[-1] - v[0])
+        hits_at = shift_class_masks(v, a)
+        near = (span - 1, span, span + 1, span + 2) if span < 10**5 else ()
+        for q in (p, 8 * v.size, *near):
+            if q >= 1:
+                assert hits_at(q).tolist() == shift_class_hits(v, a, q).tolist()
+
     @settings(max_examples=150, deadline=None)
     @given(
         limit=st.sampled_from(sorted(_TABLES)),
@@ -816,19 +836,25 @@ class TestShiftClassProperty:
         omega = OccupancyProfile({p: (p - 1) / 2 for p in plist})
         seen = []
 
-        def checked(values, shift_arr, p):
-            got = shift_class_hits(values, shift_arr, p)
-            assert got.tolist() == [any((int(v) - a) % p == 0 for a in shifts) for v in values]
-            assert got.tolist() == _isin_hits(values, shift_arr, p).tolist()
-            seen.append(p)
-            return got
+        def checked(values, shift_arr):
+            hits_at = shift_class_masks(values, shift_arr)
+
+            def hits(p):
+                got = hits_at(p)
+                assert got.tolist() == [any((int(v) - a) % p == 0 for a in shifts) for v in values]
+                assert got.tolist() == _isin_hits(values, shift_arr, p).tolist()
+                seen.append(p)
+                return got
+
+            return hits
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sieves, "shift_class_hits", checked)
+            mp.setattr(sieves, "shift_class_masks", checked)
             rep = selberg_bound(c_set, ps, shifts, omega, q_limit)
-        assert seen[: len([p for p in plist if p <= q_limit**2])] == [p for p in plist if p <= q_limit**2]
+        # one mask a prime up to Q^2, built as the walk first meets it: ascending
+        assert seen == [p for p in plist if p <= q_limit**2]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sieves, "shift_class_hits", _isin_hits)
+            mp.setattr(sieves, "shift_class_masks", lambda v, a: lambda p: _isin_hits(v, a, p))
             reference = selberg_bound(c_set, ps, shifts, omega, q_limit)
         assert repr(rep.remainder) == repr(reference.remainder)
         # the remainder from counts by trial division, in the lattice's order
@@ -836,7 +862,7 @@ class TestShiftClassProperty:
         for d, r in lattice(plist, q_limit**2, 0, lambda r, p: r + 1):
             if d > 1:
                 count = sum(1 for c in c_set if math.prod(c - a for a in shifts) % d == 0)
-                density = math.prod(omega.get(p) / p for p in plist if d % p == 0)
+                density = math.prod((p - 1) / 2 / p for p in plist if d % p == 0)
                 remainder += 3**r * abs(count - len(c_set) * density)
         assert rep.remainder == pytest.approx(remainder, rel=1e-12, abs=1e-9)
 
@@ -847,22 +873,27 @@ _SMALL_PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, math.is
 class TestResidueCounts:
     @settings(max_examples=300, deadline=None)
     @given(
-        values=st.lists(st.one_of(st.integers(0, 50), st.integers(0, 10**12)), max_size=30),
+        # distinct values, as an IntegerSet holds them; values and primes ascending below
+        values=st.lists(st.one_of(st.integers(0, 50), st.integers(0, 10**12)), max_size=30,
+                        unique=True),
         primes=st.lists(st.sampled_from(_SMALL_PRIMES), max_size=25),
         rows=st.integers(1, 4),
     )
     @example(values=[0], primes=[2, 3, 5], rows=1)
     @example(values=[0, 7, 14], primes=[7, 101, 397], rows=2)  # primes above every value
     @example(values=[123456789], primes=[2, 389], rows=1)
+    @example(values=[2, 9, 4], primes=[7, 3, 11], rows=1)  # a prime equal to the span
+    @example(values=[0, 6], primes=[7, 5], rows=1)  # and to the span + 1
     @example(values=[1, 2, 3], primes=[], rows=1)
     @example(values=[], primes=[2, 3], rows=1)
     def test_matches_python_sets(self, values, primes, rows):
         # rows primes per block, so most prime lists cross a block boundary
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(primes_module, "BLOCK_BYTES", 8 * max(len(values), 1) * rows)
-            got = residue_counts(np.array(values, dtype=np.int64), np.array(primes, dtype=np.int64))
+            got = residue_counts(np.array(sorted(values), dtype=np.int64),
+                                 np.array(sorted(primes), dtype=np.int64))
         assert got.dtype == np.int64
-        assert got.tolist() == [len({v % p for v in values}) for p in primes]
+        assert got.tolist() == [len({v % p for v in values}) for p in sorted(primes)]
 
 
 class TestPower:

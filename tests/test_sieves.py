@@ -64,9 +64,9 @@ class TestOccupancy:
     def test_examples(self, table_1e4):
         ps3 = PrimeSubset(table_1e4, Interval(2, 3))
         prof = occupancy(IntegerSet([1, 4, 7, 10]), ps3)
-        assert prof.get(3) == 1  # all = 1 mod 3
+        assert (prof.primes.tolist(), prof.counts.tolist()) == ([3], [1])  # all = 1 mod 3
         ps2 = PrimeSubset(table_1e4, Interval(1, 2))
-        assert occupancy(IntegerSet([1, 2]), ps2).get(2) == 2
+        assert occupancy(IntegerSet([1, 2]), ps2).counts.tolist() == [2]
 
     def test_against_direct_residue_sets(self, table_1e4):
         rng = random.Random(1)
@@ -74,8 +74,23 @@ class TestOccupancy:
         for _ in range(30):
             a = IntegerSet(rng.sample(range(0, 5000), 50))
             prof = occupancy(a, ps)
-            for p in ps.primes().tolist():
-                assert prof.get(p) == len({v % p for v in a})
+            assert prof.primes.tolist() == ps.primes().tolist()
+            assert prof.counts.tolist() == [len({v % p for v in a}) for p in ps.primes().tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.integers(0, 10**12), span_prime=st.sampled_from([2, 3, 5, 7, 11, 13, 31, 97, 389]),
+           above=st.booleans(), data=st.data())
+    def test_primes_about_the_span(self, table_1e4, lo, span_prime, above, data):
+        # the span is a prime, or one less than a prime: the primes above it
+        # give every value its own class, the prime equal to it does not
+        span = span_prime - 1 if above else span_prime
+        inner = data.draw(st.lists(st.integers(lo, lo + span), max_size=20))
+        a = IntegerSet([lo, lo + span] + inner)
+        ps = PrimeSubset(table_1e4, Interval(1, data.draw(st.integers(span_prime, 1000))))
+        prof = occupancy(a, ps)
+        assert prof.primes.tolist() == ps.primes().tolist()
+        assert prof.counts.tolist() == [len({v % p for v in a}) for p in ps.primes().tolist()]
+        assert prof.span == (a.min, a.max)
 
 
 class TestSiftCount:
@@ -161,7 +176,8 @@ class TestLargerSieve:
         # oracle: the formula assembled directly
         log_n = math.log(961)
         num = sum(math.log(p) for p in ps.primes().tolist()) - log_n
-        den = sum(math.log(p) / prof.get(p) for p in ps.primes().tolist()) - log_n
+        den = sum(math.log(p) / nu for p, nu in zip(ps.primes().tolist(), prof.counts.tolist()))
+        den -= log_n
         assert rep.valid
         assert rep.bound == pytest.approx(num / den, rel=1e-12)
         assert rep.bound >= 31
@@ -257,7 +273,9 @@ class TestLargeSieve:
             q_limit = rng.randrange(2, 40)
             ps = PrimeSubset(table_1e4, Interval(1, q_limit))
             omega = avoided_classes(occupancy(a, ps))
-            assert omega.entries == {p: p - len({v % p for v in a}) for p in ps.primes().tolist()}
+            plist = ps.primes().tolist()
+            assert omega.primes.tolist() == plist
+            assert omega.counts.tolist() == [p - len({v % p for v in a}) for p in plist]
             rep = large_sieve_bound(omega, x, q_limit)
             assert rep.valid and rep.hypotheses == {"set_within_interval_of_length_x": True}
             assert rep.bound >= len(a)
@@ -355,7 +373,7 @@ class TestSelberg:
         monkeypatch.setattr(sieves, "MEMORY_CAP", 7 * 20)
         assert selberg_bound(*args).sifted_count == 16  # all but 11, 13, 17, 19
         monkeypatch.setattr(sieves, "MEMORY_CAP", 7 * 20 - 1)
-        monkeypatch.setattr(sieves, "shift_class_hits", None)  # refused before any mask
+        monkeypatch.setattr(sieves, "shift_class_masks", None)  # refused before any mask
         with pytest.raises(CapacityError, match="Selberg hit masks for 7 primes x 20 values"):
             selberg_bound(*args)
 
@@ -389,6 +407,184 @@ class TestSelberg:
             )
             rep = selberg_bound(c_set, ps, shifts, omega, rng.randrange(2, 20))
             assert rep.bound >= rep.sifted_count - 1e-6
+
+
+def dict_denominator(entries, primes, q_limit):
+    """The sieve denominator over a dict profile, as before the arrays: (support, L)."""
+    if q_limit < 1:
+        raise DomainError(f"need Q >= 1, got {q_limit}")
+    for p in primes:
+        w = entries.get(p, 0.0)
+        if w < 0 or w >= p:
+            raise DomainError(f"need 0 <= omega(p) < p at p={p}, got {w}")
+    support = [p for p in primes if entries.get(p, 0.0) > 0 and p <= q_limit]
+    weights = {p: entries[p] / (p - entries[p]) for p in support}
+    total = 0.0
+    for _, term in arith.lattice(support, q_limit, 1.0, lambda t, p: t * weights[p]):
+        total += term
+    return support, total
+
+
+def dict_larger_sieve_bound(entries, span, ps, n_limit):
+    """larger_sieve_bound over a dict profile, as before the arrays."""
+    if n_limit < 1:
+        raise DomainError(f"need N >= 1, got {n_limit}")
+    primes, logs = primes_module._selected(ps, 0, None, logs=True)
+    plist = primes.tolist()
+    params = {"N": n_limit, "ps": ps.describe(), "primes": len(plist)}
+    hyps = {}
+    if span is not None:
+        hyps["set_within_1_to_N"] = 1 <= span[0] and span[1] <= n_limit
+    nu = np.fromiter((entries.get(p, math.nan) for p in plist), np.float64, len(plist))
+    missing = [i for i in np.flatnonzero(np.isnan(nu)).tolist() if plist[i] not in entries]
+    empty = np.flatnonzero(nu <= 0)
+    if empty.size and (not missing or empty[0] < missing[0]):
+        return sieves.SieveBoundReport(
+            0.0, 0.0, params, f"occupancy 0 at p={plist[empty[0]]}: sifted set empty",
+            hypotheses=hyps)
+    if missing:
+        raise DomainError(f"occupancy profile missing prime {plist[missing[0]]}")
+    start = [-math.log(n_limit)]
+    num = float(np.add.accumulate(np.concatenate((start, logs)))[-1])
+    den = float(np.add.accumulate(np.concatenate((start, logs / nu)))[-1])
+    if den <= 0:
+        return sieves.SieveBoundReport(math.inf, den, params, "denominator not positive",
+                                       hypotheses=hyps)
+    reason = "" if all(hyps.values()) else "the set does not lie in [1, N]"
+    return sieves.SieveBoundReport(num / den, den, params, reason, hypotheses=hyps)
+
+
+def dict_large_sieve_bound(entries, span, x, q_limit):
+    """large_sieve_bound over a dict profile, as before the arrays."""
+    if x < 1:
+        raise DomainError(f"need x >= 1, got {x}")
+    support, L = dict_denominator(entries, sorted(entries), q_limit)
+    bound = primes_module._power(x + q_limit**2, 1) / L
+    hyps = {}
+    if span is not None:
+        hyps["set_within_interval_of_length_x"] = span[1] - span[0] < x
+    reason = "" if all(hyps.values()) else "the set does not lie in an interval of length x"
+    return sieves.SieveBoundReport(bound, L, {"x": x, "Q": q_limit, "support": len(support)},
+                                   reason, hypotheses=hyps)
+
+
+def dict_selberg_bound(c_set, ps, shifts, entries, q_limit):
+    """selberg_bound over a dict profile, as before the arrays: every mask from
+    a [0, p) table, all built before the walk."""
+    c_set, shifts = IntegerSet.coerce(c_set), IntegerSet.coerce(shifts)
+    plist = ps.primes().tolist()
+    _, L = dict_denominator(entries, plist, q_limit)
+    d_bound = q_limit**2
+    hit_masks = {p: primes_module.shift_class_hits(c_set.array(), shifts.array(), p)
+                 for p in plist if p <= d_bound}
+
+    def step(state, p):
+        mask, density, r = state
+        hits = hit_masks[p] if mask is None else mask & hit_masks[p]
+        return hits, density * entries.get(p, 0.0) / p, r + 1
+
+    remainder = 0.0
+    for d, (mask, density, r) in arith.lattice(plist, d_bound, (None, 1.0, 0), step):
+        if d > 1:
+            remainder += (3**r) * abs(int(mask.sum()) - len(c_set) * density)
+    main = len(c_set) / L
+    params = {"Q": q_limit, "ps": ps.describe(), "k": len(shifts), "set_size": len(c_set),
+              "primes": len(plist)}
+    return sieves.SieveBoundReport(main + remainder, L, params, main_term=main,
+                                   remainder=remainder, sifted_count=sift_count(c_set, shifts, ps))
+
+
+def outcome(run) -> str:
+    """The report with every float's exact repr, or the DomainError text."""
+    try:
+        return repr(run().to_dict())
+    except DomainError as error:
+        return f"DomainError: {error}"
+
+
+def random_entries(rng, primes, set_counts=None):
+    """A hand-built profile over `primes`: ints, floats or both, some primes
+    left out, some counts NaN, 0, negative or past p; or the set's counts."""
+    kind = rng.choice(["int", "float", "mixed"])
+    entries = {}
+    for i, p in enumerate(primes):
+        if set_counts is not None:
+            entries[p] = set_counts[i]
+        elif kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            entries[p] = rng.randrange(0, p + 1)
+        else:
+            entries[p] = rng.uniform(0.0, p)
+    for p in rng.sample(primes, min(len(primes), rng.choice([0, 0, 1, 3]))):
+        entries.pop(p)
+    for p in rng.sample(sorted(entries), min(len(entries), rng.choice([0, 0, 0, 1, 2]))):
+        entries[p] = rng.choice([math.nan, 0, 0.0, -1, p, p + 0.5, 1.5])
+    return entries
+
+
+class TestDictPath:
+    """The profile arrays give every bound, branch and error text of the dict
+    path they replaced (the references above), for profiles built from sets
+    and by hand."""
+
+    def test_larger_sieve(self, table_1e4):
+        rng = random.Random(41)
+        for _ in range(300):
+            lo = rng.randrange(0, 60)
+            ps = PrimeSubset(table_1e4, rng.choice([Interval(lo, lo + rng.randrange(1, 600)),
+                                                    And((ResidueClass(1, 4), Interval(0, 900)))]))
+            plist = ps.primes().tolist()
+            n_limit = rng.randrange(1, 5000)
+            top = rng.choice([50, 5000, 10**9])
+            a = IntegerSet(rng.sample(range(0, top), rng.randrange(1, 40)))
+            if rng.random() < 0.4:
+                prof = occupancy(a, ps)
+                entries, span = dict(zip(plist, prof.counts.tolist())), prof.span
+            else:
+                extra = rng.sample(range(2, 1000), 3)  # keys outside ps are never read
+                entries = random_entries(rng, sorted(set(plist + extra)))
+                span = rng.choice([None, (a.min, a.max)])
+                prof = OccupancyProfile(entries, span)
+            want = outcome(lambda: dict_larger_sieve_bound(entries, span, ps, n_limit))
+            assert outcome(lambda: larger_sieve_bound(prof, ps, n_limit)) == want
+
+    def test_large_sieve(self, table_1e4):
+        rng = random.Random(42)
+        for _ in range(300):
+            primes = table_1e4.primes_between(1, rng.choice([10, 40, 200])).tolist()
+            q_limit = rng.randrange(-1, 400)
+            x = rng.randrange(0, 10**4)
+            if rng.random() < 0.4:
+                a = IntegerSet(rng.sample(range(0, 3000), rng.randrange(1, 50)))
+                ps = PrimeSubset(table_1e4, Interval(1, primes[-1]))
+                prof = avoided_classes(occupancy(a, ps))
+                entries = {p: p - len({v % p for v in a}) for p in primes}
+                span = (a.min, a.max)
+            else:
+                entries = random_entries(rng, primes)
+                span = None
+                prof = OccupancyProfile(entries)
+            want = outcome(lambda: dict_large_sieve_bound(entries, span, x, q_limit))
+            assert outcome(lambda: large_sieve_bound(prof, x, q_limit)) == want
+
+    def test_selberg(self, table_1e4):
+        rng = random.Random(43)
+        for _ in range(150):
+            lo = rng.randrange(1, 60)
+            ps = PrimeSubset(table_1e4, Interval(lo, lo + rng.randrange(1, 120)))
+            plist = ps.primes().tolist()
+            start = rng.randrange(0, 10**5)
+            c_set = IntegerSet(rng.choice([range(start, start + rng.randrange(1, 1500)),
+                                           rng.sample(range(0, 10**6), rng.randrange(1, 200))]))
+            shifts = IntegerSet(rng.sample(range(0, 10**6), rng.randrange(1, 5)))
+            q_limit = rng.randrange(0, 15)
+            if rng.random() < 0.3 and plist:
+                prof = occupancy(shifts, ps)
+                entries = dict(zip(plist, prof.counts.tolist()))
+            else:
+                entries = random_entries(rng, plist)
+                prof = OccupancyProfile(entries)
+            want = outcome(lambda: dict_selberg_bound(c_set, ps, shifts, entries, q_limit))
+            assert outcome(lambda: selberg_bound(c_set, ps, shifts, prof, q_limit)) == want
 
 
 class TestInverseSieve:
